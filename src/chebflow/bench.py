@@ -29,8 +29,8 @@ from .coupling import (CouplingState, FlowSystem, Stepper, ap1_pressure,
                        pm1_second_order_pressure, pm1_step, pm1v_step, pm3_step)
 from .grid import (CellField, GridSpec, VelocityField, inf_norm, sample_pressure,
                    sample_velocity, write_field)
-from .integrators import (IntegrationDiverged, StepController, propose_dt,
-                          select_stages)
+from .integrators import (RKC_GROWTH, ROCK2_GROWTH, IntegrationDiverged,
+                          StepController, propose_dt, select_stages)
 from .poisson import PoissonSolver
 from .problems import ProblemSpec, make_problem
 from .spatial import spectral_radius_estimate
@@ -75,6 +75,20 @@ class RunConfig:
             raise ValueError("cp must be 0 or 1")
         if not self.adaptive and self.dt is None:
             raise ValueError("fixed-step runs need dt")
+        # `not x > 0` also rejects NaN
+        if self.dt is not None and not self.dt > 0:
+            raise ValueError(f"dt must be positive, got {self.dt}")
+        if self.nx < 4:
+            raise ValueError(f"nx must be at least 4 cells per side, got {self.nx}")
+        if not self.re > 0:
+            raise ValueError(f"Reynolds number must be positive, got {self.re}")
+        if not self.t_end >= 0:
+            raise ValueError(f"t_end must be non-negative, got {self.t_end}")
+        for name in ("atol", "rtol", "eps"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.stages is not None and self.stages < 1:
+            raise ValueError(f"stages must be at least 1, got {self.stages}")
         if self.adaptive and self.integrator == "rkc" and self.coupling != "pm1":
             raise ValueError("adaptive RKC is only valid with PM1 "
                              "(the error estimate is invalid with projected stages)")
@@ -455,7 +469,7 @@ def max_stable_dt(cfg: RunConfig, s: int, rel_tol: float = 0.02,
     prob = problem if problem is not None else make_problem(cfg.problem, cfg.re, cfg.advection)
     spec = GridSpec(cfg.nx, nu=1.0 / cfg.re)
     rho = spectral_radius_estimate(spec)
-    growth = 0.653 if cfg.integrator == "rkc" else 0.811
+    growth = RKC_GROWTH if cfg.integrator == "rkc" else ROCK2_GROWTH
     theory = growth * s * s / rho
     lo, hi = 0.5 * theory, 1.5 * theory
     while not _stable_run(cfg, prob, lo, s):
@@ -500,15 +514,14 @@ def stability_sweep(cfg: RunConfig, mode: str, values: Sequence, dt: float = 1e-
     s_theory); run without advection (the sweep isolates the Re effect).
     """
     rows = []
+    growth = RKC_GROWTH if cfg.integrator == "rkc" else ROCK2_GROWTH
     if mode == "max_dt_given_s":
         spec = GridSpec(cfg.nx, nu=1.0 / cfg.re)
         rho = spectral_radius_estimate(spec)
-        growth = 0.653 if cfg.integrator == "rkc" else 0.811
         for s in values:
             measured = max_stable_dt(cfg, int(s))
             rows.append((int(s), measured, growth * s * s / rho))
     elif mode == "min_s_given_dt":
-        growth = 0.653 if cfg.integrator == "rkc" else 0.811
         for re_val in values:
             cfg_re = replace(cfg, re=float(re_val), advection=False)
             spec = GridSpec(cfg.nx, nu=1.0 / float(re_val))

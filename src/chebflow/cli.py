@@ -146,8 +146,6 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     opts = _resolve(args)
-    if opts["rock2_table"]:
-        os.environ["CHEBFLOW_ROCK2_TABLE"] = opts["rock2_table"]
     outdir = opts["out"]
     if outdir:
         os.makedirs(outdir, exist_ok=True)

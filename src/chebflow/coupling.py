@@ -36,6 +36,7 @@ from .grid import BoundaryData, CellField, GridSpec, VelocityField
 from .integrators import (Rock2Tableau, RkcTableau, StageHook, pirock_step,
                           rk4_step, rkc_step, rkc_tableau, rock2_step,
                           rock2_tableau)
+from . import spatial
 from .poisson import PoissonSolver
 from .spatial import MomentumRhsConfig, divergence, gradient_to_faces, momentum_rhs
 
@@ -82,7 +83,12 @@ class Stepper:
 
 @dataclass
 class FlowSystem:
-    """Grid, boundary data, forcing and the shared Poisson solver."""
+    """Grid, boundary data, forcing and the shared Poisson solver.
+
+    The boundary data are sampled through ``walls(t)``, which keeps the
+    last sample: a projected stage's divergence and the next stage's
+    momentum RHS share one boundary evaluation at their common time.
+    """
 
     spec: GridSpec
     bc: BoundaryData
@@ -100,6 +106,15 @@ class FlowSystem:
             xu, yu = self.spec.u_points()
             xv, yv = self.spec.v_points()
             self._forcing_eval = self.forcing_factory(xu, yu, xv, yv)
+        self._last_walls = None
+
+    def walls(self, t: float):
+        """``spatial.wall_velocities`` at time t, reused while t repeats."""
+        last = self._last_walls
+        if last is None or last[0] != t or last[1] is not self.bc:
+            walls = spatial.wall_velocities(self.bc, self.spec, t)
+            last = self._last_walls = (t, self.bc, walls)
+        return last[2]
 
     def rhs_config(self, include_pressure: bool, pm3: bool = False,
                    advection: Optional[bool] = None, diffusion: bool = True,
@@ -121,7 +136,7 @@ class FlowSystem:
 
         def f(t, w):
             vel = VelocityField.from_flat(w, N)
-            r = momentum_rhs(vel, p, self.bc, self.spec, t, cfg)
+            r = momentum_rhs(vel, p, self.bc, self.spec, t, cfg, walls=self.walls(t))
             if cached is not None:
                 f1, f2 = cached(t)
                 r.u += f1
@@ -131,7 +146,8 @@ class FlowSystem:
         return f
 
     def divergence_of(self, w: np.ndarray, t: float) -> CellField:
-        return divergence(VelocityField.from_flat(w, self.spec.N), self.bc, self.spec, t)
+        return divergence(VelocityField.from_flat(w, self.spec.N), self.bc, self.spec, t,
+                          walls=self.walls(t))
 
 
 @dataclass
@@ -256,7 +272,8 @@ def dae_step(state: CouplingState, system: FlowSystem, stepper: Stepper,
 def pm1_second_order_pressure(state: CouplingState, system: FlowSystem) -> CellField:
     """Second projection on the acceleration: p + phi2 with lap phi2 = div F."""
     cfg = system.rhs_config(include_pressure=True)
-    F = momentum_rhs(state.u, state.p, system.bc, system.spec, state.t, cfg)
+    F = momentum_rhs(state.u, state.p, system.bc, system.spec, state.t, cfg,
+                     walls=system.walls(state.t))
     rate_bc = (system.bc.as_rate() if system.bc.velocity_dt is not None
                else BoundaryData(velocity=lambda t, x, y: (np.zeros_like(x), np.zeros_like(y))))
     rhs = divergence(F, rate_bc, system.spec, state.t)
@@ -269,7 +286,8 @@ def ap1_pressure(state: CouplingState, system: FlowSystem) -> CellField:
     if system.bc.velocity_dt is None:
         raise ValueError("AP1 requires boundary time derivative")
     cfg = system.rhs_config(include_pressure=False)
-    F = momentum_rhs(state.u, None, system.bc, system.spec, state.t, cfg)
+    F = momentum_rhs(state.u, None, system.bc, system.spec, state.t, cfg,
+                     walls=system.walls(state.t))
     rhs = divergence(F, system.bc.as_rate(), system.spec, state.t)
     return system.poisson.solve(rhs).zero_mean()
 

@@ -18,6 +18,7 @@ v entries in the same order (Fortran order of the arrays above).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -60,6 +61,38 @@ class GridSpec:
         """Coordinates (x, y) of the cell centers, shapes (N, N)."""
         c = (np.arange(1, self.N + 1) - 0.5) * self.dx
         return np.meshgrid(c, c, indexing="ij")
+
+    @cached_property
+    def wall_points(self):
+        """Every boundary point the stencils sample, as one (x, y) pair.
+
+        Returns ``(x, y, segments)``: read-only coordinate arrays holding
+        eight wall segments one after the other, and a dict mapping each
+        segment name to its slice of them.  ``u_left``/``u_right`` lie on
+        x = 0, 1 and ``v_bottom``/``v_top`` on y = 0, 1, at the N
+        face-centered positions (the normal velocity there closes the
+        divergence); ``u_bottom``/``u_top`` lie on y = 0, 1 and
+        ``v_left``/``v_right`` on x = 0, 1, at the N-1 interior node
+        positions (the tangential velocity there enters the one-sided
+        stencils).  Built on first use and kept with the grid.
+        """
+        half = (np.arange(1, self.N + 1) - 0.5) * self.dx
+        node = np.arange(1, self.N) * self.dx
+        zeros_h, ones_h = np.zeros_like(half), np.ones_like(half)
+        zeros_n, ones_n = np.zeros_like(node), np.ones_like(node)
+        parts = (("u_left", zeros_h, half), ("u_right", ones_h, half),
+                 ("v_bottom", half, zeros_h), ("v_top", half, ones_h),
+                 ("u_bottom", node, zeros_n), ("u_top", node, ones_n),
+                 ("v_left", zeros_n, node), ("v_right", ones_n, node))
+        segments, start = {}, 0
+        for name, xs, _ in parts:
+            segments[name] = slice(start, start + xs.size)
+            start += xs.size
+        x = np.concatenate([xs for _, xs, _ in parts])
+        y = np.concatenate([ys for _, _, ys in parts])
+        x.flags.writeable = False
+        y.flags.writeable = False
+        return x, y, segments
 
 
 @dataclass
@@ -146,7 +179,12 @@ class BoundaryData:
     """Dirichlet boundary velocity and optional extra data.
 
     ``velocity(t, x, y) -> (u, v)`` must accept numpy arrays for x, y and is
-    only ever evaluated on the boundary of the unit square.  ``velocity_dt``
+    only ever evaluated on the boundary of the unit square.  It must be
+    pointwise in (x, y), each output entry depending only on the matching
+    input point, and a pure function of t: the solver evaluates it in one
+    call on all wall points (the walls concatenated into one array, see
+    ``GridSpec.wall_points``) and a ``FlowSystem`` reuses the values for
+    every evaluation at the same t.  ``velocity_dt``
     is its analytic time derivative (needed by the AP1 pressure recovery);
     ``tangential_normal_derivative(t, x, y) -> (du/dn of the tangential
     component)`` supplies exact wall-normal derivatives for the PM3 boundary

@@ -40,53 +40,61 @@ class MomentumRhsConfig:
     include_diffusion: bool = True
 
 
-def _wall_coordinates(spec: GridSpec):
-    half = (np.arange(1, spec.N + 1) - 0.5) * spec.dx   # face-centered positions
-    node = np.arange(1, spec.N) * spec.dx               # interior node positions
-    return half, node
-
-
 def wall_velocities(bc: BoundaryData, spec: GridSpec, t: float):
     """Sample every boundary value the stencils need, at time t.
 
     Returns a dict with u on the four walls (normal on x-walls, tangential
-    on y-walls) and v likewise.
+    on y-walls) and v likewise, keyed as the segments of
+    ``GridSpec.wall_points``.  The boundary callback runs once, on all wall
+    points together; the arrays are read-only views of its result, so the
+    dict can be shared by every evaluation at the same t.
     """
-    half, node = _wall_coordinates(spec)
-    zeros_h, ones_h = np.zeros_like(half), np.ones_like(half)
-    zeros_n, ones_n = np.zeros_like(node), np.ones_like(node)
-    u_w, v_w = bc.velocity(t, zeros_h, half)            # x = 0, y at u rows
-    u_e, v_e = bc.velocity(t, ones_h, half)             # x = 1
-    u_s, v_s = bc.velocity(t, half, zeros_h)            # y = 0, x at v cols
-    u_n, v_n = bc.velocity(t, half, ones_h)             # y = 1
-    u_s_n, _ = bc.velocity(t, node, zeros_n)            # y = 0 at u x-positions
-    u_n_n, _ = bc.velocity(t, node, ones_n)
-    _, v_w_n = bc.velocity(t, zeros_n, node)            # x = 0 at v y-positions
-    _, v_e_n = bc.velocity(t, ones_n, node)
-    br = np.broadcast_to
-    return {
-        "u_left": br(u_w, half.shape).astype(float),
-        "u_right": br(u_e, half.shape).astype(float),
-        "v_bottom": br(v_s, half.shape).astype(float),
-        "v_top": br(v_n, half.shape).astype(float),
-        "u_bottom": br(u_s_n, node.shape).astype(float),
-        "u_top": br(u_n_n, node.shape).astype(float),
-        "v_left": br(v_w_n, node.shape).astype(float),
-        "v_right": br(v_e_n, node.shape).astype(float),
-    }
+    x, y, segments = spec.wall_points
+    u, v = bc.velocity(t, x, y)
+    u = np.array(np.broadcast_to(u, x.shape), dtype=float)
+    v = np.array(np.broadcast_to(v, x.shape), dtype=float)
+    u.flags.writeable = False
+    v.flags.writeable = False
+    return {name: (u if name[0] == "u" else v)[sl] for name, sl in segments.items()}
+
+
+def _extended(a, axis):
+    """Empty array one wall row/column longer on each side of ``axis``.
+
+    The memory order follows ``a`` (Fortran order for a reshaped flat
+    state), as ``np.vstack`` would: stencils combining arrays of mixed
+    order run several times slower.
+    """
+    shape = list(a.shape)
+    shape[axis] += 2
+    return np.empty(shape, order="F" if a.flags.f_contiguous else "C")
 
 
 def _u_extended_x(u, walls):
-    return np.vstack([walls["u_left"][None, :], u, walls["u_right"][None, :]])
+    uf = _extended(u, 0)
+    uf[0] = walls["u_left"]
+    uf[1:-1] = u
+    uf[-1] = walls["u_right"]
+    return uf
 
 
 def _v_extended_y(v, walls):
-    return np.hstack([walls["v_bottom"][:, None], v, walls["v_top"][:, None]])
+    vf = _extended(v, 1)
+    vf[:, 0] = walls["v_bottom"]
+    vf[:, 1:-1] = v
+    vf[:, -1] = walls["v_top"]
+    return vf
 
 
-def divergence(vel: VelocityField, bc: BoundaryData, spec: GridSpec, t: float) -> CellField:
-    """Cell-centered discrete divergence, boundary faces from ``bc`` at time t."""
-    walls = wall_velocities(bc, spec, t)
+def divergence(vel: VelocityField, bc: BoundaryData, spec: GridSpec, t: float,
+               walls=None) -> CellField:
+    """Cell-centered discrete divergence, boundary faces from ``bc`` at time t.
+
+    ``walls``, when given, is ``wall_velocities(bc, spec, t)`` sampled
+    earlier; otherwise it is sampled here.
+    """
+    if walls is None:
+        walls = wall_velocities(bc, spec, t)
     uf = _u_extended_x(vel.u, walls)
     vf = _v_extended_y(vel.v, walls)
     div = (uf[1:, :] - uf[:-1, :] + vf[:, 1:] - vf[:, :-1]) / spec.dx
@@ -102,21 +110,28 @@ def gradient_to_faces(phi: CellField, spec: GridSpec) -> VelocityField:
 
 
 def momentum_rhs(vel: VelocityField, p: Optional[CellField], bc: BoundaryData,
-                 spec: GridSpec, t: float, cfg: MomentumRhsConfig) -> VelocityField:
+                 spec: GridSpec, t: float, cfg: MomentumRhsConfig,
+                 walls=None) -> VelocityField:
     """Momentum right-hand side -(u.grad)u - grad p + nu lap u + forcing.
 
     Each term is included according to ``cfg``; the pressure gradient needs
-    ``p``.  Boundary values are evaluated at time t.
+    ``p``.  Boundary values are evaluated at time t; ``walls``, when given,
+    is ``wall_velocities(bc, spec, t)`` sampled earlier.
     """
     if cfg.include_pressure and p is None:
         raise ValueError("pressure required")
     N, dx, nu = spec.N, spec.dx, spec.nu
     u, v = vel.u, vel.v
-    walls = wall_velocities(bc, spec, t)
+    if walls is None:
+        walls = wall_velocities(bc, spec, t)
     uf = _u_extended_x(u, walls)          # (N+1, N)
     vf = _v_extended_y(v, walls)          # (N, N+1)
+    if cfg.pm3_derivative is not None:
+        wx, wy, segments = spec.wall_points
 
-    half, node = _wall_coordinates(spec)
+        def pm3_wall(name):
+            sl = segments[name]
+            return np.asarray(cfg.pm3_derivative(t, wx[sl], wy[sl]), dtype=float)
 
     # -- u equation ----------------------------------------------------------
     if cfg.include_diffusion:
@@ -125,8 +140,7 @@ def momentum_rhs(vel: VelocityField, p: Optional[CellField], bc: BoundaryData,
         d2y[:, 1:-1] = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / dx**2
         uw_s, uw_n = walls["u_bottom"], walls["u_top"]
         if cfg.pm3_derivative is not None:
-            g_s = np.asarray(cfg.pm3_derivative(t, node, np.zeros_like(node)), dtype=float)
-            g_n = np.asarray(cfg.pm3_derivative(t, node, np.ones_like(node)), dtype=float)
+            g_s, g_n = pm3_wall("u_bottom"), pm3_wall("u_top")
             uw_s = u[:, 0] - 0.5 * dx * g_s
             uw_n = u[:, -1] + 0.5 * dx * g_n
         d2y[:, 0] = (16.0 * uw_s - 25.0 * u[:, 0] + 10.0 * u[:, 1] - u[:, 2]) / (5.0 * dx**2)
@@ -154,8 +168,7 @@ def momentum_rhs(vel: VelocityField, p: Optional[CellField], bc: BoundaryData,
         d2x[1:-1, :] = (v[2:, :] - 2.0 * v[1:-1, :] + v[:-2, :]) / dx**2
         vw_w, vw_e = walls["v_left"], walls["v_right"]
         if cfg.pm3_derivative is not None:
-            g_w = np.asarray(cfg.pm3_derivative(t, np.zeros_like(node), node), dtype=float)
-            g_e = np.asarray(cfg.pm3_derivative(t, np.ones_like(node), node), dtype=float)
+            g_w, g_e = pm3_wall("v_left"), pm3_wall("v_right")
             vw_w = v[0, :] - 0.5 * dx * g_w
             vw_e = v[-1, :] + 0.5 * dx * g_e
         d2x[0, :] = (16.0 * vw_w - 25.0 * v[0, :] + 10.0 * v[1, :] - v[2, :]) / (5.0 * dx**2)

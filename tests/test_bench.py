@@ -1,4 +1,5 @@
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -242,3 +243,38 @@ def test_cli_stability_and_ghia(tmp_path, capsys):
                      "dae", "--pressure", "p1", "--reference", ref]) == 0
     out = capsys.readouterr().out
     assert "u-centerline: rms" in out
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(integrator="rk4", coupling="dae", dt=-1e-3), "dt must be positive"),
+    (dict(nx=3), "nx must be at least 4"),
+    (dict(re=0.0), "Reynolds number must be positive"),
+    (dict(t_end=-0.01), "t_end must be non-negative"),
+    (dict(atol=0.0), "atol must be positive"),
+    (dict(rtol=-1e-6), "rtol must be positive"),
+    (dict(eps=0.0), "eps must be positive"),
+    (dict(stages=0), "stages must be at least 1"),
+], ids=["dt", "nx", "re", "t_end", "atol", "rtol", "eps", "stages"])
+def test_validation_rejects_invalid_values(kw, message):
+    with pytest.raises(ValueError, match=message):
+        run_simulation(small_cfg(**kw))
+
+
+def test_cli_rock2_table_reaches_solver_without_touching_environment(tmp_path, capsys):
+    from chebflow.integrators import rock2_table_path
+    table = os.path.join(tmp_path, "rock2.txt")
+    shutil.copy(rock2_table_path(), table)
+    before = dict(os.environ)
+    args = ["run", "--problem", "taylor", "--nx", "8", "--dt", "0.001",
+            "--t-end", "0.003", "--integrator", "rock2", "--coupling", "dae",
+            "--pressure", "p1", "--rock2-table"]
+    assert cli_main(args + [table]) == 0
+    assert dict(os.environ) == before
+    # the solver reads the table named on the command line
+    corrupt = os.path.join(tmp_path, "corrupt.txt")
+    with open(corrupt, "w") as fh:
+        fh.write("x 1\n")
+    with pytest.raises(ValueError, match="corrupt ROCK2 table"):
+        cli_main(args + [corrupt])
+    assert dict(os.environ) == before
+    capsys.readouterr()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -410,3 +412,22 @@ def test_pm3_coincides_with_pm1_for_zero_derivative():
     assert np.max(np.abs(a.u.u - b.u.u)) < 1e-12
     assert np.max(np.abs(a.u.v - b.u.v)) < 1e-12
     assert inf_norm(b.u) < 1e-12
+
+
+def test_dae_step_samples_boundary_once_per_stage_time():
+    prob = green_taylor(100.0)
+    times = []
+
+    def counted(t, x, y):
+        times.append(t)
+        return prob.boundary.velocity(t, x, y)
+
+    system = make_system(dataclasses.replace(prob, boundary=dataclasses.replace(
+        prob.boundary, velocity=counted)), 16)
+    state = initial_state(prob, system)
+    stepper = Stepper("rock2", 3)
+    dt = 1e-3
+    dae_step(state, system, stepper, dt)
+    stage_times = {state.t + c * dt for c in stepper.nodes()}
+    assert len(times) == len(stage_times) == len(set(times))
+    assert set(times) == stage_times

@@ -4,9 +4,10 @@ from conftest import neumann_laplacian_matrix
 
 from chebflow.grid import BoundaryData, CellField, GridSpec, VelocityField, inf_norm, sample_velocity
 from chebflow.poisson import PoissonSolver
-from chebflow.problems import green_taylor
+from chebflow.problems import forced_flow, green_taylor, lid_driven_cavity
 from chebflow.spatial import (MomentumRhsConfig, divergence, gradient_to_faces,
                               momentum_rhs, spectral_radius_estimate)
+from chebflow.spatial import wall_velocities
 
 
 def zero_bc():
@@ -146,3 +147,52 @@ def test_spectral_radius_estimate():
     assert spectral_radius_estimate(spec) > 8 * 0.25 * 64
     spec2 = GridSpec(8, nu=0.5)
     assert abs(spectral_radius_estimate(spec2) - 2 * spectral_radius_estimate(spec)) < 1e-12
+
+
+def per_segment_walls(bc, spec, t):
+    """Oracle: one boundary call per wall segment, eight in all."""
+    half = (np.arange(1, spec.N + 1) - 0.5) * spec.dx
+    node = np.arange(1, spec.N) * spec.dx
+    zeros_h, ones_h = np.zeros_like(half), np.ones_like(half)
+    zeros_n, ones_n = np.zeros_like(node), np.ones_like(node)
+    br = np.broadcast_to
+    return {
+        "u_left": br(bc.velocity(t, zeros_h, half)[0], half.shape).astype(float),
+        "u_right": br(bc.velocity(t, ones_h, half)[0], half.shape).astype(float),
+        "v_bottom": br(bc.velocity(t, half, zeros_h)[1], half.shape).astype(float),
+        "v_top": br(bc.velocity(t, half, ones_h)[1], half.shape).astype(float),
+        "u_bottom": br(bc.velocity(t, node, zeros_n)[0], node.shape).astype(float),
+        "u_top": br(bc.velocity(t, node, ones_n)[0], node.shape).astype(float),
+        "v_left": br(bc.velocity(t, zeros_n, node)[1], node.shape).astype(float),
+        "v_right": br(bc.velocity(t, ones_n, node)[1], node.shape).astype(float),
+    }
+
+
+@pytest.mark.parametrize("make", [forced_flow, green_taylor, lid_driven_cavity])
+@pytest.mark.parametrize("N", [5, 16, 64, 128])
+def test_wall_velocities_bitwise_equal_to_per_segment_sampling(make, N):
+    spec = GridSpec(N, nu=0.01)
+    bc = make(100.0).boundary
+    for boundary in (bc, bc.as_rate()):
+        for t in (0.0, 0.3671, 2.5):
+            got = wall_velocities(boundary, spec, t)
+            want = per_segment_walls(boundary, spec, t)
+            assert list(got) == list(want)
+            for name, value in want.items():
+                assert got[name].dtype == value.dtype and got[name].shape == value.shape
+                assert got[name].tobytes() == value.tobytes(), name
+
+
+def test_wall_velocities_broadcast_scalar_callbacks():
+    spec = GridSpec(6, nu=1.0)
+    walls = wall_velocities(BoundaryData(velocity=lambda t, x, y: (1.5, 0.0)), spec, 0.0)
+    assert np.array_equal(walls["u_left"], np.full(6, 1.5))
+    assert np.array_equal(walls["u_top"], np.full(5, 1.5))
+    assert np.array_equal(walls["v_right"], np.zeros(5))
+
+
+def test_wall_velocities_are_read_only():
+    walls = wall_velocities(green_taylor(100.0).boundary, GridSpec(8, nu=0.01), 0.1)
+    for name, values in walls.items():
+        with pytest.raises(ValueError):
+            values[0] = 1.0
