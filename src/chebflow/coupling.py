@@ -88,6 +88,9 @@ class FlowSystem:
     The boundary data are sampled through ``walls(t)``, which keeps the
     last sample: a projected stage's divergence and the next stage's
     momentum RHS share one boundary evaluation at their common time.
+    The stencils run in one set of scratch arrays (``work``), built on
+    first use and shared by the RHS and the stage projections, so a
+    system serves one thread at a time.
     """
 
     spec: GridSpec
@@ -107,11 +110,22 @@ class FlowSystem:
             xv, yv = self.spec.v_points()
             self._forcing_eval = self.forcing_factory(xu, yu, xv, yv)
         self._last_walls = None
+        self._work = None
+
+    @property
+    def work(self) -> spatial.StencilWork:
+        if self._work is None:
+            self._work = spatial.StencilWork(self.spec.N)
+        return self._work
 
     def walls(self, t: float):
-        """``spatial.wall_velocities`` at time t, reused while t repeats."""
+        """``spatial.wall_velocities`` at time t, reused while t repeats.
+
+        Time-independent boundary data keep their first sample for every t.
+        """
         last = self._last_walls
-        if last is None or last[0] != t or last[1] is not self.bc:
+        if (last is None or last[1] is not self.bc
+                or (last[0] != t and not self.bc.time_independent)):
             walls = spatial.wall_velocities(self.bc, self.spec, t)
             last = self._last_walls = (t, self.bc, walls)
         return last[2]
@@ -128,26 +142,33 @@ class FlowSystem:
         )
 
     def rhs_flat(self, cfg: MomentumRhsConfig, p: Optional[CellField] = None):
-        """Momentum RHS as a callable on flattened state vectors."""
+        """Momentum RHS as a callable on flattened state vectors.
+
+        Every call returns a new array: the integrators keep earlier
+        evaluations (f_0, f_{s-2}) across later ones.
+        """
         N = self.spec.N
         cached = self._forcing_eval if cfg.forcing is not None else None
         if cached is not None:
             cfg = replace(cfg, forcing=None)
 
         def f(t, w):
-            vel = VelocityField.from_flat(w, N)
-            r = momentum_rhs(vel, p, self.bc, self.spec, t, cfg, walls=self.walls(t))
+            out = np.empty(w.size)
+            r = VelocityField.from_flat(out, N)
+            momentum_rhs(VelocityField.from_flat(w, N), p, self.bc, self.spec, t, cfg,
+                         walls=self.walls(t), out=r, work=self.work)
             if cached is not None:
                 f1, f2 = cached(t)
                 r.u += f1
                 r.v += f2
-            return r.flatten()
+            return out
 
         return f
 
-    def divergence_of(self, w: np.ndarray, t: float) -> CellField:
+    def divergence_of(self, w: np.ndarray, t: float, out=None) -> CellField:
+        """Divergence of the flat state ``w`` at t, into ``out`` when given."""
         return divergence(VelocityField.from_flat(w, self.spec.N), self.bc, self.spec, t,
-                          walls=self.walls(t))
+                          walls=self.walls(t), out=out, work=self.work)
 
 
 @dataclass
@@ -167,12 +188,23 @@ class CouplingState:
 # projection methods
 # ---------------------------------------------------------------------------
 
-def _project_once(system: FlowSystem, w_star: np.ndarray, t: float):
-    """Solve lap phi = div(u*) and subtract grad(phi); returns (w, phi)."""
-    div = system.divergence_of(w_star, t)
+def _project_once(system: FlowSystem, w_star: np.ndarray, t: float,
+                  h: Optional[float] = None):
+    """Project the flat state ``w_star`` at t; returns (w, phi).
+
+    phi solves lap phi = div(w_star) / h and w = w_star - h grad(phi); ``h``
+    None means h = 1 without the two scalings.  The divergence and the
+    gradient live in the system's scratch arrays; w is a new array.
+    """
+    work = system.work
+    div = system.divergence_of(w_star, t, out=work.div)
+    if h is not None:
+        div.values /= h
     phi = system.poisson.solve(div)
-    w = w_star - gradient_to_faces(phi, system.spec).flatten()
-    return w, phi
+    gradient_to_faces(phi, system.spec, out=VelocityField.from_flat(work.grad, system.spec.N))
+    if h is not None:
+        work.grad *= h
+    return w_star - work.grad, phi
 
 
 def pm1_step(state: CouplingState, system: FlowSystem, stepper: Stepper,
@@ -223,9 +255,7 @@ def _stage_hook(system: FlowSystem, mode: str, dt: float, log: list):
     def project_scaled(i, ci, ti, w_star):
         if ci <= _DEGENERATE_NODE_TOL:
             raise ValueError(f"degenerate node c_{i} = {ci}")
-        div = system.divergence_of(w_star, ti)
-        phi = system.poisson.solve(CellField(div.values / (ci * dt)))
-        w = w_star - ci * dt * gradient_to_faces(phi, system.spec).flatten()
+        w, phi = _project_once(system, w_star, ti, ci * dt)
         log.append((i, ci, phi))
         return w, phi
 
@@ -273,10 +303,10 @@ def pm1_second_order_pressure(state: CouplingState, system: FlowSystem) -> CellF
     """Second projection on the acceleration: p + phi2 with lap phi2 = div F."""
     cfg = system.rhs_config(include_pressure=True)
     F = momentum_rhs(state.u, state.p, system.bc, system.spec, state.t, cfg,
-                     walls=system.walls(state.t))
+                     walls=system.walls(state.t), work=system.work)
     rate_bc = (system.bc.as_rate() if system.bc.velocity_dt is not None
                else BoundaryData(velocity=lambda t, x, y: (np.zeros_like(x), np.zeros_like(y))))
-    rhs = divergence(F, rate_bc, system.spec, state.t)
+    rhs = divergence(F, rate_bc, system.spec, state.t, work=system.work)
     phi2 = system.poisson.solve(rhs)
     return CellField(state.p.values + phi2.values).zero_mean()
 
@@ -287,8 +317,8 @@ def ap1_pressure(state: CouplingState, system: FlowSystem) -> CellField:
         raise ValueError("AP1 requires boundary time derivative")
     cfg = system.rhs_config(include_pressure=False)
     F = momentum_rhs(state.u, None, system.bc, system.spec, state.t, cfg,
-                     walls=system.walls(state.t))
-    rhs = divergence(F, system.bc.as_rate(), system.spec, state.t)
+                     walls=system.walls(state.t), work=system.work)
+    rhs = divergence(F, system.bc.as_rate(), system.spec, state.t, work=system.work)
     return system.poisson.solve(rhs).zero_mean()
 
 

@@ -105,6 +105,15 @@ class DctPlan:
             tab["naive"] = np.cos((2 * nn + 1) * kk * np.pi / (2 * n))
         return tab["naive"]
 
+    def _inverse_matrix(self, n):
+        """Transposed cosine matrix with the 1/2 weight of F_0 folded in."""
+        tab = self._tables.setdefault(n, {})
+        if "naive_inv" not in tab:
+            c = self._cos_matrix(n).copy()
+            c[:, 0] *= 0.5
+            tab["naive_inv"] = c.T
+        return tab["naive_inv"]
+
     # -- dispatch ------------------------------------------------------------
 
     def _check(self, f):
@@ -129,9 +138,10 @@ def _dct_naive(plan, f, n):
 
 
 def _idct_naive(plan, F, n):
-    Fh = F.copy()
-    Fh[..., 0] *= 0.5
-    return (2.0 / n) * (Fh @ plan._cos_matrix(n).T)
+    # Halving is exact, so F_0/2 * cos = F_0 * (cos/2) bit for bit.  BLAS
+    # picks its kernel, and with it the summation order, by memory layout:
+    # the product keeps a C-ordered left operand.
+    return (2.0 / n) * (np.ascontiguousarray(F) @ plan._inverse_matrix(n))
 
 
 # -- iterative (O(N^2) recurrences) -----------------------------------------

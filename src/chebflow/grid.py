@@ -190,12 +190,15 @@ class BoundaryData:
     component)`` supplies exact wall-normal derivatives for the PM3 boundary
     fix.  The derivative is taken along the +x axis on the walls x in {0, 1}
     (tangential component v) and along +y on the walls y in {0, 1}
-    (tangential component u).
+    (tangential component u).  ``time_independent`` declares that the
+    velocity does not depend on t: a ``FlowSystem`` then samples it once and
+    keeps that sample for every t.
     """
 
     velocity: Callable
     velocity_dt: Optional[Callable] = None
     tangential_normal_derivative: Optional[Callable] = None
+    time_independent: bool = False
 
     def u_at(self, t, x, y):
         return np.asarray(self.velocity(t, x, y)[0], dtype=float)

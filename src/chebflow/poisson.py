@@ -30,9 +30,11 @@ class PoissonSolver:
         j = np.arange(self.N)
         lam = 2.0 * np.cos(j * np.pi / self.N) - 2.0
         self.eigenvalues = lam[:, None] + lam[None, :]
-        # avoid dividing by the zero (0,0) eigenvalue; that mode is gauged away
-        self._safe = self.eigenvalues.copy()
-        self._safe[0, 0] = 1.0
+        # dx^2 / lambda; the zero (0,0) eigenvalue is replaced by 1, as that
+        # mode is gauged away
+        safe = self.eigenvalues.copy()
+        safe[0, 0] = 1.0
+        self._scale = self.dx**2 / safe
 
     def solve(self, rhs: CellField, return_diagnostics: bool = False):
         """Solve lap u = rhs with zero-mean gauge.
@@ -45,7 +47,7 @@ class PoissonSolver:
             raise ValueError(f"rhs side {rhs.N} does not match solver N={self.N}")
         F = dct2d(self.plan, rhs.values)
         discarded = self.dx**2 * F[0, 0]
-        U = (self.dx**2 / self._safe) * F
+        U = self._scale * F
         U[0, 0] = 0.0
         u = CellField(idct2d(self.plan, U))
         if return_diagnostics:

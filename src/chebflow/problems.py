@@ -185,7 +185,7 @@ def lid_driven_cavity(Re: float) -> ProblemSpec:
         z = np.zeros_like(x * np.asarray(y, dtype=float))
         return z, z
 
-    bc = BoundaryData(velocity=velocity, velocity_dt=velocity_dt)
+    bc = BoundaryData(velocity=velocity, velocity_dt=velocity_dt, time_independent=True)
     return ProblemSpec(name="cavity", Re=Re, boundary=bc)
 
 

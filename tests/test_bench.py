@@ -278,3 +278,47 @@ def test_cli_rock2_table_reaches_solver_without_touching_environment(tmp_path, c
         cli_main(args + [corrupt])
     assert dict(os.environ) == before
     capsys.readouterr()
+
+
+def test_adaptive_cavity_samples_its_walls_once():
+    import dataclasses
+    from chebflow.problems import lid_driven_cavity
+    prob = lid_driven_cavity(100.0)
+    velocity = prob.boundary.velocity
+    times = []
+
+    def counted(t, x, y):
+        times.append(t)
+        return velocity(t, x, y)
+
+    prob = dataclasses.replace(prob, boundary=dataclasses.replace(prob.boundary, velocity=counted))
+    rep = run_simulation(RunConfig(problem="cavity", re=100.0, nx=16, t_end=5.0, dt=0.5,
+                                   adaptive=True, atol=1e-3, rtol=1e-3), problem=prob)
+    assert rep.steps_rejected > 0 and not rep.unstable
+    assert len(times) == 1
+
+
+def test_cavity_stability_studies_terminate():
+    # the cavity starts at rest, so only the wall speed can scale the
+    # growth test; scaling by the zero initial velocity never settled a trial
+    from chebflow.bench import max_stable_dt, min_stable_stages
+    cfg = RunConfig(problem="cavity", re=100.0, nx=16, t_end=5.0, dt=0.01,
+                    integrator="rock2", coupling="dae", pressure="p1")
+    dt = max_stable_dt(cfg, 5)
+    assert 0.1 < dt < 1.0
+    s = min_stable_stages(cfg, 2.0 * dt)
+    assert s > 5
+    assert min_stable_stages(cfg, 0.5 * dt) <= 5
+
+
+@pytest.mark.parametrize("content, message", [
+    ("coord,profile,value\nu,0.5,0.0\n", r"ref\.csv, line 1: header must be"),
+    ("profile,coord,value\nu,0.5,0.0\nw,0.5,0.0\n", r"ref\.csv, line 3: profile must be"),
+], ids=["header", "label"])
+def test_ghia_compare_rejects_bad_reference(tmp_path, content, message):
+    rep = run_simulation(small_cfg(problem="cavity", nx=16, t_end=0.002, pressure="p1"))
+    path = os.path.join(tmp_path, "ref.csv")
+    with open(path, "w") as fh:
+        fh.write(content)
+    with pytest.raises(ValueError, match=message):
+        ghia_compare(rep, path)

@@ -431,3 +431,23 @@ def test_dae_step_samples_boundary_once_per_stage_time():
     stage_times = {state.t + c * dt for c in stepper.nodes()}
     assert len(times) == len(stage_times) == len(set(times))
     assert set(times) == stage_times
+
+
+def test_time_independent_walls_are_sampled_once():
+    prob = green_taylor(100.0)
+    times = []
+
+    def counted(t, x, y):
+        times.append(t)
+        return prob.boundary.velocity(0.0, x, y)
+
+    bc = dataclasses.replace(prob.boundary, velocity=counted, time_independent=True)
+    system = make_system(dataclasses.replace(prob, boundary=bc), 16)
+    first = system.walls(0.0)
+    assert system.walls(0.5) is first and system.walls(0.0) is first
+    state = initial_state(prob, system)
+    dae_step(state, system, Stepper("rock2", 3), 1e-3)
+    assert times == [0.0]
+    # new boundary data are sampled anew
+    system.bc = dataclasses.replace(bc)
+    assert system.walls(0.5) is not first and times == [0.0, 0.5]

@@ -113,3 +113,17 @@ def test_plan_validation_errors():
         dct(plan, np.zeros(9))        # length mismatch
     with pytest.raises(ValueError):
         dct2d(plan, np.zeros((8, 4))) # non-square
+
+
+@pytest.mark.parametrize("N", [5, 16, 32, 48, 64, 128])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_naive_inverse_bitwise_equal_to_half_weighted_product(N, order):
+    # the cached inverse matrix carries the 1/2 weight of F_0, which must give
+    # the bits of halving F_0 first, for either memory order of the input
+    plan = DctPlan(N, "naive")
+    F = np.array(np.random.RandomState(N).randn(N, N), order=order)
+    Fh = F.copy()
+    Fh[..., 0] *= 0.5
+    want = (2.0 / N) * (Fh @ plan._cos_matrix(N).T)
+    assert idct(plan, F).tobytes() == want.tobytes()
+    assert idct(plan, F[0]).tobytes() == ((2.0 / N) * (Fh[0] @ plan._cos_matrix(N).T)).tobytes()

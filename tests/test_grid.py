@@ -129,3 +129,13 @@ def test_boundary_rate_wrapper():
     bare = BoundaryData(velocity=lambda t, x, y: (x, y))
     with pytest.raises(ValueError):
         bare.as_rate()
+
+
+def test_time_independence_flag():
+    cavity = lid_driven_cavity(100.0).boundary
+    assert cavity.time_independent
+    # the rate of steady walls is zero, but it is still a separate callback
+    assert not cavity.as_rate().time_independent
+    assert not forced_flow(100.0).boundary.time_independent
+    assert not green_taylor(100.0).boundary.time_independent
+    assert not BoundaryData(velocity=lambda t, x, y: (x, y)).time_independent

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import apply_neumann_laplacian, neumann_laplacian_matrix
 
+from chebflow.dct import dct2d, idct2d
 from chebflow.grid import CellField
 from chebflow.poisson import PoissonSolver, solve_neumann
 
@@ -74,3 +75,19 @@ def test_size_mismatch():
     solver = PoissonSolver(8)
     with pytest.raises(ValueError):
         solve_neumann(solver, CellField.zeros(16))
+
+
+@pytest.mark.parametrize("N, algorithm", [(5, "naive"), (16, "hybrid"), (32, "naive"),
+                                          (48, "iterative"), (64, "hybrid"), (64, "recursive")])
+def test_solver_bitwise_equal_to_expression_form(N, algorithm):
+    solver = PoissonSolver(N, algorithm)
+    rhs = np.asfortranarray(np.random.RandomState(N).randn(N, N))
+    F = dct2d(solver.plan, rhs)
+    safe = solver.eigenvalues.copy()
+    safe[0, 0] = 1.0
+    U = (solver.dx**2 / safe) * F
+    U[0, 0] = 0.0
+    want = idct2d(solver.plan, U)
+    got = solver.solve(CellField(rhs)).values
+    assert got.tobytes() == want.tobytes()
+    assert got.flags.f_contiguous == want.flags.f_contiguous

@@ -1,0 +1,139 @@
+"""The buffered stencils against the frozen expression-form oracle, bit for bit."""
+
+import itertools
+
+import numpy as np
+import pytest
+import stencil_oracle as oracle
+
+from chebflow.coupling import CouplingState, FlowSystem, Stepper, _project_once, dae_step
+from chebflow.grid import CellField, GridSpec, VelocityField, sample_velocity
+from chebflow.poisson import PoissonSolver
+from chebflow.problems import forced_flow, green_taylor
+from chebflow.spatial import (MomentumRhsConfig, StencilWork, divergence,
+                              gradient_to_faces, momentum_rhs)
+
+SIZES = [5, 16, 48, 64]
+
+
+def random_state(N, seed=3):
+    """A rough velocity (as views of a flat state) and pressure."""
+    rng = np.random.RandomState(seed)
+    w = rng.randn(2 * (N - 1) * N)
+    return w, VelocityField.from_flat(w, N), CellField(rng.randn(N, N))
+
+
+def all_configs(prob):
+    for pressure, advection, diffusion, forcing, pm3 in itertools.product((False, True), repeat=5):
+        yield MomentumRhsConfig(
+            include_pressure=pressure, include_advection=advection,
+            forcing=prob.forcing if forcing else None,
+            pm3_derivative=prob.boundary.tangential_normal_derivative if pm3 else None,
+            include_diffusion=diffusion)
+
+
+def same_bits(a: VelocityField, b: VelocityField):
+    return a.u.tobytes() == b.u.tobytes() and a.v.tobytes() == b.v.tobytes()
+
+
+@pytest.mark.parametrize("N", SIZES)
+def test_momentum_rhs_bitwise_equal_to_expression_form(N):
+    prob = forced_flow(100.0)
+    spec = GridSpec(N, nu=0.01)
+    _, vel, p = random_state(N)
+    work = StencilWork(N)            # one scratch set reused across all terms
+    flat = np.empty(2 * (N - 1) * N)
+    for cfg in all_configs(prob):
+        want = oracle.momentum_rhs(vel, p, prob.boundary, spec, 0.37, cfg)
+        got = momentum_rhs(vel, p, prob.boundary, spec, 0.37, cfg)
+        assert same_bits(got, want), cfg
+        out = VelocityField.from_flat(flat, N)
+        got = momentum_rhs(vel, p, prob.boundary, spec, 0.37, cfg, out=out, work=work)
+        assert got is out and same_bits(out, want), cfg
+
+
+@pytest.mark.parametrize("N", SIZES)
+def test_divergence_and_gradient_bitwise_equal_to_expression_form(N):
+    spec = GridSpec(N, nu=0.01)
+    _, vel, phi = random_state(N)
+    work = StencilWork(N)
+    for bc in (forced_flow(100.0).boundary, green_taylor(100.0).boundary):
+        want = oracle.divergence(vel, bc, spec, 0.37).values
+        assert divergence(vel, bc, spec, 0.37).values.tobytes() == want.tobytes()
+        out = np.empty((N, N), order="F")
+        got = divergence(vel, bc, spec, 0.37, out=out, work=work)
+        assert got.values is out and out.tobytes() == want.tobytes()
+    want = oracle.gradient_to_faces(phi, spec)
+    assert same_bits(gradient_to_faces(phi, spec), want)
+    out = VelocityField.from_flat(np.empty(2 * (N - 1) * N), N)
+    assert same_bits(gradient_to_faces(phi, spec, out=out), want)
+
+
+def forced_system(N):
+    prob = forced_flow(100.0)
+    spec = GridSpec(N, nu=1.0 / prob.Re)
+    return prob, FlowSystem(spec, prob.boundary, prob.forcing, prob.advection,
+                            poisson=PoissonSolver(N, "naive"),
+                            forcing_factory=prob.forcing_factory)
+
+
+@pytest.mark.parametrize("N", SIZES)
+def test_rhs_flat_bitwise_equal_to_expression_form(N):
+    prob, system = forced_system(N)
+    w, vel, p = random_state(N)
+    g = prob.forcing_factory(*system.spec.u_points(), *system.spec.v_points())
+    for include_pressure in (False, True):
+        cfg = system.rhs_config(include_pressure=include_pressure)
+        want = oracle.momentum_rhs(vel, p, prob.boundary, system.spec, 0.37,
+                                   MomentumRhsConfig(include_pressure, True, None))
+        f1, f2 = g(0.37)
+        want.u += f1         # the cached forcing is added after the stencils
+        want.v += f2
+        got = system.rhs_flat(cfg, p)(0.37, w)
+        assert got.tobytes() == want.flatten().tobytes()
+
+
+def test_rhs_flat_returns_a_new_array_per_call():
+    _, system = forced_system(16)
+    f = system.rhs_flat(system.rhs_config(include_pressure=False))
+    w1, _, _ = random_state(16, seed=1)
+    w2, _, _ = random_state(16, seed=2)
+    first = f(0.1, w1)
+    kept = first.copy()
+    second = f(0.2, w2)
+    assert second is not first and not np.shares_memory(first, second)
+    assert first.tobytes() == kept.tobytes()
+    assert not np.shares_memory(first, system.work.grad)
+
+
+def test_flow_system_builds_its_scratch_on_first_use_and_shares_it():
+    prob, system = forced_system(16)
+    assert system._work is None
+    f = system.rhs_flat(system.rhs_config(include_pressure=False))
+    assert system._work is None
+    f(0.0, np.zeros(2 * 15 * 16))
+    work = system._work
+    assert isinstance(work, StencilWork)
+    u0 = sample_velocity(system.spec, prob.initial_velocity(0.0), 0.0)
+    state = CouplingState(u0, CellField.zeros(16), 0.0)
+    dae_step(state, system, Stepper("rock2", 3), 1e-3)
+    assert system._work is work
+
+
+@pytest.mark.parametrize("N", [16, 32])
+@pytest.mark.parametrize("h", [None, 0.37 * 1e-2])
+def test_projection_bitwise_equal_to_expression_form(N, h):
+    _, system = forced_system(N)
+    w, vel, _ = random_state(N)
+    # the transform's matrix product sums in an order set by memory layout,
+    # and the solver's divergence has the Fortran order of the flat state
+    div = CellField(np.asfortranarray(oracle.divergence(vel, system.bc, system.spec, 0.2).values))
+    if h is None:
+        phi = system.poisson.solve(div)
+        want = w - oracle.gradient_to_faces(phi, system.spec).flatten()
+    else:
+        phi = system.poisson.solve(CellField(div.values / h))
+        want = w - h * oracle.gradient_to_faces(phi, system.spec).flatten()
+    got, got_phi = _project_once(system, w, 0.2, h)
+    assert got.tobytes() == want.tobytes()
+    assert got_phi.values.tobytes() == phi.values.tobytes()
