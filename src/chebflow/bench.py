@@ -206,6 +206,9 @@ def run_simulation(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
     last_dt_step = None
     try:
         while state.t < cfg.t_end - eps_t:
+            if cfg.adaptive and dt < eps_t:
+                raise RuntimeError(f"adaptive step dt={dt:.3e} fell below the end "
+                                   f"tolerance {eps_t:.1e} at t={state.t!r}")
             dt_step = min(dt, cfg.t_end - state.t)
             if cfg.integrator == "rk4":
                 stepper = stepper_for(4)

@@ -539,7 +539,11 @@ class StepController:
 
     def record(self, err_new: float, dt_cur: float) -> None:
         """Store the last attempt; rejected attempts count too, otherwise a
-        stale dt ratio can lock the proposal into a rejection loop."""
+        stale dt ratio can lock the proposal into a rejection loop.  A
+        non-finite error is not stored: (inf/inf)^p would make the next
+        proposal NaN."""
+        if not math.isfinite(err_new):
+            return
         self.err_prev = max(err_new, 1e-14)
         self.dt_prev = dt_cur
 
@@ -549,10 +553,13 @@ def propose_dt(ctrl: StepController, err_new: float, dt_cur: float):
 
     A rejected step never proposes growth (otherwise the memory factor fed
     by a previous catastrophic error can lock the controller into a cycle
-    of alternating over- and undershoots).
+    of alternating over- and undershoots).  A non-finite error (an
+    overflowing weighted norm) rejects with the smallest factor.
     """
     if err_new < 0:
         raise ValueError("error must be non-negative")
+    if not math.isfinite(err_new):
+        return ctrl.fac_min * dt_cur, False
     accept = err_new <= 1.0
     p = 1.0 / (ctrl.order_hat + 1.0)
     if err_new < 1e-12:

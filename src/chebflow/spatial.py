@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .grid import BoundaryData, CellField, GridSpec, VelocityField
 
@@ -46,42 +47,71 @@ def wall_velocities(bc: BoundaryData, spec: GridSpec, t: float):
     Returns a dict with u on the four walls (normal on x-walls, tangential
     on y-walls) and v likewise, keyed as the segments of
     ``GridSpec.wall_points``.  The boundary callback runs once, on all wall
-    points together; the arrays are read-only views of its result, so the
-    dict can be shared by every evaluation at the same t.
+    points together; the arrays are read-only views of one copy of its
+    result, so the dict can be shared by every evaluation at the same t.
     """
     x, y, segments = spec.wall_points
-    u, v = bc.velocity(t, x, y)
-    u = np.array(np.broadcast_to(u, x.shape), dtype=float)
-    v = np.array(np.broadcast_to(v, x.shape), dtype=float)
-    u.flags.writeable = False
-    v.flags.writeable = False
+    uv = np.empty((2, x.size))
+    uv[0], uv[1] = bc.velocity(t, x, y)   # copies, broadcasting scalar output
+    uv.flags.writeable = False
+    u, v = uv
     return {name: (u if name[0] == "u" else v)[sl] for name, sl in segments.items()}
 
 
 class StencilWork:
     """Scratch arrays for the buffered stencils of one N x N grid.
 
-    All arrays are Fortran-ordered, like the u and v views of a flat state
-    (stencils combining arrays of mixed memory order run several times
-    slower): ``uf``/``vf`` hold u and v extended by their wall rows, and
-    ``temps(shape)`` returns three face-field temporaries over one buffer,
-    shared by the u and v equations.  ``div`` (a cell field) and ``grad``
-    (a flat face vector) hold the stage projection's divergence and
-    gradient.  The stencils overwrite these arrays on every call, so one
-    set serves one thread.
+    ``uf``/``vf`` hold u and v extended by their wall rows for the
+    divergence, Fortran-ordered like the u and v views of a flat state;
+    ``div`` and ``grad`` (a flat face vector) hold the stage projection's
+    divergence and gradient.  The momentum RHS works on u and v^T, both
+    (N-1, N) with axis 0 crossing the walls the component is normal to:
+    each with its two wall rows is an (N+1, N+1) Fortran-ordered block (the
+    last column is padding), the two blocks side by side in flat arrays of
+    length 2 (N+1)^2: ``x`` (velocities), ``a``, ``b``, ``c`` (temporaries),
+    ``r`` (result).  A step along axis 0 is a shift of 1, along axis 1 a
+    shift of N+1, so each interior term of both equations is one ufunc call
+    on shifted slices of the span holding every interior entry (``X``,
+    ``A``, ...); what lands on wall rows and padding is never read back.
+    The one-sided wall columns 0 and N-1 of both blocks are (N-1, 2, 2)
+    views indexed [entry, near/far wall, u/v], like ``tw``, the tangential
+    wall values.  The stencils overwrite all these arrays on every call, so
+    one set serves one thread.
     """
 
     def __init__(self, N: int):
-        n = (N - 1) * N
         self.uf = np.empty((N + 1, N), order="F")
         self.vf = np.empty((N, N + 1), order="F")
         self.div = np.empty((N, N), order="F")
-        self.grad = np.empty(2 * n)
-        self._temps = np.empty(3 * n)
-
-    def temps(self, shape):
-        n = shape[0] * shape[1]
-        return [self._temps[k * n:(k + 1) * n].reshape(shape, order="F") for k in range(3)]
+        self.grad = np.empty(2 * (N - 1) * N)
+        m = N + 1
+        n, hi = m * m, m * m + N * N + N - 1
+        self.x, self.a, self.b, self.c, self.r = (np.zeros(2 * n) for _ in range(5))
+        x, a, b, c, r = self.x, self.a, self.b, self.c, self.r
+        self.X, self.A, self.B, self.C, self.R = (f[1:hi] for f in (x, a, b, c, r))
+        self.Xn, self.Xp, self.Cp = x[2:hi + 1], x[:hi - 1], c[:hi - 1]
+        self.Xt, self.Bt = x[1 + m:hi - m], b[1 + m:hi - m]
+        self.Xtn, self.Xtp = x[1 + 2 * m:hi], x[1:hi - 2 * m]
+        L = 2 * n - m - 1
+        self.corners = (a[:L], x[:L], x[m:m + L], x[1:1 + L], x[1 + m:1 + m + L])
+        xb, ab, cb, rb = (f.reshape((m, m, 2), order="F") for f in (x, a, c, r))
+        self.x_u, self.x_vt = xb[1:N, :N, 0], xb[1:N, :N, 1]
+        self.r_u, self.r_vt = rb[1:N, :N, 0], rb[1:N, :N, 1]
+        self.c_p, self.c_pt = cb[:N, :N, 0], cb[:N, :N, 1]
+        self.swap = (cb[1:N, :N], ab[:N, :N - 1, ::-1].transpose(1, 0, 2))
+        self.tw, self.t1, self.t2 = (np.empty((N - 1, 2, 2), order="F") for _ in range(3))
+        tw = self.tw
+        self.fills = ((xb[0, :N, 0], "u_left"), (xb[N, :N, 0], "u_right"),
+                      (xb[0, :N, 1], "v_bottom"), (xb[N, :N, 1], "v_top"),
+                      (tw[:, 0, 0], "u_bottom"), (tw[:, 1, 0], "u_top"),
+                      (tw[:, 0, 1], "v_left"), (tw[:, 1, 1], "v_right"))
+        # columns (j, N-1-j), with explicit strides: at N = 5 the pair j = 2
+        # is one column, at N = 4 it runs backwards
+        self.W0, self.W1, self.W2, self.Bw = (
+            as_strided(f[1 + m * j:], shape=(N - 1, 2, 2),
+                       strides=(f.itemsize * k for k in (1, m * (N - 1 - 2 * j), n)))
+            for f, j in ((x, 0), (x, 1), (x, 2), (b, 0)))
+        self.sign = np.array([1.0, -1.0]).reshape(1, 2, 1)
 
 
 def _faces(N: int) -> VelocityField:
@@ -147,132 +177,102 @@ def momentum_rhs(vel: VelocityField, p: Optional[CellField], bc: BoundaryData,
     Each term is included according to ``cfg``; the pressure gradient needs
     ``p``.  Boundary values are evaluated at time t; ``walls``, when given,
     is ``wall_velocities(bc, spec, t)`` sampled earlier.  ``out``, a
-    :class:`VelocityField` not overlapping ``vel`` (such as views of a flat
-    vector), receives the result; ``work``, a :class:`StencilWork` for this
-    grid, supplies the scratch arrays.  Either is allocated when omitted.
+    :class:`VelocityField` (such as views of a flat vector), receives the
+    result; ``work``, a :class:`StencilWork` for this grid, supplies the
+    scratch arrays.  Either is allocated when omitted.
     """
     if cfg.include_pressure and p is None:
         raise ValueError("pressure required")
     N, dx, nu = spec.N, spec.dx, spec.nu
     dx2 = dx**2
-    u, v = vel.u, vel.v
     if walls is None:
         walls = wall_velocities(bc, spec, t)
     if work is None:
         work = StencilWork(N)
     if out is None:
         out = _faces(N)
-    uf, vf = _extend(u, v, walls, work)   # (N+1, N), (N, N+1)
-    if cfg.pm3_derivative is not None:
-        wx, wy, segments = spec.wall_points
-
-        def pm3_wall(name):
-            sl = segments[name]
-            return np.asarray(cfg.pm3_derivative(t, wx[sl], wy[sl]), dtype=float)
-
-    # Each term is evaluated with the same operations, in the same order, as
-    # its textbook expression (noted above it), so the result is bit for bit
-    # that of the expression form.
-    # -- u equation ----------------------------------------------------------
-    rhs_u = out.u
-    a, b, c = work.temps(u.shape)
+    work.x_u[...] = vel.u
+    work.x_vt[...] = vel.v.T
+    for dst, name in work.fills:
+        dst[...] = walls[name]
+    X, Xn, Xp, A, B, C, R = work.X, work.Xn, work.Xp, work.A, work.B, work.C, work.R
+    Xt, Xtn, Xtp, Bt = work.Xt, work.Xtn, work.Xtp, work.Bt
+    W0, W1, W2, Bw, t1, t2, sign = work.W0, work.W1, work.W2, work.Bw, work.t1, work.t2, work.sign
+    # Both equations at once, u's as written and v's transposed.  Every entry
+    # gets the same operations, in the same order, as the textbook expression
+    # of its term (noted above it for u), so the result is bit for bit that
+    # of the expression form; a + c and c + a, and negation, are exact.
     if cfg.include_diffusion:
         # nu * ((uf[2:] - 2 u + uf[:-2]) / dx^2 + d2y)
-        np.multiply(u, 2.0, out=a)
-        np.subtract(uf[2:, :], a, out=a)
-        a += uf[:-2, :]
-        a /= dx2
-        bi = b[:, 1:-1]
-        np.multiply(u[:, 1:-1], 2.0, out=bi)
-        np.subtract(u[:, 2:], bi, out=bi)
-        bi += u[:, :-2]
-        bi /= dx2
-        uw_s, uw_n = walls["u_bottom"], walls["u_top"]
+        np.multiply(X, 2.0, out=A)
+        np.subtract(Xn, A, out=A)
+        A += Xp
+        A /= dx2
+        np.multiply(Xt, 2.0, out=Bt)
+        np.subtract(Xtn, Bt, out=Bt)
+        Bt += Xtp
+        Bt /= dx2
+        tw = work.tw
         if cfg.pm3_derivative is not None:
-            g_s, g_n = pm3_wall("u_bottom"), pm3_wall("u_top")
-            uw_s = u[:, 0] - 0.5 * dx * g_s
-            uw_n = u[:, -1] + 0.5 * dx * g_n
-        b[:, 0] = (16.0 * uw_s - 25.0 * u[:, 0] + 10.0 * u[:, 1] - u[:, 2]) / (5.0 * dx2)
-        b[:, -1] = (16.0 * uw_n - 25.0 * u[:, -1] + 10.0 * u[:, -2] - u[:, -3]) / (5.0 * dx2)
-        a += b
-        np.multiply(a, nu, out=rhs_u)
+            # ghosts u[:, 0] - dx/2 g and u[:, -1] + dx/2 g; the tangential
+            # segments follow one another in wall_points
+            wx, wy, segments = spec.wall_points
+            sl = slice(segments["u_bottom"].start, segments["v_right"].stop)
+            g = np.asarray(cfg.pm3_derivative(t, wx[sl], wy[sl]), dtype=float)
+            np.multiply(np.broadcast_to(g, wx[sl].shape).reshape(tw.shape, order="F"),
+                        0.5 * dx, out=t1)
+            t1 *= sign
+            tw = W0 - t1
+        # d2y[:, 0] = (16 uw_s - 25 u[:, 0] + 10 u[:, 1] - u[:, 2]) / (5 dx^2), d2y[:, -1] alike
+        np.multiply(tw, 16.0, out=t1)
+        np.multiply(W0, 25.0, out=t2)
+        t1 -= t2
+        np.multiply(W1, 10.0, out=t2)
+        t1 += t2
+        t1 -= W2
+        np.divide(t1, 5.0 * dx2, out=Bw)
+        A += B
+        np.multiply(A, nu, out=R)
     else:
-        rhs_u[...] = 0.0
+        R[...] = 0.0
 
     if cfg.include_advection:
-        # u * dudx + vbar * dudy, with vbar the mean of the four nearest v
-        np.subtract(uf[2:, :], uf[:-2, :], out=a)
-        a /= 2.0 * dx
-        bi = b[:, 1:-1]
-        np.subtract(u[:, 2:], u[:, :-2], out=bi)
-        bi /= 2.0 * dx
-        b[:, 0] = (u[:, 1] + 3.0 * u[:, 0] - 4.0 * walls["u_bottom"]) / (3.0 * dx)
-        b[:, -1] = -(u[:, -2] + 3.0 * u[:, -1] - 4.0 * walls["u_top"]) / (3.0 * dx)
-        np.add(vf[:-1, :-1], vf[1:, :-1], out=c)
-        c += vf[:-1, 1:]
-        c += vf[1:, 1:]
-        c *= 0.25
-        a *= u
-        c *= b
-        a += c
-        rhs_u -= a
+        # u * dudx + vbar * dudy, vbar the mean of the four nearest v: the
+        # four-point sums of both blocks, then swapped between them
+        corners, x00, x01, x10, x11 = work.corners
+        np.add(x00, x01, out=corners)
+        corners += x10
+        corners += x11
+        dst, src = work.swap
+        dst[...] = src
+        C *= 0.25
+        np.subtract(Xn, Xp, out=A)
+        A /= 2.0 * dx
+        np.subtract(Xtn, Xtp, out=Bt)
+        Bt /= 2.0 * dx
+        # dudy[:, 0] = (u[:, 1] + 3 u[:, 0] - 4 uw_s) / (3 dx), dudy[:, -1] its negative mirror
+        np.multiply(W0, 3.0, out=t1)
+        np.add(W1, t1, out=t1)
+        np.multiply(work.tw, 4.0, out=t2)
+        t1 -= t2
+        t1 /= 3.0 * dx
+        np.multiply(t1, sign, out=Bw)
+        A *= X
+        C *= B
+        A += C
+        R -= A
 
     if cfg.include_pressure:
-        # (p[1:] - p[:-1]) / dx
-        np.subtract(p.values[1:, :], p.values[:-1, :], out=a)
-        a /= dx
-        rhs_u -= a
+        # (p[1:] - p[:-1]) / dx, from p and p^T in the blocks of c
+        work.c_p[...] = p.values
+        work.c_pt[...] = p.values.T
+        np.subtract(C, work.Cp, out=A)
+        A /= dx
+        R -= A
 
-    # -- v equation ----------------------------------------------------------
-    rhs_v = out.v
-    a, b, c = work.temps(v.shape)
-    if cfg.include_diffusion:
-        # nu * ((vf[:, 2:] - 2 v + vf[:, :-2]) / dx^2 + d2x)
-        np.multiply(v, 2.0, out=a)
-        np.subtract(vf[:, 2:], a, out=a)
-        a += vf[:, :-2]
-        a /= dx2
-        bi = b[1:-1, :]
-        np.multiply(v[1:-1, :], 2.0, out=bi)
-        np.subtract(v[2:, :], bi, out=bi)
-        bi += v[:-2, :]
-        bi /= dx2
-        vw_w, vw_e = walls["v_left"], walls["v_right"]
-        if cfg.pm3_derivative is not None:
-            g_w, g_e = pm3_wall("v_left"), pm3_wall("v_right")
-            vw_w = v[0, :] - 0.5 * dx * g_w
-            vw_e = v[-1, :] + 0.5 * dx * g_e
-        b[0, :] = (16.0 * vw_w - 25.0 * v[0, :] + 10.0 * v[1, :] - v[2, :]) / (5.0 * dx2)
-        b[-1, :] = (16.0 * vw_e - 25.0 * v[-1, :] + 10.0 * v[-2, :] - v[-3, :]) / (5.0 * dx2)
-        a += b
-        np.multiply(a, nu, out=rhs_v)
-    else:
-        rhs_v[...] = 0.0
-
-    if cfg.include_advection:
-        # ubar * dvdx + v * dvdy, with ubar the mean of the four nearest u
-        np.subtract(vf[:, 2:], vf[:, :-2], out=a)
-        a /= 2.0 * dx
-        bi = b[1:-1, :]
-        np.subtract(v[2:, :], v[:-2, :], out=bi)
-        bi /= 2.0 * dx
-        b[0, :] = (v[1, :] + 3.0 * v[0, :] - 4.0 * walls["v_left"]) / (3.0 * dx)
-        b[-1, :] = -(v[-2, :] + 3.0 * v[-1, :] - 4.0 * walls["v_right"]) / (3.0 * dx)
-        np.add(uf[:-1, :-1], uf[:-1, 1:], out=c)
-        c += uf[1:, :-1]
-        c += uf[1:, 1:]
-        c *= 0.25
-        c *= b
-        a *= v
-        c += a
-        rhs_v -= c
-
-    if cfg.include_pressure:
-        # (p[:, 1:] - p[:, :-1]) / dx
-        np.subtract(p.values[:, 1:], p.values[:, :-1], out=a)
-        a /= dx
-        rhs_v -= a
-
+    rhs_u, rhs_v = out.u, out.v
+    rhs_u[...] = work.r_u
+    rhs_v[...] = work.r_vt.T
     if cfg.forcing is not None:
         xu, yu = spec.u_points()
         xv, yv = spec.v_points()

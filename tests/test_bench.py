@@ -50,6 +50,16 @@ def test_counters_are_consistent():
     assert rep.t_final == pytest.approx(0.1, abs=1e-12)
 
 
+@pytest.mark.parametrize("tol", [1e-300, 1e-150])
+def test_unreachable_tolerance_stops_at_the_step_floor(tol):
+    # 1e-300 overflows the weighted error norm (inf); 1e-150 is finite but
+    # out of reach, so each shrinks dt until the loop's end tolerance
+    cfg = small_cfg(nx=8, t_end=0.1, adaptive=True, atol=tol, rtol=tol)
+    with np.errstate(over="ignore"):
+        with pytest.raises(RuntimeError, match=r"dt=.* fell below .* at t=0\.0"):
+            run_simulation(cfg)
+
+
 def test_determinism_bitwise(tmp_path):
     outs = []
     for k in (0, 1):

@@ -9,11 +9,14 @@ import stencil_oracle as oracle
 from chebflow.coupling import CouplingState, FlowSystem, Stepper, _project_once, dae_step
 from chebflow.grid import CellField, GridSpec, VelocityField, sample_velocity
 from chebflow.poisson import PoissonSolver
-from chebflow.problems import forced_flow, green_taylor
+from chebflow.problems import forced_flow, green_taylor, lid_driven_cavity
 from chebflow.spatial import (MomentumRhsConfig, StencilWork, divergence,
                               gradient_to_faces, momentum_rhs)
 
 SIZES = [5, 16, 48, 64]
+# the stacked momentum RHS builds its wall-column views with explicit
+# strides: at N = 5 the second-inward columns coincide, at N = 4 they swap
+RHS_SIZES = [4, 5, 6, 7, 16, 48, 64, 128]
 
 
 def random_state(N, seed=3):
@@ -36,11 +39,12 @@ def same_bits(a: VelocityField, b: VelocityField):
     return a.u.tobytes() == b.u.tobytes() and a.v.tobytes() == b.v.tobytes()
 
 
-@pytest.mark.parametrize("N", SIZES)
+@pytest.mark.parametrize("N", RHS_SIZES)
 def test_momentum_rhs_bitwise_equal_to_expression_form(N):
     prob = forced_flow(100.0)
     spec = GridSpec(N, nu=0.01)
-    _, vel, p = random_state(N)
+    w, vel, p = random_state(N)
+    w_before, p_before = w.tobytes(), p.values.tobytes()
     work = StencilWork(N)            # one scratch set reused across all terms
     flat = np.empty(2 * (N - 1) * N)
     for cfg in all_configs(prob):
@@ -50,6 +54,7 @@ def test_momentum_rhs_bitwise_equal_to_expression_form(N):
         out = VelocityField.from_flat(flat, N)
         got = momentum_rhs(vel, p, prob.boundary, spec, 0.37, cfg, out=out, work=work)
         assert got is out and same_bits(out, want), cfg
+    assert w.tobytes() == w_before and p.values.tobytes() == p_before
 
 
 @pytest.mark.parametrize("N", SIZES)
@@ -77,7 +82,7 @@ def forced_system(N):
                             forcing_factory=prob.forcing_factory)
 
 
-@pytest.mark.parametrize("N", SIZES)
+@pytest.mark.parametrize("N", RHS_SIZES)
 def test_rhs_flat_bitwise_equal_to_expression_form(N):
     prob, system = forced_system(N)
     w, vel, p = random_state(N)
@@ -91,6 +96,34 @@ def test_rhs_flat_bitwise_equal_to_expression_form(N):
         want.v += f2
         got = system.rhs_flat(cfg, p)(0.37, w)
         assert got.tobytes() == want.flatten().tobytes()
+
+
+@pytest.mark.parametrize("make", [green_taylor, lid_driven_cavity])
+def test_momentum_rhs_bitwise_equal_to_expression_form_with_other_walls(make):
+    # the forced flow's walls are (to rounding) at rest; these move
+    prob = make(100.0)
+    derivative = prob.boundary.tangential_normal_derivative
+    for N in (4, 5, 16):
+        spec = GridSpec(N, nu=0.01)
+        _, vel, p = random_state(N, seed=N)
+        for pm3 in (None, derivative) if derivative is not None else (None,):
+            cfg = MomentumRhsConfig(pm3_derivative=pm3)
+            want = oracle.momentum_rhs(vel, p, prob.boundary, spec, 2.5, cfg)
+            assert same_bits(momentum_rhs(vel, p, prob.boundary, spec, 2.5, cfg), want)
+
+
+def test_flow_system_has_no_stacked_buffers_before_its_first_rhs_call():
+    _, system = forced_system(8)
+    f = system.rhs_flat(system.rhs_config(include_pressure=False))
+    assert system._work is None
+    w, vel, _ = random_state(8)
+    f(0.0, w)
+    x = system.work.x
+    assert x.shape == (2 * 9 * 9,)
+    # u and v^T, each with its wall rows, as (N+1, N+1) blocks side by side
+    blocks = x.reshape((9, 9, 2), order="F")
+    assert blocks[1:8, :8, 0].tobytes() == vel.u.tobytes()
+    assert blocks[1:8, :8, 1].tobytes() == vel.v.T.tobytes()
 
 
 def test_rhs_flat_returns_a_new_array_per_call():
