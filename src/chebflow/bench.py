@@ -29,16 +29,21 @@ from .coupling import (CouplingState, FlowSystem, Stepper, ap1_pressure,
                        pm1_second_order_pressure, pm1_step, pm1v_step, pm3_step)
 from .grid import (CellField, GridSpec, VelocityField, inf_norm, sample_pressure,
                    sample_velocity, write_field)
-from .integrators import (RKC_GROWTH, ROCK2_GROWTH, IntegrationDiverged,
-                          StepController, propose_dt, select_stages)
+from .dct import ALGORITHMS, DEFAULT_ALGORITHM
+from .integrators import (METHODS, RKC_EPS, IntegrationDiverged, StepController,
+                          method_spec, nearest_stage_counts, propose_dt,
+                          select_stages)
 from .poisson import PoissonSolver
 from . import spatial
 from .problems import ProblemSpec, make_problem
 from .spatial import spectral_radius_estimate
 
-INTEGRATORS = ("rkc", "rock2", "pirock", "rk4")
+INTEGRATORS = tuple(METHODS)
 COUPLINGS = ("pm1", "pm1v", "pm3", "dae")
 PRESSURES = ("p1", "p2", "ap1", "ap2", "ap2w")
+# the values of RunConfig's choice fields: validate checks them, the CLI offers them
+CHOICES = dict(integrator=INTEGRATORS, coupling=COUPLINGS, pressure=PRESSURES,
+               cp=(0, 1), dct_algorithm=ALGORITHMS)
 
 
 @dataclass
@@ -59,21 +64,17 @@ class RunConfig:
     cp: int = 0                         # 0: recover pressure at t_end only; 1: every step
     stages: Optional[int] = None        # fixed stage count (otherwise selected per step)
     advection: bool = True
-    eps: float = 0.15                   # RKC damping parameter
+    eps: float = RKC_EPS                # RKC damping parameter
     out: Optional[str] = None
     rock2_table: Optional[str] = None
-    dct_algorithm: str = "naive"
+    dct_algorithm: str = DEFAULT_ALGORITHM
     compensated: bool = False           # Kahan accumulation (RK4 reference runs)
 
     def validate(self) -> "RunConfig":
-        if self.integrator not in INTEGRATORS:
-            raise ValueError(f"unknown integrator {self.integrator!r}")
-        if self.coupling not in COUPLINGS:
-            raise ValueError(f"unknown coupling {self.coupling!r}")
-        if self.pressure not in PRESSURES:
-            raise ValueError(f"unknown pressure mode {self.pressure!r}")
-        if self.cp not in (0, 1):
-            raise ValueError("cp must be 0 or 1")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, "
+                                 f"got {getattr(self, name)!r}")
         if not self.adaptive and self.dt is None:
             raise ValueError("fixed-step runs need dt")
         # `not x > 0` also rejects NaN
@@ -88,8 +89,13 @@ class RunConfig:
         for name in ("atol", "rtol", "eps"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.stages is not None and self.stages < 1:
-            raise ValueError(f"stages must be at least 1, got {self.stages}")
+        if self.stages is not None:
+            if self.stages < 1:
+                raise ValueError(f"stages must be at least 1, got {self.stages}")
+            counts = method_spec(self.integrator).stage_counts(self.rock2_table)
+            if self.stages not in counts:
+                raise ValueError(f"{self.integrator} cannot run stages={self.stages}; nearest "
+                                 f"available: {nearest_stage_counts(counts, self.stages)}")
         if self.adaptive and self.integrator == "rkc" and self.coupling != "pm1":
             raise ValueError("adaptive RKC is only valid with PM1 "
                              "(the error estimate is invalid with projected stages)")
@@ -137,12 +143,6 @@ class RunReport:
         return self.total_stages / n
 
 
-def _min_stages_for(cfg: RunConfig) -> Optional[int]:
-    if cfg.integrator == "rkc" and cfg.pressure == "ap2":
-        return 3       # reconstruction needs distinct U_s, U_{s+1} beyond U_1, U_2
-    return None
-
-
 def _recover_pressure(cfg: RunConfig, state: CouplingState, system: FlowSystem,
                       stepper: Stepper, dt: float) -> CellField:
     if cfg.pressure == "p1":
@@ -185,6 +185,9 @@ def run_simulation(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
     report = RunReport(config=cfg, spec=spec, u=u0.u, v=u0.v, p=p0.values,
                        pressures={}, t_final=0.0)
 
+    # AP2 (RKC only) reconstructs through U_s, U_{s+1}, distinct from U_1, U_2
+    min_stages = 3 if cfg.pressure == "ap2" else None
+
     def stepper_for(s: int) -> Stepper:
         if s not in steppers:
             steppers[s] = Stepper(cfg.integrator, s, cfg.eps, cfg.rock2_table)
@@ -210,13 +213,9 @@ def run_simulation(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
                 raise RuntimeError(f"adaptive step dt={dt:.3e} fell below the end "
                                    f"tolerance {eps_t:.1e} at t={state.t!r}")
             dt_step = min(dt, cfg.t_end - state.t)
-            if cfg.integrator == "rk4":
-                stepper = stepper_for(4)
-                s_used = 4
-            else:
-                s_used = cfg.stages or select_stages(
-                    dt_step, rho, cfg.integrator, _min_stages_for(cfg), cfg.rock2_table)
-                stepper = stepper_for(s_used)
+            s_used = cfg.stages or select_stages(
+                dt_step, rho, cfg.integrator, min_stages, cfg.rock2_table)
+            stepper = stepper_for(s_used)
             new_state, err = advance(state, stepper, dt_step)
             report.steps_attempted += 1
             report.total_stages += s_used
@@ -409,10 +408,6 @@ def convergence_study(cfg: RunConfig, axis: str = "time",
             dp1 = rep.pressures["p1"] - ref.pressures["p1"]
             err_p1 = np.max(np.abs(dp1 - dp1.mean()))
             rows.append((dt, float(err_u), float(err_p), float(err_p1)))
-        xs = [r[0] for r in rows]
-        eu = [r[1] for r in rows]
-        ep = [r[2] for r in rows]
-        ep1 = [r[3] for r in rows]
     elif axis == "space":
         Ns = list(Ns) if Ns is not None else [16, 32, 64]
         ref_N = ref_N if ref_N is not None else 128
@@ -435,12 +430,12 @@ def convergence_study(cfg: RunConfig, axis: str = "time",
             err_p1 = np.max(np.abs(dp1 - dp1.mean()))
             rows.append((1.0 / N, float(err_u), float(err_p), float(err_p1)))
         rows.sort(key=lambda r: -r[0])
-        xs = [r[0] for r in rows]
-        eu = [r[1] for r in rows]
-        ep = [r[2] for r in rows]
-        ep1 = [r[3] for r in rows]
     else:
         raise ValueError("axis must be 'time' or 'space'")
+    xs = [r[0] for r in rows]
+    eu = [r[1] for r in rows]
+    ep = [r[2] for r in rows]
+    ep1 = [r[3] for r in rows]
     su = _slope_rows(xs, eu)
     sp = _slope_rows(xs, ep)
     sp1 = _slope_rows(xs, ep1)
@@ -473,14 +468,22 @@ def _stable_run(cfg: RunConfig, prob: ProblemSpec, dt: float, s: int) -> bool:
     return peak <= 10.0 * max(scale, 1e-30)
 
 
+def _growth(cfg: RunConfig) -> float:
+    """The growth constant of the stability interval; studies need one."""
+    growth = method_spec(cfg.integrator).growth
+    if growth is None:
+        raise ValueError(f"{cfg.integrator} runs a fixed stage count: no growth law to study")
+    return growth
+
+
 def max_stable_dt(cfg: RunConfig, s: int, rel_tol: float = 0.02,
                   problem: Optional[ProblemSpec] = None) -> float:
     """Bisect the largest stable step for a fixed stage count."""
     cfg.validate()
+    growth = _growth(cfg)
     prob = problem if problem is not None else make_problem(cfg.problem, cfg.re, cfg.advection)
     spec = GridSpec(cfg.nx, nu=1.0 / cfg.re)
     rho = spectral_radius_estimate(spec)
-    growth = RKC_GROWTH if cfg.integrator == "rkc" else ROCK2_GROWTH
     theory = growth * s * s / rho
     lo, hi = 0.5 * theory, 1.5 * theory
     while not _stable_run(cfg, prob, lo, s):
@@ -504,13 +507,9 @@ def min_stable_stages(cfg: RunConfig, dt: float,
                       problem: Optional[ProblemSpec] = None) -> int:
     """Smallest tabulated stage count that runs stably at the given step."""
     cfg.validate()
+    _growth(cfg)
     prob = problem if problem is not None else make_problem(cfg.problem, cfg.re, cfg.advection)
-    from .integrators import STAGE_CAP, rock2_degrees
-    if cfg.integrator == "rkc":
-        candidates = range(2, STAGE_CAP + 1)
-    else:
-        candidates = rock2_degrees(cfg.rock2_table)
-    for s in candidates:
+    for s in method_spec(cfg.integrator).stage_counts(cfg.rock2_table):
         if _stable_run(cfg, prob, dt, s):
             return s
     raise RuntimeError("no stable stage count within the cap")
@@ -524,8 +523,8 @@ def stability_sweep(cfg: RunConfig, mode: str, values: Sequence, dt: float = 1e-
     ``min_s_given_dt``: values are Reynolds numbers; rows (Re, s_measured,
     s_theory); run without advection (the sweep isolates the Re effect).
     """
+    growth = _growth(cfg)
     rows = []
-    growth = RKC_GROWTH if cfg.integrator == "rkc" else ROCK2_GROWTH
     if mode == "max_dt_given_s":
         spec = GridSpec(cfg.nx, nu=1.0 / cfg.re)
         rho = spectral_radius_estimate(spec)

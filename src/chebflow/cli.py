@@ -6,23 +6,54 @@ order study), ``stability`` (stability-domain sweeps), ``efficiency``
 sweep), ``ghia`` (cavity run plus centerline comparison against a
 user-supplied reference CSV).
 
-Options may also be given in a config file (``--config``) with one
-``key = value`` per line and ``#`` comments; explicit command-line flags
-override file entries.
+The run options are ``RunConfig``'s fields.  A config file (``--config``)
+holds one ``key = value`` per line, keys named like the flags, booleans as
+1/0/true/false/yes/no, ``#`` comments; a bad line ends the run naming it.
+Explicit command-line flags override file entries.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
+import typing
 
-from .bench import (RunConfig, convergence_study, efficiency_study, fmt,
+from .bench import (CHOICES, RunConfig, convergence_study, efficiency_study, fmt,
                     ghia_compare, reynolds_sweep, run_simulation, stability_sweep)
-from .problems import make_problem
+from .problems import PROBLEMS, make_problem
+
+_CHOICES = dict(CHOICES, problem=tuple(PROBLEMS))
+_HELP = dict(re="Reynolds number", nx="cells per side", dt="fixed (or initial) time step",
+             out="output directory", rock2_table="alternative coefficient table")
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+_TYPES = typing.get_type_hints(RunConfig)
+# the run options by flag name: RunConfig's fields but eps and compensated
+_OPTIONS = {("no_" if f.default is True else "") + f.name: f
+            for f in dataclasses.fields(RunConfig) if f.name not in ("eps", "compensated")}
+
+
+def _kind(f):
+    """The value type of field f, Optional[X] read as X."""
+    kind = _TYPES[f.name]
+    return next((a for a in typing.get_args(kind) if a is not type(None)), kind)
+
+
+def _cast(f, text):
+    if _kind(f) is bool:
+        if text.lower() not in _BOOLS:
+            raise ValueError(f"expected one of {'/'.join(_BOOLS)}, got {text!r}")
+        return _BOOLS[text.lower()]
+    value = _kind(f)(text)
+    if f.name in _CHOICES and value not in _CHOICES[f.name]:
+        raise ValueError(f"expected one of {_CHOICES[f.name]}, got {text!r}")
+    return value
 
 
 def _parse_config_file(path):
+    """RunConfig field values from a ``key = value`` file; an unknown key or a
+    value that does not parse for its field exits naming the file and line."""
     if not os.path.exists(path):
         raise SystemExit(f"config file not found: {path}")
     entries = {}
@@ -33,70 +64,44 @@ def _parse_config_file(path):
                 continue
             if "=" not in line:
                 raise SystemExit(f"{path}:{ln}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            entries[key.replace("-", "_")] = value
+            key, text = (part.strip() for part in line.split("=", 1))
+            dest = key.replace("-", "_")
+            if dest not in _OPTIONS:
+                raise SystemExit(f"{path}:{ln}: unknown key {key!r}")
+            f = _OPTIONS[dest]
+            try:
+                value = _cast(f, text)
+            except ValueError as exc:
+                raise SystemExit(f"{path}:{ln}: {key}: {exc}") from None
+            entries[f.name] = value if dest == f.name else not value
     return entries
 
 
 def _add_run_options(p):
-    p.add_argument("--problem", choices=("forced", "taylor", "cavity"), default=None)
-    p.add_argument("--re", type=float, default=None, help="Reynolds number")
-    p.add_argument("--nx", type=int, default=None, help="cells per side")
-    p.add_argument("--dt", type=float, default=None, help="fixed (or initial) time step")
-    p.add_argument("--adaptive", action="store_true", default=None)
-    p.add_argument("--atol", type=float, default=None)
-    p.add_argument("--rtol", type=float, default=None)
-    p.add_argument("--t-end", type=float, default=None)
-    p.add_argument("--integrator", choices=("rkc", "rock2", "pirock", "rk4"), default=None)
-    p.add_argument("--coupling", choices=("pm1", "pm1v", "pm3", "dae"), default=None)
-    p.add_argument("--pressure", choices=("p1", "p2", "ap1", "ap2", "ap2w"), default=None)
-    p.add_argument("--cp", type=int, choices=(0, 1), default=None)
-    p.add_argument("--stages", type=int, default=None)
-    p.add_argument("--no-advection", action="store_true", default=None)
-    p.add_argument("--out", default=None, help="output directory")
+    for dest, f in _OPTIONS.items():
+        flag = "--" + dest.replace("_", "-")
+        if _kind(f) is bool:        # --adaptive, --no-advection: the opposite of the default
+            p.add_argument(flag, dest=f.name, action="store_const", const=not f.default,
+                           default=None)
+        else:
+            p.add_argument(flag, type=_kind(f), choices=_CHOICES.get(f.name),
+                           default=None, help=_HELP.get(f.name))
     p.add_argument("--config", default=None, help="key = value config file")
-    p.add_argument("--rock2-table", default=None, help="alternative coefficient table")
-    p.add_argument("--dct-algorithm",
-                   choices=("naive", "iterative", "recursive", "hybrid"), default=None)
-
-
-_DEFAULTS = dict(problem="forced", re=100.0, nx=64, dt=None, adaptive=False,
-                 atol=1e-6, rtol=1e-6, t_end=1.0, integrator="rock2",
-                 coupling="dae", pressure="p1", cp=0, stages=None,
-                 no_advection=False, out=None, rock2_table=None,
-                 dct_algorithm="naive")
-
-_CASTS = dict(re=float, nx=int, dt=float, adaptive=lambda v: v in ("1", "true", "yes"),
-              atol=float, rtol=float, t_end=float, cp=int, stages=int,
-              no_advection=lambda v: v in ("1", "true", "yes"))
 
 
 def _resolve(args):
-    """Merge defaults, config-file entries and explicit flags (in that order)."""
-    merged = dict(_DEFAULTS)
+    """RunConfig field values: defaults, then config-file entries, then flags."""
+    opts = {f.name: f.default for f in _OPTIONS.values()}
     if getattr(args, "config", None):
-        for key, value in _parse_config_file(args.config).items():
-            if key in merged:
-                merged[key] = _CASTS.get(key, str)(value)
-    for key in list(merged):
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    return merged
+        opts.update(_parse_config_file(args.config))
+    for name in opts:
+        if getattr(args, name, None) is not None:
+            opts[name] = getattr(args, name)
+    return opts
 
 
 def _run_config(opts, **overrides):
-    cfg = RunConfig(problem=opts["problem"], re=opts["re"], nx=opts["nx"],
-                    dt=opts["dt"], adaptive=opts["adaptive"], atol=opts["atol"],
-                    rtol=opts["rtol"], t_end=opts["t_end"],
-                    integrator=opts["integrator"], coupling=opts["coupling"],
-                    pressure=opts["pressure"], cp=opts["cp"], stages=opts["stages"],
-                    advection=not opts["no_advection"], out=opts["out"],
-                    rock2_table=opts["rock2_table"],
-                    dct_algorithm=opts["dct_algorithm"])
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
-    return cfg
+    return RunConfig(**dict(opts, **overrides))
 
 
 def _floats(text):
@@ -108,20 +113,19 @@ def main(argv=None):
                                      description="stabilized explicit Runge-Kutta "
                                                  "Navier-Stokes benchmark suite")
     sub = parser.add_subparsers(dest="command", required=True)
+    run_options = argparse.ArgumentParser(add_help=False)
+    _add_run_options(run_options)
+    sub.add_parser("run", parents=[run_options], help="run one simulation")
 
-    p_run = sub.add_parser("run", help="run one simulation")
-    _add_run_options(p_run)
-
-    p_conv = sub.add_parser("convergence", help="temporal/spatial order study")
-    _add_run_options(p_conv)
+    p_conv = sub.add_parser("convergence", parents=[run_options],
+                            help="temporal/spatial order study")
     p_conv.add_argument("--axis", choices=("time", "space"), default="time")
     p_conv.add_argument("--dts", type=str, default=None, help="comma list of steps")
     p_conv.add_argument("--ref-dt", type=float, default=None)
     p_conv.add_argument("--ns", type=str, default=None, help="comma list of grid sizes")
     p_conv.add_argument("--ref-n", type=int, default=None)
 
-    p_stab = sub.add_parser("stability", help="stability-domain sweeps")
-    _add_run_options(p_stab)
+    p_stab = sub.add_parser("stability", parents=[run_options], help="stability-domain sweeps")
     p_stab.add_argument("--mode", choices=("max_dt_given_s", "min_s_given_dt"),
                         default="max_dt_given_s")
     p_stab.add_argument("--values", type=str, required=True,
@@ -129,18 +133,16 @@ def main(argv=None):
     p_stab.add_argument("--sweep-dt", type=float, default=1e-2,
                         help="fixed step for the min_s sweep")
 
-    p_eff = sub.add_parser("efficiency", help="work-precision sweep")
-    _add_run_options(p_eff)
+    p_eff = sub.add_parser("efficiency", parents=[run_options], help="work-precision sweep")
     p_eff.add_argument("--tolerances", type=str,
                        default=",".join(str(10.0**-m) for m in range(2, 13)))
     p_eff.add_argument("--ref-dt", type=float, default=1e-5)
 
-    p_rey = sub.add_parser("reynolds", help="Reynolds-number sweep")
-    _add_run_options(p_rey)
+    p_rey = sub.add_parser("reynolds", parents=[run_options], help="Reynolds-number sweep")
     p_rey.add_argument("--re-values", type=str, required=True)
 
-    p_ghia = sub.add_parser("ghia", help="cavity centerline comparison")
-    _add_run_options(p_ghia)
+    p_ghia = sub.add_parser("ghia", parents=[run_options],
+                            help="cavity centerline comparison")
     p_ghia.add_argument("--reference", type=str, required=True,
                         help="CSV with header profile,coord,value")
 
@@ -185,8 +187,7 @@ def main(argv=None):
         _print_rows(("re", "err_u", "wall_time", "avg_stages", "total_stages",
                      "steps", "rejected"), rows)
     elif args.command == "ghia":
-        cfg = _run_config(opts)
-        cfg.problem = "cavity"
+        cfg = _run_config(opts, problem="cavity")
         rep = run_simulation(cfg)
         _print_report(rep)
         prob = make_problem("cavity", cfg.re)

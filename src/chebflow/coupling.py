@@ -33,9 +33,8 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .grid import BoundaryData, CellField, GridSpec, VelocityField
-from .integrators import (Rock2Tableau, RkcTableau, StageHook, pirock_step,
-                          rk4_step, rkc_step, rkc_tableau, rock2_step,
-                          rock2_tableau)
+from .integrators import (RKC_EPS, Rock2Tableau, StageHook, method_spec,
+                          pirock_step, rk4_step, rkc_step, rock2_step)
 from . import spatial
 from .poisson import PoissonSolver
 from .spatial import MomentumRhsConfig, divergence, gradient_to_faces, momentum_rhs
@@ -46,25 +45,14 @@ _DEGENERATE_NODE_TOL = 1e-12
 class Stepper:
     """One integrator method bound to a stage count."""
 
-    def __init__(self, method: str, s: int, eps: float = 0.15,
+    def __init__(self, method: str, s: int, eps: float = RKC_EPS,
                  table_path: Optional[str] = None):
         self.method = method
-        if method == "rkc":
-            self.tableau = rkc_tableau(s, eps)
-            self.s = s
-        elif method in ("rock2", "pirock"):
-            self.tableau = rock2_tableau(s, table_path)
-            self.s = s
-        elif method == "rk4":
-            self.tableau = None
-            self.s = 4
-        else:
-            raise ValueError(f"unknown integrator {method!r}")
+        self.tableau = method_spec(method).tableau(s, eps, table_path)
+        self.s = s
 
     def nodes(self) -> np.ndarray:
-        if self.method == "rk4":
-            return np.array([0.0, 0.5, 0.5, 1.0, 1.0])
-        return self.tableau.nodes()
+        return method_spec(self.method).nodes(self.tableau)
 
     def advance(self, f, y, t, dt, hook=None, err_norm=None):
         if self.method == "rkc":
@@ -73,12 +61,7 @@ class Stepper:
             return rock2_step(f, y, t, dt, self.tableau, hook, err_norm)
         if self.method == "rk4":
             return rk4_step(f, y, t, dt, hook), None
-        raise ValueError("pirock advances through advance_split")
-
-    def advance_split(self, f_diffusion, f_advection, y, t, dt):
-        if self.method != "pirock":
-            raise ValueError("advance_split is only for pirock")
-        return pirock_step(f_diffusion, f_advection, y, t, dt, self.tableau)
+        raise ValueError("pirock steps through pm1_step's operator split")
 
 
 @dataclass
@@ -98,12 +81,11 @@ class FlowSystem:
     forcing: Optional[Callable] = None
     advection: bool = True
     poisson: Optional[PoissonSolver] = None
-    dct_algorithm: str = "hybrid"
     forcing_factory: Optional[Callable] = None
 
     def __post_init__(self):
         if self.poisson is None:
-            self.poisson = PoissonSolver(self.spec.N, self.dct_algorithm)
+            self.poisson = PoissonSolver(self.spec.N)
         self._forcing_eval = None
         if self.forcing_factory is not None and self.forcing is not None:
             xu, yu = self.spec.u_points()
@@ -227,7 +209,7 @@ def pm1_step(state: CouplingState, system: FlowSystem, stepper: Stepper,
         f_d = system.rhs_flat(system.rhs_config(True, pm3=pm3, advection=False,
                                                 forcing=False), p_n)
         f_a = system.rhs_flat(system.rhs_config(False, diffusion=False))
-        w_star = stepper.advance_split(f_d, f_a, w0, t, dt)
+        w_star = pirock_step(f_d, f_a, w0, t, dt, stepper.tableau)
         err = None
     else:
         f = system.rhs_flat(cfg, p_n)

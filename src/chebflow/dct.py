@@ -22,7 +22,10 @@ from __future__ import annotations
 
 import numpy as np
 
-_ALGORITHMS = ("naive", "iterative", "recursive", "hybrid")
+ALGORITHMS = ("naive", "iterative", "recursive", "hybrid")
+# the matrix product takes any N and runs as one BLAS call per axis
+DEFAULT_ALGORITHM = "naive"
+HYBRID_CUTOFF = 64
 
 
 def _is_pow2(n: int) -> bool:
@@ -45,8 +48,8 @@ class DctPlan:
     threads; all transform calls are pure.
     """
 
-    def __init__(self, N: int, algorithm: str = "hybrid", cutoff: int = 64):
-        if algorithm not in _ALGORITHMS:
+    def __init__(self, N: int, algorithm: str = DEFAULT_ALGORITHM, cutoff: int = HYBRID_CUTOFF):
+        if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown DCT algorithm {algorithm!r}")
         if N < 1:
             raise ValueError("transform length must be >= 1")

@@ -31,7 +31,9 @@ import numpy as np
 from .grid import weighted_rms_norm
 
 STAGE_CAP = 200
+RKC_STAGES = range(2, STAGE_CAP + 1)
 RKC_GROWTH = 0.653
+RKC_EPS = 0.15        # RKC damping parameter
 ROCK2_GROWTH = 0.811
 
 HOOK_MODES = ("none", "project_state", "project_dual_buffer")
@@ -123,11 +125,9 @@ class RkcTableau:
         return self.c.copy()
 
 
-def rkc_tableau(s: int, eps: float = 0.15) -> RkcTableau:
-    if s < 2:
-        raise ValueError("RKC needs at least 2 stages")
-    if s > STAGE_CAP:
-        raise ValueError(f"stage count {s} exceeds the cap {STAGE_CAP}")
+def rkc_tableau(s: int, eps: float = RKC_EPS) -> RkcTableau:
+    if s not in RKC_STAGES:
+        raise ValueError(f"RKC runs {RKC_STAGES[0]} to {STAGE_CAP} stages, not {s}")
     if eps <= 0:
         raise ValueError("damping parameter must be positive")
     w0 = 1.0 + eps / s**2
@@ -262,25 +262,30 @@ def rock2_table_path(path: Optional[str] = None) -> str:
     return os.path.join(os.path.dirname(__file__), "data", "rock2_coeffs.txt")
 
 
-def rock2_degrees(path: Optional[str] = None):
-    """Sorted stage counts available in the coefficient table."""
+def _rock2_records(path: Optional[str] = None) -> dict:
     p = rock2_table_path(path)
     if p not in _ROCK2_CACHE:
         _ROCK2_CACHE[p] = _parse_rock2_table(p)
-    return sorted(_ROCK2_CACHE[p])
+    return _ROCK2_CACHE[p]
+
+
+def rock2_degrees(path: Optional[str] = None):
+    """Sorted stage counts available in the coefficient table."""
+    return sorted(_rock2_records(path))
+
+
+def nearest_stage_counts(counts, s: int) -> str:
+    """The entries of ``counts`` just below and just above s, as text."""
+    below = max((d for d in counts if d < s), default=None)
+    above = min((d for d in counts if d > s), default=None)
+    return ", ".join(str(d) for d in (below, above) if d is not None)
 
 
 def rock2_tableau(s: int, path: Optional[str] = None) -> Rock2Tableau:
-    p = rock2_table_path(path)
-    if p not in _ROCK2_CACHE:
-        _ROCK2_CACHE[p] = _parse_rock2_table(p)
-    records = _ROCK2_CACHE[p]
+    records = _rock2_records(path)
     if s not in records:
-        degrees = sorted(records)
-        below = max((d for d in degrees if d < s), default=None)
-        above = min((d for d in degrees if d > s), default=None)
-        near = ", ".join(str(d) for d in (below, above) if d is not None)
-        raise ValueError(f"ROCK2 degree s={s} not in table; nearest available: {near}")
+        raise ValueError(f"ROCK2 degree s={s} not in table; nearest available: "
+                         f"{nearest_stage_counts(records, s)}")
     rec = records[s]
     mu = np.zeros(s + 1)
     nu = np.zeros(s + 1)
@@ -481,33 +486,56 @@ def butcher_tableau(tableau):
     return A, b, c
 
 
-def nodes_c(method: str, s: int, eps: float = 0.15):
+@dataclass(frozen=True)
+class MethodSpec:
+    """The facts about one integrator that more than one site needs.  The
+    step call itself is dispatched by name in ``coupling.Stepper.advance``."""
+
+    growth: Optional[float]   # stability interval growth * s^2; None: no growth law
+    stage_counts: Callable    # (table_path) -> ascending stage counts it runs
+    tableau: Callable         # (s, eps, table_path) -> coefficients, None for RK4
+    nodes: Callable           # (tableau) -> nodes c_1..c_{s+1} of U_1..U_{s+1}
+
+
+_ROCK2 = MethodSpec(ROCK2_GROWTH, rock2_degrees,
+                    lambda s, eps, path: rock2_tableau(s, path), Rock2Tableau.nodes)
+METHODS = {
+    "rkc": MethodSpec(RKC_GROWTH, lambda path: RKC_STAGES,
+                      lambda s, eps, path: rkc_tableau(s, eps), RkcTableau.nodes),
+    "rock2": _ROCK2,
+    "pirock": _ROCK2,
+    "rk4": MethodSpec(None, lambda path: (4,), lambda s, eps, path: None,
+                      lambda tableau: np.array(_RK4_C + (1.0,))),
+}
+
+
+def method_spec(method: str) -> MethodSpec:
+    """The table entry of ``method``; ValueError for an unknown name."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    return METHODS[method]
+
+
+def nodes_c(method: str, s: int, eps: float = RKC_EPS):
     """Stage nodes c_1..c_{s+1} (including the final node 1)."""
-    if method == "rkc":
-        return rkc_tableau(s, eps).nodes()
-    if method in ("rock2", "pirock"):
-        return rock2_tableau(s).nodes()
-    if method == "rk4":
-        return np.array([0.0, 0.5, 0.5, 1.0, 1.0])
-    raise ValueError(f"unknown method {method!r}")
+    spec = method_spec(method)
+    return spec.nodes(spec.tableau(s, eps, None))
 
 
-def stability_poly_eval(method: str, s: int, z, eps: float = 0.15):
+def stability_poly_eval(method: str, s: int, z, eps: float = RKC_EPS):
     """Amplification factor R(z) of one step on y' = lambda y (z = lambda dt)."""
+    tab = method_spec(method).tableau(s, eps, None)
     z = np.asarray(z, dtype=float)
     y0 = np.ones_like(z)
     f = lambda t, y: z * y
     if method == "rkc":
-        y1, _ = rkc_step(f, y0, 0.0, 1.0, rkc_tableau(s, eps))
+        y1, _ = rkc_step(f, y0, 0.0, 1.0, tab)
     elif method == "rock2":
-        y1, _ = rock2_step(f, y0, 0.0, 1.0, rock2_tableau(s))
+        y1, _ = rock2_step(f, y0, 0.0, 1.0, tab)
     elif method == "pirock":
-        y1 = pirock_step(lambda t, y: z * y, lambda t, y: 0.0 * y, y0, 0.0, 1.0,
-                         rock2_tableau(s))
-    elif method == "rk4":
-        y1 = rk4_step(f, y0, 0.0, 1.0)
+        y1 = pirock_step(f, lambda t, y: 0.0 * y, y0, 0.0, 1.0, tab)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        y1 = rk4_step(f, y0, 0.0, 1.0)
     return y1
 
 
@@ -576,28 +604,15 @@ def propose_dt(ctrl: StepController, err_new: float, dt_cur: float):
 
 def select_stages(dt: float, rho: float, method: str, min_stages: Optional[int] = None,
                   table_path: Optional[str] = None) -> int:
-    """Smallest stage count whose stability interval covers dt * rho.
-
-    Uses the growth laws 0.653 s^2 (RKC) and 0.811 s^2 (ROCK2/PIROCK); for
-    ROCK2 the result is rounded up to the nearest tabulated degree.
-    """
+    """Smallest stage count the method runs whose stability interval, by its
+    growth law, covers dt * rho; RK4, without one, runs its only stage count."""
     if dt <= 0 or rho <= 0:
         raise ValueError("dt and rho must be positive")
-    if method == "rkc":
-        growth, smin = RKC_GROWTH, 2
-    elif method in ("rock2", "pirock"):
-        growth, smin = ROCK2_GROWTH, 3
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    spec = method_spec(method)
+    need = 0 if spec.growth is None else math.ceil(math.sqrt(dt * rho / spec.growth) - 1e-9)
     if min_stages is not None:
-        smin = max(smin, min_stages)
-    need = math.sqrt(dt * rho / growth)
-    s = max(smin, math.ceil(need - 1e-9))
-    if method == "rkc":
-        if s > STAGE_CAP:
-            raise ValueError(f"required stage count {s} exceeds the cap {STAGE_CAP}")
-        return s
-    for d in rock2_degrees(table_path):
-        if d >= s:
-            return d
-    raise ValueError(f"required stage count {s} exceeds the tabulated ROCK2 degrees")
+        need = max(need, min_stages)
+    for s in spec.stage_counts(table_path):
+        if s >= need:
+            return s
+    raise ValueError(f"required stage count {need} exceeds the {method} stage counts")

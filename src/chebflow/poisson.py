@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dct import DctPlan, dct2d, idct2d
+from .dct import DEFAULT_ALGORITHM, HYBRID_CUTOFF, DctPlan, dct2d, idct2d
 from .grid import CellField
 
 
 class PoissonSolver:
     """Neumann Poisson solver on an N x N cell grid with spacing dx = 1/N."""
 
-    def __init__(self, N: int, algorithm: str = "hybrid", cutoff: int = 64):
+    def __init__(self, N: int, algorithm: str = DEFAULT_ALGORITHM, cutoff: int = HYBRID_CUTOFF):
         self.N = int(N)
         self.dx = 1.0 / self.N
         self.plan = DctPlan(self.N, algorithm, cutoff)
@@ -53,7 +53,3 @@ class PoissonSolver:
         if return_diagnostics:
             return u, float(discarded)
         return u
-
-
-def solve_neumann(solver: PoissonSolver, rhs: CellField) -> CellField:
-    return solver.solve(rhs)

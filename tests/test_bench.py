@@ -1,4 +1,6 @@
+import argparse
 import os
+import re
 import shutil
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from chebflow.bench import (RunConfig, centerline_profiles, convergence_study,
                             efficiency_study, fmt, ghia_compare,
                             restrict_field, run_simulation, write_csv)
+from chebflow.cli import _add_run_options, _resolve
 from chebflow.cli import main as cli_main
 from chebflow.grid import read_field
 
@@ -194,6 +197,41 @@ def test_config_file_and_cli(tmp_path, capsys):
     assert "rock2+pm1+p1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("line, message", [
+    ("integrater = rkc", "unknown key 'integrater'"),
+    ("nx = sixteen", "nx: invalid literal"),
+    ("integrator = rk5", "integrator: expected one of"),
+    ("adaptive = maybe", "adaptive: expected one of"),
+], ids=["key", "int", "choice", "bool"])
+def test_config_file_rejects_bad_entries(tmp_path, line, message):
+    conf = os.path.join(tmp_path, "run.conf")
+    with open(conf, "w") as fh:
+        fh.write(f"# settings\nproblem = taylor\n{line}\n")
+    with pytest.raises(SystemExit, match=re.escape(f"{conf}:3: {message}")):
+        cli_main(["run", "--config", conf])
+
+
+def test_config_file_booleans_in_any_case(tmp_path):
+    conf = os.path.join(tmp_path, "run.conf")
+    for text, value in (("True", True), ("YES", True), ("1", True),
+                        ("False", False), ("no", False), ("0", False)):
+        with open(conf, "w") as fh:
+            fh.write(f"adaptive = {text}\nno-advection = {text}\n")
+        opts = _resolve(argparse.Namespace(config=conf))
+        assert opts["adaptive"] is value and opts["advection"] is not value, text
+
+
+def test_cli_run_flags_and_defaults_are_run_config():
+    parser = argparse.ArgumentParser(add_help=False)
+    _add_run_options(parser)
+    flags = [flag for action in parser._actions for flag in action.option_strings]
+    assert sorted(flags) == sorted([
+        "--problem", "--re", "--nx", "--dt", "--adaptive", "--atol", "--rtol",
+        "--t-end", "--integrator", "--coupling", "--pressure", "--cp", "--stages",
+        "--no-advection", "--out", "--config", "--rock2-table", "--dct-algorithm"])
+    assert RunConfig(**_resolve(argparse.Namespace())) == RunConfig()
+
+
 def test_cli_stability_and_convergence(tmp_path, capsys):
     assert cli_main(["convergence", "--problem", "taylor", "--nx", "16",
                      "--t-end", "0.05", "--dts", "0.01,0.005", "--ref-dt",
@@ -264,7 +302,12 @@ def test_cli_stability_and_ghia(tmp_path, capsys):
     (dict(rtol=-1e-6), "rtol must be positive"),
     (dict(eps=0.0), "eps must be positive"),
     (dict(stages=0), "stages must be at least 1"),
-], ids=["dt", "nx", "re", "t_end", "atol", "rtol", "eps", "stages"])
+    (dict(integrator="rkc", stages=1), "rkc cannot run stages=1; nearest available: 2$"),
+    (dict(stages=2), "rock2 cannot run stages=2; nearest available: 3$"),
+    (dict(stages=500), "rock2 cannot run stages=500; nearest available: 200$"),
+    (dict(integrator="rk4", stages=9), "rk4 cannot run stages=9; nearest available: 4$"),
+], ids=["dt", "nx", "re", "t_end", "atol", "rtol", "eps", "stages", "rkc_stages",
+        "rock2_stages_below", "rock2_stages_above", "rk4_stages"])
 def test_validation_rejects_invalid_values(kw, message):
     with pytest.raises(ValueError, match=message):
         run_simulation(small_cfg(**kw))
@@ -319,6 +362,16 @@ def test_cavity_stability_studies_terminate():
     s = min_stable_stages(cfg, 2.0 * dt)
     assert s > 5
     assert min_stable_stages(cfg, 0.5 * dt) <= 5
+
+
+def test_stability_studies_reject_a_method_without_growth_law():
+    from chebflow.bench import max_stable_dt, min_stable_stages, stability_sweep
+    cfg = small_cfg(integrator="rk4", nx=8, t_end=0.002)
+    for study in (lambda: max_stable_dt(cfg, 4), lambda: min_stable_stages(cfg, 1e-3),
+                  lambda: stability_sweep(cfg, "max_dt_given_s", [4]),
+                  lambda: stability_sweep(cfg, "min_s_given_dt", [100.0], dt=1e-3)):
+        with pytest.raises(ValueError, match="rk4 runs a fixed stage count"):
+            study()
 
 
 @pytest.mark.parametrize("content, message", [

@@ -114,6 +114,15 @@ def test_pm1_second_order_pressure_zero_state():
     assert inf_norm(pm1_second_order_pressure(state, system)) < 1e-14
 
 
+def test_default_poisson_solver_takes_any_grid_size():
+    # N = 48 is not a power of two, which the recursive DCT algorithms need
+    prob = green_taylor(100.0)
+    spec = GridSpec(48, nu=0.01)
+    system = FlowSystem(spec, prob.boundary, prob.forcing, prob.advection)
+    new, _ = pm1_step(initial_state(prob, system), system, Stepper("rock2", 3), 1e-3)
+    assert inf_norm(system.divergence_of(new.u.flatten(), new.t)) < 1e-10
+
+
 # ---------------------------------------------------------------------------
 # PM1V / DAE
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from conftest import apply_neumann_laplacian, neumann_laplacian_matrix
 
 from chebflow.dct import dct2d, idct2d
 from chebflow.grid import CellField
-from chebflow.poisson import PoissonSolver, solve_neumann
+from chebflow.poisson import PoissonSolver
 
 
 def test_zero_and_constant_rhs():
@@ -74,7 +74,7 @@ def test_mirror_symmetry_of_solution():
 def test_size_mismatch():
     solver = PoissonSolver(8)
     with pytest.raises(ValueError):
-        solve_neumann(solver, CellField.zeros(16))
+        solver.solve(CellField.zeros(16))
 
 
 @pytest.mark.parametrize("N, algorithm", [(5, "naive"), (16, "hybrid"), (32, "naive"),
