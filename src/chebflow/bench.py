@@ -44,6 +44,16 @@ PRESSURES = ("p1", "p2", "ap1", "ap2", "ap2w")
 # the values of RunConfig's choice fields: validate checks them, the CLI offers them
 CHOICES = dict(integrator=INTEGRATORS, coupling=COUPLINGS, pressure=PRESSURES,
                cp=(0, 1), dct_algorithm=ALGORITHMS)
+# the columns of each study's rows (the stability sweep's by mode), as its CSV
+# file and the CLI print them
+HEADERS = {
+    "convergence": ("h", "err_u", "slope_u", "err_p", "slope_p", "err_p1", "slope_p1"),
+    "max_dt_given_s": ("s", "measured", "theory"),
+    "min_s_given_dt": ("re", "measured", "theory"),
+    "efficiency": ("method", "tol", "err_u", "err_p", "wall_time", "steps", "total_stages"),
+    "reynolds": ("re", "err_u", "wall_time", "avg_stages", "total_stages", "steps",
+                 "rejected"),
+}
 
 
 @dataclass
@@ -382,10 +392,10 @@ def convergence_study(cfg: RunConfig, axis: str = "time",
                       out: Optional[str] = None):
     """Temporal or spatial convergence against a fine numerical reference.
 
-    Time axis: fixed grid, reference at the smallest step; rows are
-    (dt, err_u, slope_u, err_p, slope_p).  Space axis: fixed step, reference
-    on the finest (nested) grid restricted to each coarse one; rows are
-    (dx, err_u, slope_u, err_p, slope_p).
+    Time axis: fixed grid, reference at the smallest step, h = dt.  Space
+    axis: fixed step, reference on the finest (nested) grid restricted to
+    each coarse one, h = dx.  Rows are ``HEADERS["convergence"]``: h, then
+    the error and slope of u, of the recovered pressure and of p1.
     """
     cfg = replace(cfg, out=None)
     prob = make_problem(cfg.problem, cfg.re, cfg.advection)
@@ -441,8 +451,7 @@ def convergence_study(cfg: RunConfig, axis: str = "time",
     sp1 = _slope_rows(xs, ep1)
     table = [tuple(v) for v in zip(xs, eu, su, ep, sp, ep1, sp1)]
     if out:
-        write_csv(out, ("h", "err_u", "slope_u", "err_p", "slope_p",
-                        "err_p1", "slope_p1"), table)
+        write_csv(out, HEADERS["convergence"], table)
     return table
 
 
@@ -450,10 +459,14 @@ def convergence_study(cfg: RunConfig, axis: str = "time",
 # stability sweeps
 # ---------------------------------------------------------------------------
 
+def _trial(cfg: RunConfig, dt: float, s: Optional[int]) -> RunConfig:
+    """The fixed-step run a stability trial makes at step dt with s stages."""
+    return replace(cfg, dt=dt, adaptive=False, stages=s, out=None)
+
+
 def _stable_run(cfg: RunConfig, prob: ProblemSpec, dt: float, s: int) -> bool:
     with np.errstate(over="ignore", invalid="ignore"):
-        rep = run_simulation(replace(cfg, dt=dt, adaptive=False, stages=s, out=None),
-                             problem=prob)
+        rep = run_simulation(_trial(cfg, dt, s), problem=prob)
     if rep.unstable:
         return False
     u0 = sample_velocity(rep.spec, prob.initial_velocity(0.0), 0.0)
@@ -479,7 +492,7 @@ def _growth(cfg: RunConfig) -> float:
 def max_stable_dt(cfg: RunConfig, s: int, rel_tol: float = 0.02,
                   problem: Optional[ProblemSpec] = None) -> float:
     """Bisect the largest stable step for a fixed stage count."""
-    cfg.validate()
+    _trial(cfg, 1.0, s).validate()      # the trials pick their own steps
     growth = _growth(cfg)
     prob = problem if problem is not None else make_problem(cfg.problem, cfg.re, cfg.advection)
     spec = GridSpec(cfg.nx, nu=1.0 / cfg.re)
@@ -506,7 +519,7 @@ def max_stable_dt(cfg: RunConfig, s: int, rel_tol: float = 0.02,
 def min_stable_stages(cfg: RunConfig, dt: float,
                       problem: Optional[ProblemSpec] = None) -> int:
     """Smallest tabulated stage count that runs stably at the given step."""
-    cfg.validate()
+    _trial(cfg, dt, None).validate()
     _growth(cfg)
     prob = problem if problem is not None else make_problem(cfg.problem, cfg.re, cfg.advection)
     for s in method_spec(cfg.integrator).stage_counts(cfg.rock2_table):
@@ -541,8 +554,7 @@ def stability_sweep(cfg: RunConfig, mode: str, values: Sequence, dt: float = 1e-
     else:
         raise ValueError("mode must be 'max_dt_given_s' or 'min_s_given_dt'")
     if out:
-        key = "s" if mode == "max_dt_given_s" else "re"
-        write_csv(out, (key, "measured", "theory"), rows)
+        write_csv(out, HEADERS[mode], rows)
     return rows
 
 
@@ -585,8 +597,7 @@ def efficiency_study(method_cfgs: Sequence[RunConfig], tolerances: Sequence[floa
                          rep.steps_accepted, rep.total_stages))
     rows.sort(key=lambda r: (r[0], -r[1]))
     if out:
-        write_csv(out, ("method", "tol", "err_u", "err_p", "wall_time",
-                        "steps", "total_stages"), rows)
+        write_csv(out, HEADERS["efficiency"], rows)
     return rows
 
 
@@ -606,8 +617,7 @@ def reynolds_sweep(cfg: RunConfig, re_values: Sequence[float],
                      rep.steps_accepted, rep.steps_rejected))
     rows.sort(key=lambda r: r[0])
     if out:
-        write_csv(out, ("re", "err_u", "wall_time", "avg_stages", "total_stages",
-                        "steps", "rejected"), rows)
+        write_csv(out, HEADERS["reynolds"], rows)
     return rows
 
 

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import os
 import sys
 import typing
 
-from .bench import (CHOICES, RunConfig, convergence_study, efficiency_study, fmt,
-                    ghia_compare, reynolds_sweep, run_simulation, stability_sweep)
+from .bench import (CHOICES, HEADERS, RunConfig, convergence_study, efficiency_study,
+                    fmt, ghia_compare, reynolds_sweep, run_simulation, stability_sweep)
 from .problems import PROBLEMS, make_problem
 
 _CHOICES = dict(CHOICES, problem=tuple(PROBLEMS))
@@ -108,6 +109,11 @@ def _floats(text):
     return [float(v) for v in text.split(",") if v.strip()]
 
 
+def _given(**study_options):
+    """The study options whose flags were given; the study defaults the rest."""
+    return {k: v for k, v in study_options.items() if v is not None}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="chebflow",
                                      description="stabilized explicit Runge-Kutta "
@@ -119,7 +125,7 @@ def main(argv=None):
 
     p_conv = sub.add_parser("convergence", parents=[run_options],
                             help="temporal/spatial order study")
-    p_conv.add_argument("--axis", choices=("time", "space"), default="time")
+    p_conv.add_argument("--axis", choices=("time", "space"), default=None)
     p_conv.add_argument("--dts", type=str, default=None, help="comma list of steps")
     p_conv.add_argument("--ref-dt", type=float, default=None)
     p_conv.add_argument("--ns", type=str, default=None, help="comma list of grid sizes")
@@ -130,13 +136,13 @@ def main(argv=None):
                         default="max_dt_given_s")
     p_stab.add_argument("--values", type=str, required=True,
                         help="comma list of stage counts (max_dt) or Reynolds numbers (min_s)")
-    p_stab.add_argument("--sweep-dt", type=float, default=1e-2,
+    p_stab.add_argument("--sweep-dt", type=float, default=None,
                         help="fixed step for the min_s sweep")
 
     p_eff = sub.add_parser("efficiency", parents=[run_options], help="work-precision sweep")
     p_eff.add_argument("--tolerances", type=str,
                        default=",".join(str(10.0**-m) for m in range(2, 13)))
-    p_eff.add_argument("--ref-dt", type=float, default=1e-5)
+    p_eff.add_argument("--ref-dt", type=float, default=None)
 
     p_rey = sub.add_parser("reynolds", parents=[run_options], help="Reynolds-number sweep")
     p_rey.add_argument("--re-values", type=str, required=True)
@@ -157,35 +163,31 @@ def main(argv=None):
         _print_report(rep)
     elif args.command == "convergence":
         cfg = _run_config(opts, out=None)
-        path = os.path.join(outdir, f"convergence_{args.axis}.csv") if outdir else None
-        rows = convergence_study(cfg, axis=args.axis,
-                                 dts=_floats(args.dts) if args.dts else None,
-                                 ref_dt=args.ref_dt,
-                                 Ns=[int(v) for v in _floats(args.ns)] if args.ns else None,
-                                 ref_N=args.ref_n, out=path)
-        _print_rows(("h", "err_u", "slope_u", "err_p", "slope_p"), rows)
+        path = None
+        if outdir:      # named after the axis, given or the study's default
+            axis = args.axis or inspect.signature(convergence_study).parameters["axis"].default
+            path = os.path.join(outdir, f"convergence_{axis}.csv")
+        rows = convergence_study(cfg, out=path, **_given(
+            axis=args.axis, dts=_floats(args.dts) if args.dts else None, ref_dt=args.ref_dt,
+            Ns=[int(v) for v in _floats(args.ns)] if args.ns else None, ref_N=args.ref_n))
+        _print_rows(HEADERS["convergence"], rows)
     elif args.command == "stability":
         cfg = _run_config(opts, out=None)
-        if cfg.dt is None:
-            cfg.dt = 1e-2
         path = os.path.join(outdir, f"stability_{args.mode}.csv") if outdir else None
-        rows = stability_sweep(cfg, args.mode, _floats(args.values),
-                               dt=args.sweep_dt, out=path)
-        key = "s" if args.mode == "max_dt_given_s" else "re"
-        _print_rows((key, "measured", "theory"), rows)
+        rows = stability_sweep(cfg, args.mode, _floats(args.values), out=path,
+                               **_given(dt=args.sweep_dt))
+        _print_rows(HEADERS[args.mode], rows)
     elif args.command == "efficiency":
         cfg = _run_config(opts, out=None)
         path = os.path.join(outdir, "efficiency.csv") if outdir else None
-        rows = efficiency_study([cfg], _floats(args.tolerances),
-                                ref_dt=args.ref_dt, out=path)
-        _print_rows(("method", "tol", "err_u", "err_p", "wall_time", "steps",
-                     "total_stages"), rows)
+        rows = efficiency_study([cfg], _floats(args.tolerances), out=path,
+                                **_given(ref_dt=args.ref_dt))
+        _print_rows(HEADERS["efficiency"], rows)
     elif args.command == "reynolds":
         cfg = _run_config(opts, out=None, adaptive=True)
         path = os.path.join(outdir, "reynolds.csv") if outdir else None
         rows = reynolds_sweep(cfg, _floats(args.re_values), out=path)
-        _print_rows(("re", "err_u", "wall_time", "avg_stages", "total_stages",
-                     "steps", "rejected"), rows)
+        _print_rows(HEADERS["reynolds"], rows)
     elif args.command == "ghia":
         cfg = _run_config(opts, problem="cavity")
         rep = run_simulation(cfg)

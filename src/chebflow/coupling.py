@@ -27,7 +27,7 @@ stages).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -68,6 +68,10 @@ class Stepper:
 class FlowSystem:
     """Grid, boundary data, forcing and the shared Poisson solver.
 
+    The pointwise ``forcing(t, x, y)`` becomes one grid evaluator ``g(t)``
+    at the stored u and v points, built by ``forcing_factory`` when given;
+    ``rhs_config`` hands it to every momentum RHS, stages and pressure
+    recoveries alike.
     The boundary data are sampled through ``walls(t)``, which keeps the
     last sample: a projected stage's divergence and the next stage's
     momentum RHS share one boundary evaluation at their common time.
@@ -87,10 +91,13 @@ class FlowSystem:
         if self.poisson is None:
             self.poisson = PoissonSolver(self.spec.N)
         self._forcing_eval = None
-        if self.forcing_factory is not None and self.forcing is not None:
-            xu, yu = self.spec.u_points()
-            xv, yv = self.spec.v_points()
-            self._forcing_eval = self.forcing_factory(xu, yu, xv, yv)
+        if self.forcing is not None:
+            (xu, yu), (xv, yv) = self.spec.u_points(), self.spec.v_points()
+            if self.forcing_factory is not None:
+                self._forcing_eval = self.forcing_factory(xu, yu, xv, yv)
+            else:
+                forcing = self.forcing
+                self._forcing_eval = lambda t: (forcing(t, xu, yu)[0], forcing(t, xv, yv)[1])
         self._last_walls = None
         self._work = None
 
@@ -118,7 +125,7 @@ class FlowSystem:
         return MomentumRhsConfig(
             include_pressure=include_pressure,
             include_advection=self.advection if advection is None else advection,
-            forcing=self.forcing if forcing else None,
+            forcing=self._forcing_eval if forcing else None,
             pm3_derivative=self.bc.tangential_normal_derivative if pm3 else None,
             include_diffusion=diffusion,
         )
@@ -130,19 +137,12 @@ class FlowSystem:
         evaluations (f_0, f_{s-2}) across later ones.
         """
         N = self.spec.N
-        cached = self._forcing_eval if cfg.forcing is not None else None
-        if cached is not None:
-            cfg = replace(cfg, forcing=None)
 
         def f(t, w):
             out = np.empty(w.size)
-            r = VelocityField.from_flat(out, N)
             momentum_rhs(VelocityField.from_flat(w, N), p, self.bc, self.spec, t, cfg,
-                         walls=self.walls(t), out=r, work=self.work)
-            if cached is not None:
-                f1, f2 = cached(t)
-                r.u += f1
-                r.v += f2
+                         walls=self.walls(t), out=VelocityField.from_flat(out, N),
+                         work=self.work)
             return out
 
         return f
@@ -281,15 +281,22 @@ def dae_step(state: CouplingState, system: FlowSystem, stepper: Stepper,
 # pressure recoveries
 # ---------------------------------------------------------------------------
 
+def _hidden_constraint(state: CouplingState, system: FlowSystem,
+                       p: Optional[CellField], rate_bc: BoundaryData) -> CellField:
+    """phi with lap phi = div F(u, t): F the momentum RHS with the pressure p
+    (None: no pressure term), its boundary faces the wall rates ``rate_bc``."""
+    cfg = system.rhs_config(include_pressure=p is not None)
+    F = momentum_rhs(state.u, p, system.bc, system.spec, state.t, cfg,
+                     walls=system.walls(state.t), work=system.work)
+    rhs = divergence(F, rate_bc, system.spec, state.t, work=system.work)
+    return system.poisson.solve(rhs)
+
+
 def pm1_second_order_pressure(state: CouplingState, system: FlowSystem) -> CellField:
     """Second projection on the acceleration: p + phi2 with lap phi2 = div F."""
-    cfg = system.rhs_config(include_pressure=True)
-    F = momentum_rhs(state.u, state.p, system.bc, system.spec, state.t, cfg,
-                     walls=system.walls(state.t), work=system.work)
     rate_bc = (system.bc.as_rate() if system.bc.velocity_dt is not None
                else BoundaryData(velocity=lambda t, x, y: (np.zeros_like(x), np.zeros_like(y))))
-    rhs = divergence(F, rate_bc, system.spec, state.t, work=system.work)
-    phi2 = system.poisson.solve(rhs)
+    phi2 = _hidden_constraint(state, system, state.p, rate_bc)
     return CellField(state.p.values + phi2.values).zero_mean()
 
 
@@ -297,11 +304,7 @@ def ap1_pressure(state: CouplingState, system: FlowSystem) -> CellField:
     """Solve the hidden constraint lap p = div F(u, t) - r1'(t) for the pressure."""
     if system.bc.velocity_dt is None:
         raise ValueError("AP1 requires boundary time derivative")
-    cfg = system.rhs_config(include_pressure=False)
-    F = momentum_rhs(state.u, None, system.bc, system.spec, state.t, cfg,
-                     walls=system.walls(state.t), work=system.work)
-    rhs = divergence(F, system.bc.as_rate(), system.spec, state.t, work=system.work)
-    return system.poisson.solve(rhs).zero_mean()
+    return _hidden_constraint(state, system, None, system.bc.as_rate()).zero_mean()
 
 
 def _lagrange_derivative_at_last(times: np.ndarray) -> np.ndarray:

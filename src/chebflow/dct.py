@@ -44,8 +44,10 @@ class DctPlan:
     cutoff : int
         Size at which the hybrid algorithm switches to the iterative one.
 
-    Plans are immutable after construction and can be shared between
-    threads; all transform calls are pure.
+    A plan builds each trigonometric table on first use, so a plan pays only
+    for the tables its algorithm reads.  Transform calls are pure; plans can
+    be shared between threads (a table two threads build at once is built
+    twice, with the same values).
     """
 
     def __init__(self, N: int, algorithm: str = DEFAULT_ALGORITHM, cutoff: int = HYBRID_CUTOFF):
@@ -63,59 +65,13 @@ class DctPlan:
         self.algorithm = algorithm
         self.cutoff = int(cutoff)
         self._tables = {}
-        for n in self._sizes_used():
-            self._tables[n] = self._build_tables(n)
 
-    # -- table construction -------------------------------------------------
-
-    def _sizes_used(self):
-        n = self.N
-        sizes = [n]
-        if self.algorithm in ("recursive", "hybrid"):
-            stop = 2 if self.algorithm == "recursive" else max(2, self.cutoff)
-            while n > stop:
-                n //= 2
-                sizes.append(n)
-        return sizes
-
-    @staticmethod
-    def _build_tables(n):
-        t = {}
-        h = n // 2
-        if h:
-            # iterative forward: even/odd frequency recurrences
-            ke = np.arange(0, n, 2)
-            ko = np.arange(1, n, 2)
-            te, to = ke * np.pi / n, ko * np.pi / n
-            t["it_fwd"] = (np.cos(te / 2), 2 * np.cos(te),
-                           np.sin(to / 2), 2 * np.cos(to))
-            # iterative inverse: recurrences over sample index n
-            tn = (2 * np.arange(h) + 1) * np.pi / n
-            t["it_inv"] = (np.sin(tn), np.sin(tn / 2), 2 * np.cos(tn))
-            # recursive split/merge rotations
-            k = np.arange(1, h)
-            t["rec"] = (np.cos(k * np.pi / (2 * n)), np.sin(k * np.pi / (2 * n)))
-            k0 = np.arange(0, h)
-            t["rec0"] = (np.cos(k0 * np.pi / (2 * n)), np.sin(k0 * np.pi / (2 * n)))
-        # naive basis matrix, built lazily only when the naive path is used
-        return t
-
-    def _cos_matrix(self, n):
+    def table(self, n: int, name: str):
+        """Table ``name`` for transforms of length n, built on first use."""
         tab = self._tables.setdefault(n, {})
-        if "naive" not in tab:
-            nn = np.arange(n)[:, None]
-            kk = np.arange(n)[None, :]
-            tab["naive"] = np.cos((2 * nn + 1) * kk * np.pi / (2 * n))
-        return tab["naive"]
-
-    def _inverse_matrix(self, n):
-        """Transposed cosine matrix with the 1/2 weight of F_0 folded in."""
-        tab = self._tables.setdefault(n, {})
-        if "naive_inv" not in tab:
-            c = self._cos_matrix(n).copy()
-            c[:, 0] *= 0.5
-            tab["naive_inv"] = c.T
-        return tab["naive_inv"]
+        if name not in tab:
+            tab[name] = _TABLES[name](self, n)
+        return tab[name]
 
     # -- dispatch ------------------------------------------------------------
 
@@ -134,17 +90,52 @@ class DctPlan:
         return _INV[self.algorithm](self, F, self.N)
 
 
+# -- tables: (plan, n) -> the named table for transforms of length n ---------
+
+def _it_fwd(plan, n):       # iterative forward: even/odd frequency recurrences
+    te, to = np.arange(0, n, 2) * np.pi / n, np.arange(1, n, 2) * np.pi / n
+    return np.cos(te / 2), 2 * np.cos(te), np.sin(to / 2), 2 * np.cos(to)
+
+
+def _it_inv(plan, n):       # iterative inverse: recurrences over the sample index
+    tn = (2 * np.arange(n // 2) + 1) * np.pi / n
+    return np.sin(tn), np.sin(tn / 2), 2 * np.cos(tn)
+
+
+def _rotations(k0):         # recursive split/merge rotations for k = k0..n/2-1
+    def build(plan, n):
+        k = np.arange(k0, n // 2)
+        return np.cos(k * np.pi / (2 * n)), np.sin(k * np.pi / (2 * n))
+    return build
+
+
+def _naive(plan, n):        # cosine basis matrix
+    nn = np.arange(n)[:, None]
+    kk = np.arange(n)[None, :]
+    return np.cos((2 * nn + 1) * kk * np.pi / (2 * n))
+
+
+def _naive_inv(plan, n):    # transposed cosine matrix, the 1/2 weight of F_0 folded in
+    c = plan.table(n, "naive").copy()
+    c[:, 0] *= 0.5
+    return c.T
+
+
+_TABLES = {"it_fwd": _it_fwd, "it_inv": _it_inv, "rec": _rotations(1), "rec0": _rotations(0),
+           "naive": _naive, "naive_inv": _naive_inv}
+
+
 # -- naive ------------------------------------------------------------------
 
 def _dct_naive(plan, f, n):
-    return f @ plan._cos_matrix(n)
+    return f @ plan.table(n, "naive")
 
 
 def _idct_naive(plan, F, n):
     # Halving is exact, so F_0/2 * cos = F_0 * (cos/2) bit for bit.  BLAS
     # picks its kernel, and with it the summation order, by memory layout:
     # the product keeps a C-ordered left operand.
-    return (2.0 / n) * (np.ascontiguousarray(F) @ plan._inverse_matrix(n))
+    return (2.0 / n) * (np.ascontiguousarray(F) @ plan.table(n, "naive_inv"))
 
 
 # -- iterative (O(N^2) recurrences) -----------------------------------------
@@ -153,7 +144,7 @@ def _dct_iter(plan, f, n):
     if n % 2:
         raise ValueError("iterative DCT requires even N")
     h = n // 2
-    ce, tce, so, tco = plan._tables[n]["it_fwd"]
+    ce, tce, so, tco = plan.table(n, "it_fwd")
     fr = f[..., ::-1]
     we = f[..., :h] + fr[..., :h]
     wo = f[..., :h] - fr[..., :h]
@@ -178,7 +169,7 @@ def _idct_iter(plan, F, n):
     if n % 2:
         raise ValueError("iterative DCT requires even N")
     h = n // 2
-    sn, sh, tc = plan._tables[n]["it_inv"]
+    sn, sh, tc = plan.table(n, "it_inv")
     Fh = F.copy()
     Fh[..., 0] *= 0.5
     P2 = P1 = np.zeros(F.shape[:-1] + (h,))
@@ -223,7 +214,7 @@ def _dct_rec(plan, f, n, base, base_fn):
     fH = (f[..., 0::2] - f[..., 1::2]) * alt
     A = _dct_rec(plan, fL, h, base, base_fn)
     B = _dct_rec(plan, fH, h, base, base_fn)
-    ck, sk = plan._tables[n]["rec"]
+    ck, sk = plan.table(n, "rec")
     out = np.empty_like(f)
     out[..., 0] = A[..., 0]
     out[..., h] = B[..., 0] / np.sqrt(2.0)
@@ -237,7 +228,7 @@ def _idct_rec(plan, F, n, base, base_fn):
     if n <= base:
         return base_fn(plan, F, n) if base > 2 else _idct2_direct(F)
     h = n // 2
-    ck, sk = plan._tables[n]["rec0"]
+    ck, sk = plan.table(n, "rec0")
     w = np.empty(F.shape[:-1] + (h,))
     w[..., 0] = F[..., 0]
     w[..., 1:] = ck[1:] * F[..., 1:h] - sk[1:] * F[..., :h:-1]

@@ -64,16 +64,21 @@ class StageHook:
             raise ValueError(f"unknown hook mode {self.mode!r}")
 
 
-def _apply_hook(hook, i, ci, ti, y_star):
-    if hook is None or hook.callback is None:
-        return y_star
-    y_proc, _phi = hook.callback(i, ci, ti, y_star)
-    return y_proc
-
-
 def _check_finite(y, stage):
     if not np.all(np.isfinite(y)):
         raise IntegrationDiverged(stage)
+
+
+def _stage(hook, dual, i, ci, ti, g_star):
+    """Stage U_i at node ci, time ti: check it, process it through the hook,
+    and return the pair (the vector the recursion continues with, the one
+    the next RHS is evaluated at); dual mode continues unprojected."""
+    _check_finite(g_star, i)
+    if hook is None or hook.callback is None:
+        g_proc = g_star
+    else:
+        g_proc, _phi = hook.callback(i, ci, ti, g_star)
+    return (g_star, g_proc) if dual else (g_proc, g_proc)
 
 
 # ---------------------------------------------------------------------------
@@ -170,19 +175,14 @@ def rkc_step(f, y, t, dt, tableau: RkcTableau, hook: Optional[StageHook] = None,
     f0 = f(t, y)
     dual = mode == "project_dual_buffer"
 
-    g_star = y + tab.kappa1 * dt * f0
-    _check_finite(g_star, 2)
-    g_proc = _apply_hook(hook, 2, c[1], t + c[1] * dt, g_star)
-    prev2_s = prev2_p = y
-    prev_s, prev_p = (g_star, g_proc) if dual else (g_proc, g_proc)
+    prev2_s = y
+    prev_s, prev_p = _stage(hook, dual, 2, c[1], t + c[1] * dt, y + tab.kappa1 * dt * f0)
     for j in range(2, s + 1):
         fj = f(t + c[j - 1] * dt, prev_p)
         g_star = (y + tab.mu[j] * (prev_s - y) + tab.nu[j] * (prev2_s - y)
                   + tab.kappa[j] * dt * (fj - tab.a[j - 1] * f0))
-        _check_finite(g_star, j + 1)
-        g_proc = _apply_hook(hook, j + 1, c[j], t + c[j] * dt, g_star)
-        prev2_s, prev2_p = prev_s, prev_p
-        prev_s, prev_p = (g_star, g_proc) if dual else (g_proc, g_proc)
+        prev2_s = prev_s
+        prev_s, prev_p = _stage(hook, dual, j + 1, c[j], t + c[j] * dt, g_star)
     y1 = prev_p
     err = None
     if err_norm is not None:
@@ -254,12 +254,8 @@ _ROCK2_CACHE = {}
 
 
 def rock2_table_path(path: Optional[str] = None) -> str:
-    if path:
-        return path
-    env = os.environ.get("CHEBFLOW_ROCK2_TABLE")
-    if env:
-        return env
-    return os.path.join(os.path.dirname(__file__), "data", "rock2_coeffs.txt")
+    """``path``, or the vendored table when none is named."""
+    return path or os.path.join(os.path.dirname(__file__), "data", "rock2_coeffs.txt")
 
 
 def _rock2_records(path: Optional[str] = None) -> dict:
@@ -316,31 +312,24 @@ def rock2_step(f, y, t, dt, tableau: Rock2Tableau, hook: Optional[StageHook] = N
     y = np.asarray(y, dtype=float)
     nodes = tab.nodes()
 
-    prev2_s = prev2_p = y
-    g_star = y + tab.mu[1] * dt * f(t, y)
-    _check_finite(g_star, 2)
-    g_proc = _apply_hook(hook, 2, nodes[1], t + nodes[1] * dt, g_star)
-    prev_s, prev_p = (g_star, g_proc) if dual else (g_proc, g_proc)
+    prev2_s = y
+    prev_s, prev_p = _stage(hook, dual, 2, nodes[1], t + nodes[1] * dt,
+                            y + tab.mu[1] * dt * f(t, y))
     for j in range(2, s - 1):
         fj = f(t + nodes[j - 1] * dt, prev_p)
         g_star = tab.mu[j] * dt * fj - tab.nu[j] * prev_s - tab.kappa[j] * prev2_s
-        _check_finite(g_star, j + 1)
-        g_proc = _apply_hook(hook, j + 1, nodes[j], t + nodes[j] * dt, g_star)
-        prev2_s, prev2_p = prev_s, prev_p
-        prev_s, prev_p = (g_star, g_proc) if dual else (g_proc, g_proc)
+        prev2_s = prev_s
+        prev_s, prev_p = _stage(hook, dual, j + 1, nodes[j], t + nodes[j] * dt, g_star)
 
     # finishing: g_{s-1}, then y1 assembled from g*_s and the correction
     f_sm2 = f(t + nodes[s - 2] * dt, prev_p)
-    g_star = prev_s + tab.sigma * dt * f_sm2
-    _check_finite(g_star, s)
-    g_proc = _apply_hook(hook, s, nodes[s - 1], t + nodes[s - 1] * dt, g_star)
-    last_s, last_p = (g_star, g_proc) if dual else (g_proc, g_proc)
+    last_s, last_p = _stage(hook, dual, s, nodes[s - 1], t + nodes[s - 1] * dt,
+                            prev_s + tab.sigma * dt * f_sm2)
 
     f_sm1 = f(t + nodes[s - 1] * dt, last_p)
     err_vec = tab.sigma * (1.0 - tab.tau / tab.sigma**2) * dt * (f_sm1 - f_sm2)
-    g_star = last_s + tab.sigma * dt * f_sm1 - err_vec
-    _check_finite(g_star, s + 1)
-    y1 = _apply_hook(hook, s + 1, nodes[s], t + nodes[s] * dt, g_star)
+    _, y1 = _stage(hook, dual, s + 1, nodes[s], t + nodes[s] * dt,
+                   last_s + tab.sigma * dt * f_sm1 - err_vec)
     err = err_norm(err_vec, y) if err_norm is not None else None
     return y1, err
 
@@ -440,12 +429,10 @@ def rk4_step(f, y, t, dt, hook: Optional[StageHook] = None):
         if i == 0:
             y_proc = y
         else:
-            _check_finite(y_star, i + 1)
-            y_proc = _apply_hook(hook, i + 1, _RK4_C[i], t + _RK4_C[i] * dt, y_star)
+            _, y_proc = _stage(hook, True, i + 1, _RK4_C[i], t + _RK4_C[i] * dt, y_star)
         fs.append(f(t + _RK4_C[i] * dt, y_proc))
     y_star = y + dt * sum(b * fk for b, fk in zip(_RK4_B, fs))
-    _check_finite(y_star, 5)
-    return _apply_hook(hook, 5, 1.0, t + dt, y_star)
+    return _stage(hook, True, 5, 1.0, t + dt, y_star)[1]
 
 
 # ---------------------------------------------------------------------------

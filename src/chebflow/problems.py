@@ -31,9 +31,10 @@ from .grid import BoundaryData
 class ProblemSpec:
     """A benchmark problem: boundary data, forcing, optional exact fields.
 
-    ``forcing_factory``, when present, builds a fast evaluator
-    ``g(t) -> (f1_values, f2_values)`` for fixed sample points; it must
-    agree with ``forcing`` up to rounding (cached spatial parts).
+    ``forcing_factory(xu, yu, xv, yv)``, when present, returns a grid
+    evaluator ``g(t) -> (f1 at (xu, yu), f2 at (xv, yv))`` of ``forcing``
+    with cached spatial parts, equal to it up to rounding; a ``FlowSystem``
+    then evaluates only ``g``, in every stage and pressure recovery.
     """
 
     name: str

@@ -27,11 +27,13 @@ from .grid import BoundaryData, CellField, GridSpec, VelocityField
 class MomentumRhsConfig:
     """Term selection for the momentum right-hand side.
 
-    ``pm3_derivative`` activates the PM3 boundary fix: the tangential wall
-    value used inside the one-sided second-derivative stencil is replaced by
-    the ghost value ``interior - (dx/2) * (exact wall-normal derivative)``,
-    the one-sided imposition of the exact Neumann data over the actual
-    wall-to-unknown distance dx/2.
+    ``forcing``, when given, is a grid evaluator ``g(t) -> (f1, f2)``, f1 at
+    the stored u unknowns and f2 at the stored v unknowns (``FlowSystem``
+    builds it).  ``pm3_derivative`` activates the PM3 boundary fix: the
+    tangential wall value used inside the one-sided second-derivative
+    stencil is replaced by the ghost value ``interior - (dx/2) * (exact
+    wall-normal derivative)``, the one-sided imposition of the exact
+    Neumann data over the actual wall-to-unknown distance dx/2.
     """
 
     include_pressure: bool = True
@@ -270,15 +272,12 @@ def momentum_rhs(vel: VelocityField, p: Optional[CellField], bc: BoundaryData,
         A /= dx
         R -= A
 
-    rhs_u, rhs_v = out.u, out.v
-    rhs_u[...] = work.r_u
-    rhs_v[...] = work.r_vt.T
     if cfg.forcing is not None:
-        xu, yu = spec.u_points()
-        xv, yv = spec.v_points()
-        rhs_u += np.asarray(cfg.forcing(t, xu, yu)[0], dtype=float)
-        rhs_v += np.asarray(cfg.forcing(t, xv, yv)[1], dtype=float)
-
+        f1, f2 = cfg.forcing(t)
+        work.r_u += f1
+        work.r_vt += np.transpose(f2)
+    out.u[...] = work.r_u
+    out.v[...] = work.r_vt.T
     return out
 
 

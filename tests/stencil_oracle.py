@@ -94,8 +94,7 @@ def momentum_rhs(vel, p, bc, spec, t, cfg):
         rhs_v -= (p.values[:, 1:] - p.values[:, :-1]) / dx
 
     if cfg.forcing is not None:
-        xu, yu = spec.u_points()
-        xv, yv = spec.v_points()
-        rhs_u = rhs_u + np.asarray(cfg.forcing(t, xu, yu)[0], dtype=float)
-        rhs_v = rhs_v + np.asarray(cfg.forcing(t, xv, yv)[1], dtype=float)
+        f1, f2 = cfg.forcing(t)
+        rhs_u = rhs_u + f1
+        rhs_v = rhs_v + f2
     return VelocityField(rhs_u, rhs_v)

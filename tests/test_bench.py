@@ -241,6 +241,35 @@ def test_cli_stability_and_convergence(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_convergence_header_matches_its_rows(capsys):
+    assert cli_main(["convergence", "--problem", "taylor", "--nx", "8", "--t-end", "0.004",
+                     "--dts", "0.002,0.001", "--ref-dt", "0.0005"]) == 0
+    header, *rows = capsys.readouterr().out.strip().splitlines()
+    assert header.startswith("h,err_u,") and len(rows) == 2
+    assert all(len(row.split(",")) == len(header.split(",")) for row in rows)
+
+
+def test_cli_study_options_default_to_the_study_functions(monkeypatch, capsys):
+    import chebflow.cli as cli
+    calls = {}
+
+    def recorded(name):
+        def study(*args, **kwargs):
+            calls[name] = (args, kwargs)
+            return []
+        return study
+
+    for name in ("convergence_study", "stability_sweep", "efficiency_study"):
+        monkeypatch.setattr(cli, name, recorded(name))
+    for argv in (["convergence"], ["stability", "--values", "4"], ["efficiency"]):
+        assert cli_main(argv + ["--problem", "taylor"]) == 0
+    assert "axis" not in calls["convergence_study"][1]
+    args, kwargs = calls["stability_sweep"]
+    assert "dt" not in kwargs and args[0].dt is None
+    assert "ref_dt" not in calls["efficiency_study"][1]
+    capsys.readouterr()
+
+
 def test_min_stages_monotone_in_reynolds():
     # with diffusion-only stiffness, rho ~ 1/Re: the smallest stable stage
     # count cannot grow when Re grows

@@ -460,3 +460,21 @@ def test_time_independent_walls_are_sampled_once():
     # new boundary data are sampled anew
     system.bc = dataclasses.replace(bc)
     assert system.walls(0.5) is not first and times == [0.0, 0.5]
+
+
+def test_flow_system_with_a_factory_never_calls_the_pointwise_forcing():
+    # the stages and both hidden-constraint recoveries share the factory's
+    # evaluator, so they add the same forcing values
+    prob = forced_flow(100.0)
+    calls = []
+
+    def counted(t, x, y):
+        calls.append(t)
+        return prob.forcing(t, x, y)
+
+    prob = dataclasses.replace(prob, forcing=counted)
+    system = make_system(prob, 16)
+    state, _ = dae_step(initial_state(prob, system), system, Stepper("rock2", 3), 1e-3)
+    ap1_pressure(state, system)
+    pm1_second_order_pressure(state, system)
+    assert calls == []

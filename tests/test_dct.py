@@ -124,6 +124,19 @@ def test_naive_inverse_bitwise_equal_to_half_weighted_product(N, order):
     F = np.array(np.random.RandomState(N).randn(N, N), order=order)
     Fh = F.copy()
     Fh[..., 0] *= 0.5
-    want = (2.0 / N) * (Fh @ plan._cos_matrix(N).T)
+    want = (2.0 / N) * (Fh @ plan.table(N, "naive").T)
     assert idct(plan, F).tobytes() == want.tobytes()
-    assert idct(plan, F[0]).tobytes() == ((2.0 / N) * (Fh[0] @ plan._cos_matrix(N).T)).tobytes()
+    assert idct(plan, F[0]).tobytes() == ((2.0 / N) * (Fh[0] @ plan.table(N, "naive").T)).tobytes()
+
+
+@pytest.mark.parametrize("algorithm, N, tables", [
+    ("naive", 64, {64: {"naive", "naive_inv"}}),
+    ("iterative", 8, {8: {"it_fwd", "it_inv"}}),
+    ("recursive", 8, {8: {"rec", "rec0"}, 4: {"rec", "rec0"}}),
+    ("hybrid", 16, {16: {"rec", "rec0"}, 8: {"it_fwd", "it_inv"}}),
+])
+def test_plan_builds_only_the_tables_its_algorithm_reads(algorithm, N, tables):
+    plan = DctPlan(N, algorithm, cutoff=8)
+    assert plan._tables == {}
+    idct(plan, dct(plan, np.random.RandomState(0).randn(N)))
+    assert {n: set(t) for n, t in plan._tables.items()} == tables

@@ -300,6 +300,7 @@ def test_rock2_table_path_resolution(tmp_path, monkeypatch):
     from chebflow.integrators import rock2_table_path
     default = rock2_table_path()
     assert default.endswith("rock2_coeffs.txt") and os.path.exists(default)
+    # the table is chosen by argument only; the environment plays no part
     monkeypatch.setenv("CHEBFLOW_ROCK2_TABLE", "/tmp/custom_table.txt")
-    assert rock2_table_path() == "/tmp/custom_table.txt"
+    assert rock2_table_path() == default
     assert rock2_table_path("/explicit/wins.txt") == "/explicit/wins.txt"

@@ -26,11 +26,16 @@ def random_state(N, seed=3):
     return w, VelocityField.from_flat(w, N), CellField(rng.randn(N, N))
 
 
-def all_configs(prob):
+def grid_forcing(prob, spec):
+    return prob.forcing_factory(*spec.u_points(), *spec.v_points())
+
+
+def all_configs(prob, spec):
+    g = grid_forcing(prob, spec)
     for pressure, advection, diffusion, forcing, pm3 in itertools.product((False, True), repeat=5):
         yield MomentumRhsConfig(
             include_pressure=pressure, include_advection=advection,
-            forcing=prob.forcing if forcing else None,
+            forcing=g if forcing else None,
             pm3_derivative=prob.boundary.tangential_normal_derivative if pm3 else None,
             include_diffusion=diffusion)
 
@@ -47,7 +52,7 @@ def test_momentum_rhs_bitwise_equal_to_expression_form(N):
     w_before, p_before = w.tobytes(), p.values.tobytes()
     work = StencilWork(N)            # one scratch set reused across all terms
     flat = np.empty(2 * (N - 1) * N)
-    for cfg in all_configs(prob):
+    for cfg in all_configs(prob, spec):
         want = oracle.momentum_rhs(vel, p, prob.boundary, spec, 0.37, cfg)
         got = momentum_rhs(vel, p, prob.boundary, spec, 0.37, cfg)
         assert same_bits(got, want), cfg
@@ -86,16 +91,18 @@ def forced_system(N):
 def test_rhs_flat_bitwise_equal_to_expression_form(N):
     prob, system = forced_system(N)
     w, vel, p = random_state(N)
-    g = prob.forcing_factory(*system.spec.u_points(), *system.spec.v_points())
-    for include_pressure in (False, True):
-        cfg = system.rhs_config(include_pressure=include_pressure)
-        want = oracle.momentum_rhs(vel, p, prob.boundary, system.spec, 0.37,
-                                   MomentumRhsConfig(include_pressure, True, None))
-        f1, f2 = g(0.37)
-        want.u += f1         # the cached forcing is added after the stencils
-        want.v += f2
-        got = system.rhs_flat(cfg, p)(0.37, w)
-        assert got.tobytes() == want.flatten().tobytes()
+    # without a factory, the system samples the pointwise forcing
+    (xu, yu), (xv, yv) = system.spec.u_points(), system.spec.v_points()
+    pointwise = FlowSystem(system.spec, prob.boundary, prob.forcing, prob.advection)
+    for system, g in ((system, grid_forcing(prob, system.spec)),
+                      (pointwise, lambda t: (prob.forcing(t, xu, yu)[0],
+                                             prob.forcing(t, xv, yv)[1]))):
+        for include_pressure in (False, True):
+            cfg = system.rhs_config(include_pressure=include_pressure)
+            want = oracle.momentum_rhs(vel, p, prob.boundary, system.spec, 0.37,
+                                       MomentumRhsConfig(include_pressure, True, g))
+            got = system.rhs_flat(cfg, p)(0.37, w)
+            assert got.tobytes() == want.flatten().tobytes()
 
 
 @pytest.mark.parametrize("make", [green_taylor, lid_driven_cavity])
