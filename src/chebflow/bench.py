@@ -30,7 +30,7 @@ from .coupling import (CouplingState, FlowSystem, Stepper, ap1_pressure,
 from .grid import (CellField, GridSpec, VelocityField, inf_norm, sample_pressure,
                    sample_velocity, write_field)
 from .dct import ALGORITHMS, DEFAULT_ALGORITHM
-from .integrators import (METHODS, RKC_EPS, IntegrationDiverged, StepController,
+from .integrators import (METHODS, IntegrationDiverged, StepController,
                           method_spec, nearest_stage_counts, propose_dt,
                           select_stages)
 from .poisson import PoissonSolver
@@ -74,7 +74,6 @@ class RunConfig:
     cp: int = 0                         # 0: recover pressure at t_end only; 1: every step
     stages: Optional[int] = None        # fixed stage count (otherwise selected per step)
     advection: bool = True
-    eps: float = RKC_EPS                # RKC damping parameter
     out: Optional[str] = None
     rock2_table: Optional[str] = None
     dct_algorithm: str = DEFAULT_ALGORITHM
@@ -96,7 +95,7 @@ class RunConfig:
             raise ValueError(f"Reynolds number must be positive, got {self.re}")
         if not self.t_end >= 0:
             raise ValueError(f"t_end must be non-negative, got {self.t_end}")
-        for name in ("atol", "rtol", "eps"):
+        for name in ("atol", "rtol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.stages is not None:
@@ -200,7 +199,7 @@ def run_simulation(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
 
     def stepper_for(s: int) -> Stepper:
         if s not in steppers:
-            steppers[s] = Stepper(cfg.integrator, s, cfg.eps, cfg.rock2_table)
+            steppers[s] = Stepper(cfg.integrator, s, cfg.rock2_table)
         return steppers[s]
 
     def advance(state, stepper, dt_step):
@@ -320,12 +319,17 @@ def fmt(x) -> str:
     return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
+def write_rows(fh, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+    """Write a CSV header and rows to the text file object fh."""
+    fh.write(",".join(header) + "\n")
+    for row in rows:
+        fh.write(",".join(fmt(float(x)) if isinstance(x, (int, float, np.floating))
+                          else str(x) for x in row) + "\n")
+
+
 def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(float(x)) if isinstance(x, (int, float, np.floating))
-                              else str(x) for x in row) + "\n")
+        write_rows(fh, header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +390,31 @@ def _best_pressure_cfg(cfg: RunConfig) -> RunConfig:
     return replace(cfg, pressure="p2")
 
 
+def _stable_reference(ref: RunReport) -> RunReport:
+    """A study's reference run, or RuntimeError if it blew up."""
+    if ref.unstable:
+        cfg = ref.config
+        raise RuntimeError(f"reference run {cfg.integrator}+{cfg.coupling}+{cfg.pressure} "
+                           f"on {cfg.problem} (Re={cfg.re:g}, N={cfg.nx}, dt={cfg.dt}) "
+                           f"blew up at t={ref.blow_up_time:g}")
+    return ref
+
+
+def _errors(rep: RunReport, u, v, p, p1=None) -> tuple:
+    """Distances of a run from reference fields: max |u - u_ref| over both
+    components, then the pressure's (and, if p1 is given, the p1 chain's)
+    up to a constant, the max of the zero-mean difference.  NaN for a run
+    that blew up."""
+    pairs = [(rep.p, p)] + ([(rep.pressures["p1"], p1)] if p1 is not None else [])
+    if rep.unstable:
+        return (float("nan"),) * (1 + len(pairs))
+    errs = [float(max(np.max(np.abs(rep.u - u)), np.max(np.abs(rep.v - v))))]
+    for mine, ref in pairs:
+        d = mine - ref
+        errs.append(float(np.max(np.abs(d - d.mean()))))
+    return tuple(errs)
+
+
 def convergence_study(cfg: RunConfig, axis: str = "time",
                       dts: Optional[Sequence[float]] = None, ref_dt: Optional[float] = None,
                       Ns: Optional[Sequence[int]] = None, ref_N: Optional[int] = None,
@@ -402,22 +431,14 @@ def convergence_study(cfg: RunConfig, axis: str = "time",
     if axis == "time":
         dts = list(dts) if dts is not None else [2.0**-m for m in range(4, 11)]
         ref_dt = ref_dt if ref_dt is not None else 2.0**-12
-        ref = run_simulation(replace(_best_pressure_cfg(cfg), dt=ref_dt,
-                                     adaptive=False), problem=prob)
+        ref = _stable_reference(run_simulation(
+            replace(_best_pressure_cfg(cfg), dt=ref_dt, adaptive=False), problem=prob))
         rows = []
         for dt in sorted(dts, reverse=True):
             rep = run_simulation(replace(cfg, dt=dt, adaptive=False), problem=prob)
-            if rep.unstable:
-                rows.append((dt, float("nan"), float("nan"), float("nan")))
-                continue
-            err_u = max(np.max(np.abs(rep.u - ref.u)), np.max(np.abs(rep.v - ref.v)))
-            dp = rep.p - ref.p
-            err_p = np.max(np.abs(dp - dp.mean()))
             # the first-order pressure chain keeps its initialization offset,
             # so it is compared like-for-like against the reference's own p1
-            dp1 = rep.pressures["p1"] - ref.pressures["p1"]
-            err_p1 = np.max(np.abs(dp1 - dp1.mean()))
-            rows.append((dt, float(err_u), float(err_p), float(err_p1)))
+            rows.append((dt, *_errors(rep, ref.u, ref.v, ref.p, ref.pressures["p1"])))
     elif axis == "space":
         Ns = list(Ns) if Ns is not None else [16, 32, 64]
         ref_N = ref_N if ref_N is not None else 128
@@ -425,20 +446,15 @@ def convergence_study(cfg: RunConfig, axis: str = "time",
         for N in Ns:
             if ref_N % N != 0 or (ref_N // N) & (ref_N // N - 1):
                 raise ValueError(f"grid N={N} is not nested in the reference N={ref_N}")
-        ref = run_simulation(replace(_best_pressure_cfg(cfg), nx=ref_N, dt=dt,
-                                     adaptive=False), problem=prob)
+        ref = _stable_reference(run_simulation(
+            replace(_best_pressure_cfg(cfg), nx=ref_N, dt=dt, adaptive=False), problem=prob))
         rows = []
         for N in sorted(Ns):
             rep = run_simulation(replace(cfg, nx=N, dt=dt, adaptive=False), problem=prob)
             r = ref_N // N
-            err_u = max(np.max(np.abs(rep.u - restrict_field(ref.u, "u", r))),
-                        np.max(np.abs(rep.v - restrict_field(ref.v, "v", r))))
             p_ref = restrict_field(ref.p, "p", r)
-            dp = rep.p - p_ref
-            err_p = np.max(np.abs(dp - dp.mean()))
-            dp1 = rep.pressures["p1"] - p_ref
-            err_p1 = np.max(np.abs(dp1 - dp1.mean()))
-            rows.append((1.0 / N, float(err_u), float(err_p), float(err_p1)))
+            rows.append((1.0 / N, *_errors(rep, restrict_field(ref.u, "u", r),
+                                           restrict_field(ref.v, "v", r), p_ref, p_ref)))
         rows.sort(key=lambda r: -r[0])
     else:
         raise ValueError("axis must be 'time' or 'space'")
@@ -574,26 +590,19 @@ def efficiency_study(method_cfgs: Sequence[RunConfig], tolerances: Sequence[floa
         return []
     base = method_cfgs[0]
     if reference is None:
-        ref_cfg = RunConfig(problem=base.problem, re=base.re, nx=base.nx,
-                            t_end=base.t_end, dt=ref_dt, integrator="rk4",
-                            coupling="dae", pressure="ap1", advection=base.advection,
-                            compensated=True)
-        reference = run_simulation(ref_cfg)
+        reference = run_simulation(RunConfig(
+            problem=base.problem, re=base.re, nx=base.nx, t_end=base.t_end, dt=ref_dt,
+            integrator="rk4", coupling="dae", pressure="ap1", advection=base.advection,
+            compensated=True))
+    reference = _stable_reference(reference)
     rows = []
     for cfg in method_cfgs:
         cfg.validate()
         label = f"{cfg.integrator}+{cfg.coupling}+{cfg.pressure}+cp{cfg.cp}"
         for tol in tolerances:
             rep = run_simulation(replace(cfg, adaptive=True, atol=tol, rtol=tol, out=None))
-            if rep.unstable:
-                rows.append((label, tol, float("nan"), float("nan"),
-                             rep.wall_time, rep.steps_accepted, rep.total_stages))
-                continue
-            err_u = max(np.max(np.abs(rep.u - reference.u)),
-                        np.max(np.abs(rep.v - reference.v)))
-            dp = rep.p - reference.p
-            err_p = np.max(np.abs(dp - dp.mean()))
-            rows.append((label, tol, float(err_u), float(err_p), rep.wall_time,
+            err_u, err_p = _errors(rep, reference.u, reference.v, reference.p)
+            rows.append((label, tol, err_u, err_p, rep.wall_time,
                          rep.steps_accepted, rep.total_stages))
     rows.sort(key=lambda r: (r[0], -r[1]))
     if out:

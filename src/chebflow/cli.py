@@ -22,7 +22,8 @@ import sys
 import typing
 
 from .bench import (CHOICES, HEADERS, RunConfig, convergence_study, efficiency_study,
-                    fmt, ghia_compare, reynolds_sweep, run_simulation, stability_sweep)
+                    ghia_compare, reynolds_sweep, run_simulation, stability_sweep,
+                    write_rows)
 from .problems import PROBLEMS, make_problem
 
 _CHOICES = dict(CHOICES, problem=tuple(PROBLEMS))
@@ -30,9 +31,9 @@ _HELP = dict(re="Reynolds number", nx="cells per side", dt="fixed (or initial) t
              out="output directory", rock2_table="alternative coefficient table")
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 _TYPES = typing.get_type_hints(RunConfig)
-# the run options by flag name: RunConfig's fields but eps and compensated
+# the run options by flag name: RunConfig's fields but compensated
 _OPTIONS = {("no_" if f.default is True else "") + f.name: f
-            for f in dataclasses.fields(RunConfig) if f.name not in ("eps", "compensated")}
+            for f in dataclasses.fields(RunConfig) if f.name != "compensated"}
 
 
 def _kind(f):
@@ -170,24 +171,24 @@ def main(argv=None):
         rows = convergence_study(cfg, out=path, **_given(
             axis=args.axis, dts=_floats(args.dts) if args.dts else None, ref_dt=args.ref_dt,
             Ns=[int(v) for v in _floats(args.ns)] if args.ns else None, ref_N=args.ref_n))
-        _print_rows(HEADERS["convergence"], rows)
+        write_rows(sys.stdout, HEADERS["convergence"], rows)
     elif args.command == "stability":
         cfg = _run_config(opts, out=None)
         path = os.path.join(outdir, f"stability_{args.mode}.csv") if outdir else None
         rows = stability_sweep(cfg, args.mode, _floats(args.values), out=path,
                                **_given(dt=args.sweep_dt))
-        _print_rows(HEADERS[args.mode], rows)
+        write_rows(sys.stdout, HEADERS[args.mode], rows)
     elif args.command == "efficiency":
         cfg = _run_config(opts, out=None)
         path = os.path.join(outdir, "efficiency.csv") if outdir else None
         rows = efficiency_study([cfg], _floats(args.tolerances), out=path,
                                 **_given(ref_dt=args.ref_dt))
-        _print_rows(HEADERS["efficiency"], rows)
+        write_rows(sys.stdout, HEADERS["efficiency"], rows)
     elif args.command == "reynolds":
         cfg = _run_config(opts, out=None, adaptive=True)
         path = os.path.join(outdir, "reynolds.csv") if outdir else None
         rows = reynolds_sweep(cfg, _floats(args.re_values), out=path)
-        _print_rows(HEADERS["reynolds"], rows)
+        write_rows(sys.stdout, HEADERS["reynolds"], rows)
     elif args.command == "ghia":
         cfg = _run_config(opts, problem="cavity")
         rep = run_simulation(cfg)
@@ -217,13 +218,6 @@ def _print_report(rep):
         print(line)
     if cfg.out:
         print(f"  fields and summary written to {cfg.out}")
-
-
-def _print_rows(header, rows):
-    print(",".join(header))
-    for row in rows:
-        print(",".join(fmt(float(x)) if isinstance(x, (int, float)) else str(x)
-                       for x in row))
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .grid import BoundaryData, CellField, GridSpec, VelocityField
-from .integrators import (RKC_EPS, Rock2Tableau, StageHook, method_spec,
+from .integrators import (Rock2Tableau, StageHook, method_spec,
                           pirock_step, rk4_step, rkc_step, rock2_step)
 from . import spatial
 from .poisson import PoissonSolver
@@ -45,10 +45,9 @@ _DEGENERATE_NODE_TOL = 1e-12
 class Stepper:
     """One integrator method bound to a stage count."""
 
-    def __init__(self, method: str, s: int, eps: float = RKC_EPS,
-                 table_path: Optional[str] = None):
+    def __init__(self, method: str, s: int, table_path: Optional[str] = None):
         self.method = method
-        self.tableau = method_spec(method).tableau(s, eps, table_path)
+        self.tableau = method_spec(method).tableau(s, table_path)
         self.s = s
 
     def nodes(self) -> np.ndarray:

@@ -6,23 +6,26 @@ The transforms are the ones natural to half-integer sample points
     forward   F_k = sum_{n=0}^{N-1} f_{n+1/2} cos((2n+1) k pi / (2N))
     inverse   f_{n+1/2} = (2/N) [ F_0/2 + sum_{k>=1} F_k cos((2n+1) k pi / (2N)) ]
 
-Four interchangeable algorithms are provided:
+Four interchangeable algorithms are provided, one (forward, inverse) pair
+each in ``_ALGORITHMS``:
 
 - ``naive``      direct evaluation of the sums, any N >= 1 (the oracle)
 - ``iterative``  O(N^2) add/multiply recurrences, N even
-- ``recursive``  O(N log N) split-radix style recursion, N a power of two
-- ``hybrid``     recursive until the size reaches ``cutoff``, then iterative
+- ``recursive``  O(N log N) split-radix style recursion down to size 2,
+                 N a power of two
+- ``hybrid``     the same recursion, stopped at size ``cutoff`` and
+                 finished by the iterative algorithm
 
-All algorithms produce identical results up to rounding.  The 1D entry
-points accept arrays of shape (..., N) and transform along the last axis;
-the 2D entry points require a square (N, N) array.
+All algorithms produce identical results up to rounding.  ``dct``/``idct``
+are the 1D entry points: they accept arrays of shape (..., N) and
+transform along the last axis; ``dct2d``/``idct2d`` require a square
+(N, N) array.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-ALGORITHMS = ("naive", "iterative", "recursive", "hybrid")
 # the matrix product takes any N and runs as one BLAS call per axis
 DEFAULT_ALGORITHM = "naive"
 HYBRID_CUTOFF = 64
@@ -64,6 +67,9 @@ class DctPlan:
         self.N = int(N)
         self.algorithm = algorithm
         self.cutoff = int(cutoff)
+        # the size at which the recursion stops: 2 (solved directly), or the
+        # hybrid's cutoff clamped to [2, N] (solved iteratively above 2)
+        self.base = max(2, min(self.cutoff, self.N)) if algorithm == "hybrid" else 2
         self._tables = {}
 
     def table(self, n: int, name: str):
@@ -72,22 +78,6 @@ class DctPlan:
         if name not in tab:
             tab[name] = _TABLES[name](self, n)
         return tab[name]
-
-    # -- dispatch ------------------------------------------------------------
-
-    def _check(self, f):
-        f = np.asarray(f, dtype=float)
-        if f.shape[-1] != self.N:
-            raise ValueError(f"sequence length {f.shape[-1]} does not match plan N={self.N}")
-        return f
-
-    def forward(self, f):
-        f = self._check(f)
-        return _FWD[self.algorithm](self, f, self.N)
-
-    def inverse(self, F):
-        F = self._check(F)
-        return _INV[self.algorithm](self, F, self.N)
 
 
 # -- tables: (plan, n) -> the named table for transforms of length n ---------
@@ -141,8 +131,6 @@ def _idct_naive(plan, F, n):
 # -- iterative (O(N^2) recurrences) -----------------------------------------
 
 def _dct_iter(plan, f, n):
-    if n % 2:
-        raise ValueError("iterative DCT requires even N")
     h = n // 2
     ce, tce, so, tco = plan.table(n, "it_fwd")
     fr = f[..., ::-1]
@@ -166,8 +154,6 @@ def _dct_iter(plan, f, n):
 
 
 def _idct_iter(plan, F, n):
-    if n % 2:
-        raise ValueError("iterative DCT requires even N")
     h = n // 2
     sn, sh, tc = plan.table(n, "it_inv")
     Fh = F.copy()
@@ -205,15 +191,15 @@ def _idct2_direct(F):
     return out
 
 
-def _dct_rec(plan, f, n, base, base_fn):
-    if n <= base:
-        return base_fn(plan, f, n) if base > 2 else _dct2_direct(f)
+def _dct_rec(plan, f, n):
+    if n <= plan.base:
+        return _dct_iter(plan, f, n) if plan.base > 2 else _dct2_direct(f)
     h = n // 2
     alt = np.where(np.arange(h) % 2 == 0, 1.0, -1.0)
     fL = f[..., 0::2] + f[..., 1::2]
     fH = (f[..., 0::2] - f[..., 1::2]) * alt
-    A = _dct_rec(plan, fL, h, base, base_fn)
-    B = _dct_rec(plan, fH, h, base, base_fn)
+    A = _dct_rec(plan, fL, h)
+    B = _dct_rec(plan, fH, h)
     ck, sk = plan.table(n, "rec")
     out = np.empty_like(f)
     out[..., 0] = A[..., 0]
@@ -224,9 +210,9 @@ def _dct_rec(plan, f, n, base, base_fn):
     return out
 
 
-def _idct_rec(plan, F, n, base, base_fn):
-    if n <= base:
-        return base_fn(plan, F, n) if base > 2 else _idct2_direct(F)
+def _idct_rec(plan, F, n):
+    if n <= plan.base:
+        return _idct_iter(plan, F, n) if plan.base > 2 else _idct2_direct(F)
     h = n // 2
     ck, sk = plan.table(n, "rec0")
     w = np.empty(F.shape[:-1] + (h,))
@@ -235,8 +221,8 @@ def _idct_rec(plan, F, n, base, base_fn):
     Fp = F[..., h:]             # F[N/2 + k]
     Fm = np.concatenate([F[..., h:h + 1], F[..., h - 1:0:-1]], axis=-1)  # F[N/2 - k]
     v = (np.sqrt(2.0) / 2) * (ck * (Fp + Fm) + sk * (Fp - Fm))
-    C = _idct_rec(plan, w, h, base, base_fn)
-    D = _idct_rec(plan, v, h, base, base_fn)
+    C = _idct_rec(plan, w, h)
+    D = _idct_rec(plan, v, h)
     alt = np.where(np.arange(h) % 2 == 0, 1.0, -1.0)
     out = np.empty_like(F)
     out[..., 0::2] = 0.5 * (C + alt * D)
@@ -244,40 +230,30 @@ def _idct_rec(plan, F, n, base, base_fn):
     return out
 
 
-def _dct_recursive(plan, f, n):
-    return _dct_rec(plan, f, n, 2, None)
-
-
-def _idct_recursive(plan, F, n):
-    return _idct_rec(plan, F, n, 2, None)
-
-
-def _dct_hybrid(plan, f, n):
-    base = max(2, min(plan.cutoff, n))
-    return _dct_rec(plan, f, n, base, _dct_iter if base > 2 else None)
-
-
-def _idct_hybrid(plan, F, n):
-    base = max(2, min(plan.cutoff, n))
-    return _idct_rec(plan, F, n, base, _idct_iter if base > 2 else None)
-
-
-_FWD = {"naive": _dct_naive, "iterative": _dct_iter,
-        "recursive": _dct_recursive, "hybrid": _dct_hybrid}
-_INV = {"naive": _idct_naive, "iterative": _idct_iter,
-        "recursive": _idct_recursive, "hybrid": _idct_hybrid}
+# name -> (forward, inverse), each (plan, values, n) -> transform along the
+# last axis; the order of the names is the order the CLI offers them in
+_ALGORITHMS = {"naive": (_dct_naive, _idct_naive), "iterative": (_dct_iter, _idct_iter),
+               "recursive": (_dct_rec, _idct_rec), "hybrid": (_dct_rec, _idct_rec)}
+ALGORITHMS = tuple(_ALGORITHMS)
 
 
 # -- public API ---------------------------------------------------------------
 
+def _check(plan, f):
+    f = np.asarray(f, dtype=float)
+    if f.shape[-1] != plan.N:
+        raise ValueError(f"sequence length {f.shape[-1]} does not match plan N={plan.N}")
+    return f
+
+
 def dct(plan: DctPlan, f):
     """Forward DCT-II along the last axis (unscaled)."""
-    return plan.forward(f)
+    return _ALGORITHMS[plan.algorithm][0](plan, _check(plan, f), plan.N)
 
 
 def idct(plan: DctPlan, F):
     """Inverse transform (DCT-III with 2/N scaling and half-weighted F_0)."""
-    return plan.inverse(F)
+    return _ALGORITHMS[plan.algorithm][1](plan, _check(plan, F), plan.N)
 
 
 def _check_square(plan, f):
@@ -295,13 +271,13 @@ def dct2d(plan: DctPlan, f):
     Separable row-column application: ``F[j, k]`` pairs frequency ``j`` with
     the first array axis and ``k`` with the second.
     """
-    f = _check_square(plan, f)
-    t = plan.forward(f)           # transform over axis 1 (index n -> k)
-    return plan.forward(t.T).T    # transform over axis 0 (index m -> j)
+    forward = _ALGORITHMS[plan.algorithm][0]
+    t = forward(plan, _check_square(plan, f), plan.N)   # over axis 1 (index n -> k)
+    return forward(plan, t.T, plan.N).T                 # over axis 0 (index m -> j)
 
 
 def idct2d(plan: DctPlan, F):
     """Two-dimensional inverse transform of a square array."""
-    F = _check_square(plan, F)
-    t = plan.inverse(F)
-    return plan.inverse(t.T).T
+    inverse = _ALGORITHMS[plan.algorithm][1]
+    t = inverse(plan, _check_square(plan, F), plan.N)
+    return inverse(plan, t.T, plan.N).T

@@ -200,27 +200,11 @@ class BoundaryData:
     tangential_normal_derivative: Optional[Callable] = None
     time_independent: bool = False
 
-    def u_at(self, t, x, y):
-        return np.asarray(self.velocity(t, x, y)[0], dtype=float)
-
-    def v_at(self, t, x, y):
-        return np.asarray(self.velocity(t, x, y)[1], dtype=float)
-
     def as_rate(self) -> "BoundaryData":
         """Boundary data whose velocity is the time derivative of this one."""
         if self.velocity_dt is None:
             raise ValueError("boundary time derivative not available")
         return BoundaryData(velocity=self.velocity_dt)
-
-    def boundary_flux(self, spec: GridSpec, t: float) -> float:
-        """Net discrete flux of the boundary data through the walls."""
-        yj = (np.arange(1, spec.N + 1) - 0.5) * spec.dx
-        xi = yj
-        left = self.u_at(t, np.zeros_like(yj), yj)
-        right = self.u_at(t, np.ones_like(yj), yj)
-        bottom = self.v_at(t, xi, np.zeros_like(xi))
-        top = self.v_at(t, xi, np.ones_like(xi))
-        return float(spec.dx * (np.sum(right) - np.sum(left) + np.sum(top) - np.sum(bottom)))
 
 
 def sample_velocity(spec: GridSpec, f: Callable, t: float) -> VelocityField:

@@ -415,14 +415,6 @@ _RK4_C = (0.0, 0.5, 0.5, 1.0)
 def rk4_step(f, y, t, dt, hook: Optional[StageHook] = None):
     """Classical RK4 step; a hook is applied in dual-buffer (DAE) semantics."""
     y = np.asarray(y, dtype=float)
-    if hook is None or hook.callback is None:
-        k1 = f(t, y)
-        k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
-        k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
-        k4 = f(t + dt, y + dt * k3)
-        y1 = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _check_finite(y1, 5)
-        return y1
     fs = []
     for i, row in enumerate(_RK4_A):
         y_star = y + dt * sum(a * fk for a, fk in zip(row, fs) if a)
@@ -480,18 +472,18 @@ class MethodSpec:
 
     growth: Optional[float]   # stability interval growth * s^2; None: no growth law
     stage_counts: Callable    # (table_path) -> ascending stage counts it runs
-    tableau: Callable         # (s, eps, table_path) -> coefficients, None for RK4
+    tableau: Callable         # (s, table_path) -> coefficients, None for RK4
     nodes: Callable           # (tableau) -> nodes c_1..c_{s+1} of U_1..U_{s+1}
 
 
 _ROCK2 = MethodSpec(ROCK2_GROWTH, rock2_degrees,
-                    lambda s, eps, path: rock2_tableau(s, path), Rock2Tableau.nodes)
+                    lambda s, path: rock2_tableau(s, path), Rock2Tableau.nodes)
 METHODS = {
     "rkc": MethodSpec(RKC_GROWTH, lambda path: RKC_STAGES,
-                      lambda s, eps, path: rkc_tableau(s, eps), RkcTableau.nodes),
+                      lambda s, path: rkc_tableau(s), RkcTableau.nodes),
     "rock2": _ROCK2,
     "pirock": _ROCK2,
-    "rk4": MethodSpec(None, lambda path: (4,), lambda s, eps, path: None,
+    "rk4": MethodSpec(None, lambda path: (4,), lambda s, path: None,
                       lambda tableau: np.array(_RK4_C + (1.0,))),
 }
 
@@ -503,15 +495,15 @@ def method_spec(method: str) -> MethodSpec:
     return METHODS[method]
 
 
-def nodes_c(method: str, s: int, eps: float = RKC_EPS):
+def nodes_c(method: str, s: int):
     """Stage nodes c_1..c_{s+1} (including the final node 1)."""
     spec = method_spec(method)
-    return spec.nodes(spec.tableau(s, eps, None))
+    return spec.nodes(spec.tableau(s, None))
 
 
-def stability_poly_eval(method: str, s: int, z, eps: float = RKC_EPS):
+def stability_poly_eval(method: str, s: int, z):
     """Amplification factor R(z) of one step on y' = lambda y (z = lambda dt)."""
-    tab = method_spec(method).tableau(s, eps, None)
+    tab = method_spec(method).tableau(s, None)
     z = np.asarray(z, dtype=float)
     y0 = np.ones_like(z)
     f = lambda t, y: z * y

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from chebflow.spatial import wall_velocities
+
 
 def neumann_laplacian_matrix(N, dx):
     """Dense 5-point Laplacian on N x N cell centers with mirror boundaries.
@@ -33,6 +35,14 @@ def apply_neumann_laplacian(values, dx):
     p = np.pad(values, 1, mode="edge")
     return (p[2:, 1:-1] + p[:-2, 1:-1] + p[1:-1, 2:] + p[1:-1, :-2]
             - 4.0 * values) / dx**2
+
+
+def wall_flux(bc, spec, t):
+    """Net discrete flux of boundary data bc through the walls, summed over
+    the wall-normal velocities the stencils sample."""
+    w = wall_velocities(bc, spec, t)
+    return float(spec.dx * (np.sum(w["u_right"]) - np.sum(w["u_left"])
+                            + np.sum(w["v_top"]) - np.sum(w["v_bottom"])))
 
 
 def fit_loglog_slope(xs, errs):

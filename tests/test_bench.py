@@ -3,6 +3,8 @@ import os
 import re
 import shutil
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -270,6 +272,43 @@ def test_cli_study_options_default_to_the_study_functions(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_cli_study_prints_the_lines_of_its_csv(tmp_path, capsys):
+    assert cli_main(["stability", "--problem", "forced", "--nx", "8", "--re", "20",
+                     "--t-end", "0.1", "--integrator", "rock2", "--coupling", "dae",
+                     "--pressure", "p1", "--values", "3,4", "--out", str(tmp_path)]) == 0
+    with open(os.path.join(tmp_path, "stability_max_dt_given_s.csv")) as fh:
+        written = fh.read()
+    assert capsys.readouterr().out == written
+    assert len(written.splitlines()) == 3
+
+
+def test_study_against_an_unstable_reference_raises():
+    # the N=32 reference blows up at t=1.5; its errors of order 1e114 must not
+    # come back as convergence rows
+    cfg = RunConfig(problem="taylor", re=100.0, nx=8, t_end=4.0, dt=0.25, stages=3,
+                    integrator="rock2", coupling="dae", pressure="ap1")
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(RuntimeError, match=r"reference run rock2\+dae\+ap1 on taylor "
+                                              r"\(Re=100, N=32, dt=0.25\) blew up at t=1.5"):
+        convergence_study(cfg, axis="space", Ns=[8, 16], ref_N=32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        blown = run_simulation(replace(cfg, nx=32))
+    assert blown.unstable
+    with pytest.raises(RuntimeError, match="blew up"):
+        efficiency_study([small_cfg()], [1e-3], reference=blown)
+
+
+def test_space_convergence_gives_an_unstable_trial_a_nan_row():
+    # at dt=0.25 the N=16 reference, PM1 carrying the recovered p2, holds
+    # while PM1 carrying p1 blows up on the same grid
+    cfg = RunConfig(problem="taylor", re=100.0, nx=8, t_end=4.0, dt=0.25, stages=3,
+                    integrator="rock2", coupling="pm1", pressure="p1", cp=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coarse, fine = convergence_study(cfg, axis="space", Ns=[8, 16], ref_N=16)
+    assert coarse[0] == 1 / 8 and np.all(np.isfinite(coarse[1::2]))
+    assert fine[0] == 1 / 16 and np.all(np.isnan(fine[1:]))
+
+
 def test_min_stages_monotone_in_reynolds():
     # with diffusion-only stiffness, rho ~ 1/Re: the smallest stable stage
     # count cannot grow when Re grows
@@ -329,13 +368,12 @@ def test_cli_stability_and_ghia(tmp_path, capsys):
     (dict(t_end=-0.01), "t_end must be non-negative"),
     (dict(atol=0.0), "atol must be positive"),
     (dict(rtol=-1e-6), "rtol must be positive"),
-    (dict(eps=0.0), "eps must be positive"),
     (dict(stages=0), "stages must be at least 1"),
     (dict(integrator="rkc", stages=1), "rkc cannot run stages=1; nearest available: 2$"),
     (dict(stages=2), "rock2 cannot run stages=2; nearest available: 3$"),
     (dict(stages=500), "rock2 cannot run stages=500; nearest available: 200$"),
     (dict(integrator="rk4", stages=9), "rk4 cannot run stages=9; nearest available: 4$"),
-], ids=["dt", "nx", "re", "t_end", "atol", "rtol", "eps", "stages", "rkc_stages",
+], ids=["dt", "nx", "re", "t_end", "atol", "rtol", "stages", "rkc_stages",
         "rock2_stages_below", "rock2_stages_above", "rk4_stages"])
 def test_validation_rejects_invalid_values(kw, message):
     with pytest.raises(ValueError, match=message):

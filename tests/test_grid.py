@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+from conftest import wall_flux
 
 from chebflow.grid import (BoundaryData, CellField, GridSpec, VelocityField,
                            inf_norm, read_field, sample_velocity,
@@ -90,7 +91,7 @@ def test_boundary_compatibility_all_problems():
     spec = GridSpec(16, nu=0.01)
     for prob in (forced_flow(100.0), green_taylor(50.0), lid_driven_cavity(1000.0)):
         for t in rng.uniform(0.0, 1.0, size=20):
-            assert abs(prob.boundary.boundary_flux(spec, float(t))) <= 1e-12
+            assert abs(wall_flux(prob.boundary, spec, float(t))) <= 1e-12
 
 
 def test_flattening_order():

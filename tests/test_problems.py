@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import wall_flux
 
 from chebflow.grid import GridSpec, inf_norm, sample_velocity
 from chebflow.problems import (forced_flow, green_taylor, lid_driven_cavity,
@@ -89,7 +90,7 @@ def test_initial_matches_exact():
 def test_cavity_boundary_and_initial_state():
     prob = lid_driven_cavity(1000.0)
     spec = GridSpec(16, nu=1e-3)
-    assert abs(prob.boundary.boundary_flux(spec, 0.0)) == 0.0
+    assert abs(wall_flux(prob.boundary, spec, 0.0)) == 0.0
     # lid faces, including the ones adjacent to the corners, carry u = 1
     u_lid, v_lid = prob.boundary.velocity(0.0, np.array([1e-9, 0.5, 1 - 1e-9]),
                                           np.array([1.0, 1.0, 1.0]))
