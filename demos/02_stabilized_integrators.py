@@ -62,7 +62,6 @@ while t < 1.0 - 1e-12:
     dt = min(dt, 1.0 - t)
     y_new, err = rock2_step(f, y, t, dt, tab, err_norm=ctrl.norm)
     dt_new, accept = propose_dt(ctrl, err, dt)
-    ctrl.record(err, dt)
     if accept:
         y, t = y_new, t + dt
         steps += 1

@@ -9,10 +9,11 @@ fixed stage counts, smallest stable stage count for fixed steps), tolerance
 sweeps for work-precision data, Reynolds-number sweeps, and the comparison
 of cavity centerline profiles against user-supplied reference data.
 
-All outputs are plain text: field dumps in the grid module's format and CSV
-files whose numbers carry 17 significant digits (re-parsing reproduces them
-exactly).  Runs are fully deterministic; the only non-reproducible column
-is wall time.
+Runs and studies return their results and write nothing.  ``write_outputs``
+dumps a run's fields (in the grid module's format) and summary to a
+directory; ``write_csv``/``write_rows`` write a study's rows as CSV whose
+numbers carry 17 significant digits (re-parsing reproduces them exactly).
+Runs are fully deterministic; the only non-reproducible column is wall time.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .coupling import (CouplingState, FlowSystem, Stepper, ap1_pressure,
+from .coupling import (AP2_MIN_STAGES, CouplingState, FlowSystem, Stepper, ap1_pressure,
                        ap2_pressure, ap2w_coefficients, ap2w_pressure, dae_step,
                        pm1_second_order_pressure, pm1_step, pm1v_step, pm3_step)
-from .grid import (CellField, GridSpec, VelocityField, inf_norm, sample_pressure,
+from .grid import (CellField, GridSpec, inf_norm, sample_pressure,
                    sample_velocity, write_field)
 from .dct import ALGORITHMS, DEFAULT_ALGORITHM
 from .integrators import (METHODS, IntegrationDiverged, StepController,
@@ -74,7 +75,6 @@ class RunConfig:
     cp: int = 0                         # 0: recover pressure at t_end only; 1: every step
     stages: Optional[int] = None        # fixed stage count (otherwise selected per step)
     advection: bool = True
-    out: Optional[str] = None
     rock2_table: Optional[str] = None
     dct_algorithm: str = DEFAULT_ALGORITHM
     compensated: bool = False           # Kahan accumulation (RK4 reference runs)
@@ -116,6 +116,10 @@ class RunConfig:
             raise ValueError("RK4 has no embedded error estimate")
         if self.pressure == "ap2" and self.integrator != "rkc":
             raise ValueError("AP2 needs second-order internal stages (RKC only)")
+        if self.pressure == "ap2" and self.stages is not None and self.stages < AP2_MIN_STAGES:
+            raise ValueError(f"AP2 needs stages >= {AP2_MIN_STAGES}, got {self.stages}")
+        if self.compensated and self.integrator != "rk4":
+            raise ValueError("compensated accumulation is for RK4 reference runs only")
         if self.pressure == "ap2w" and self.integrator != "rock2":
             raise ValueError("AP2W is the ROCK2 workaround (use AP2 with RKC)")
         if self.pressure in ("ap1", "ap2", "ap2w") and self.coupling != "dae":
@@ -194,8 +198,7 @@ def run_simulation(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
     report = RunReport(config=cfg, spec=spec, u=u0.u, v=u0.v, p=p0.values,
                        pressures={}, t_final=0.0)
 
-    # AP2 (RKC only) reconstructs through U_s, U_{s+1}, distinct from U_1, U_2
-    min_stages = 3 if cfg.pressure == "ap2" else None
+    min_stages = AP2_MIN_STAGES if cfg.pressure == "ap2" else None
 
     def stepper_for(s: int) -> Stepper:
         if s not in steppers:
@@ -217,48 +220,49 @@ def run_simulation(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
     kahan_c = None
     last_dt_step = None
     try:
-        while state.t < cfg.t_end - eps_t:
-            if cfg.adaptive and dt < eps_t:
-                raise RuntimeError(f"adaptive step dt={dt:.3e} fell below the end "
-                                   f"tolerance {eps_t:.1e} at t={state.t!r}")
-            dt_step = min(dt, cfg.t_end - state.t)
-            s_used = cfg.stages or select_stages(
-                dt_step, rho, cfg.integrator, min_stages, cfg.rock2_table)
-            stepper = stepper_for(s_used)
-            new_state, err = advance(state, stepper, dt_step)
-            report.steps_attempted += 1
-            report.total_stages += s_used
-            if ctrl is not None and err is not None:
-                dt_new, accept = propose_dt(ctrl, err, dt_step)
-                ctrl.record(err, dt_step)
-                if not accept:
-                    report.steps_rejected += 1
-                    dt = min(dt_new, cfg.t_end - state.t)
-                    continue
-                dt = dt_new
-            report.steps_accepted += 1
-            report.last_stages = s_used
-            last_dt_step = dt_step
-            if cfg.compensated and cfg.integrator == "rk4":
-                # Kahan accumulation of the per-step velocity increments
-                inc_u = new_state.u.u - state.u.u
-                inc_v = new_state.u.v - state.u.v
-                if kahan_c is None:
-                    kahan_c = (np.zeros_like(inc_u), np.zeros_like(inc_v))
-                for base, inc, c in ((state.u.u, inc_u, kahan_c[0]),
-                                     (state.u.v, inc_v, kahan_c[1])):
-                    yy = inc - c
-                    tt = base + yy
-                    c[:] = (tt - base) - yy
-                    base[:] = tt
-                new_state.u = state.u
-            state = new_state
-            if track_divergence:
-                div = system.divergence_of(state.u.flatten(), state.t)
-                norm_u = max(inf_norm(state.u), 0.0)
-                report.divergence_history.append(inf_norm(div) / (1.0 + norm_u))
-            if cfg.cp == 1 and cfg.pressure != "p1":
-                state.p = _recover_pressure(cfg, state, system, stepper, dt_step)
+        # a blow-up overflows before the fields are checked; the report carries it
+        with np.errstate(over="ignore", invalid="ignore"):
+            while state.t < cfg.t_end - eps_t:
+                if cfg.adaptive and dt < eps_t:
+                    raise RuntimeError(f"adaptive step dt={dt:.3e} fell below the end "
+                                       f"tolerance {eps_t:.1e} at t={state.t!r}")
+                dt_step = min(dt, cfg.t_end - state.t)
+                s_used = cfg.stages or select_stages(
+                    dt_step, rho, cfg.integrator, min_stages, cfg.rock2_table)
+                stepper = stepper_for(s_used)
+                new_state, err = advance(state, stepper, dt_step)
+                report.steps_attempted += 1
+                report.total_stages += s_used
+                if ctrl is not None and err is not None:
+                    dt_new, accept = propose_dt(ctrl, err, dt_step)
+                    if not accept:
+                        report.steps_rejected += 1
+                        dt = min(dt_new, cfg.t_end - state.t)
+                        continue
+                    dt = dt_new
+                report.steps_accepted += 1
+                report.last_stages = s_used
+                last_dt_step = dt_step
+                if cfg.compensated:
+                    # Kahan accumulation of the per-step velocity increments
+                    inc_u = new_state.u.u - state.u.u
+                    inc_v = new_state.u.v - state.u.v
+                    if kahan_c is None:
+                        kahan_c = (np.zeros_like(inc_u), np.zeros_like(inc_v))
+                    for base, inc, c in ((state.u.u, inc_u, kahan_c[0]),
+                                         (state.u.v, inc_v, kahan_c[1])):
+                        yy = inc - c
+                        tt = base + yy
+                        c[:] = (tt - base) - yy
+                        base[:] = tt
+                    new_state.u = state.u
+                state = new_state
+                if track_divergence:
+                    div = system.divergence_of(state.u.flatten(), state.t)
+                    norm_u = max(inf_norm(state.u), 0.0)
+                    report.divergence_history.append(inf_norm(div) / (1.0 + norm_u))
+                if cfg.cp == 1 and cfg.pressure != "p1":
+                    state.p = _recover_pressure(cfg, state, system, stepper, dt_step)
     except IntegrationDiverged:
         report.unstable = True
         report.blow_up_time = state.t
@@ -280,17 +284,16 @@ def run_simulation(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
         if prob.exact_pressure is not None:
             pex = sample_pressure(spec, prob.exact_pressure, state.t).zero_mean()
             report.err_p = inf_norm(CellField(state.p.values - pex.values).zero_mean())
-    if cfg.out:
-        write_outputs(report)
     return report
 
 
-def write_outputs(report: RunReport) -> None:
-    os.makedirs(report.config.out, exist_ok=True)
+def write_outputs(report: RunReport, directory: str) -> None:
+    """Write a run's final fields (u.txt, v.txt, p.txt) and summary.txt to directory."""
+    os.makedirs(directory, exist_ok=True)
     spec, t = report.spec, report.t_final
-    write_field(os.path.join(report.config.out, "u.txt"), "u", spec, t, report.u)
-    write_field(os.path.join(report.config.out, "v.txt"), "v", spec, t, report.v)
-    write_field(os.path.join(report.config.out, "p.txt"), "p", spec, t, report.p)
+    write_field(os.path.join(directory, "u.txt"), "u", spec, t, report.u)
+    write_field(os.path.join(directory, "v.txt"), "v", spec, t, report.v)
+    write_field(os.path.join(directory, "p.txt"), "p", spec, t, report.p)
     cfg = report.config
     lines = {
         "problem": cfg.problem, "re": cfg.re, "nx": cfg.nx, "t_end": cfg.t_end,
@@ -310,7 +313,7 @@ def write_outputs(report: RunReport) -> None:
         lines["err_u"] = report.err_u
     if report.err_p is not None:
         lines["err_p"] = report.err_p
-    with open(os.path.join(cfg.out, "summary.txt"), "w") as fh:
+    with open(os.path.join(directory, "summary.txt"), "w") as fh:
         for k, v in lines.items():
             fh.write(f"{k}={fmt(v)}\n" if isinstance(v, float) else f"{k}={v}\n")
 
@@ -417,8 +420,7 @@ def _errors(rep: RunReport, u, v, p, p1=None) -> tuple:
 
 def convergence_study(cfg: RunConfig, axis: str = "time",
                       dts: Optional[Sequence[float]] = None, ref_dt: Optional[float] = None,
-                      Ns: Optional[Sequence[int]] = None, ref_N: Optional[int] = None,
-                      out: Optional[str] = None):
+                      Ns: Optional[Sequence[int]] = None, ref_N: Optional[int] = None):
     """Temporal or spatial convergence against a fine numerical reference.
 
     Time axis: fixed grid, reference at the smallest step, h = dt.  Space
@@ -426,7 +428,6 @@ def convergence_study(cfg: RunConfig, axis: str = "time",
     each coarse one, h = dx.  Rows are ``HEADERS["convergence"]``: h, then
     the error and slope of u, of the recovered pressure and of p1.
     """
-    cfg = replace(cfg, out=None)
     prob = make_problem(cfg.problem, cfg.re, cfg.advection)
     if axis == "time":
         dts = list(dts) if dts is not None else [2.0**-m for m in range(4, 11)]
@@ -465,10 +466,7 @@ def convergence_study(cfg: RunConfig, axis: str = "time",
     su = _slope_rows(xs, eu)
     sp = _slope_rows(xs, ep)
     sp1 = _slope_rows(xs, ep1)
-    table = [tuple(v) for v in zip(xs, eu, su, ep, sp, ep1, sp1)]
-    if out:
-        write_csv(out, HEADERS["convergence"], table)
-    return table
+    return [tuple(v) for v in zip(xs, eu, su, ep, sp, ep1, sp1)]
 
 
 # ---------------------------------------------------------------------------
@@ -477,12 +475,11 @@ def convergence_study(cfg: RunConfig, axis: str = "time",
 
 def _trial(cfg: RunConfig, dt: float, s: Optional[int]) -> RunConfig:
     """The fixed-step run a stability trial makes at step dt with s stages."""
-    return replace(cfg, dt=dt, adaptive=False, stages=s, out=None)
+    return replace(cfg, dt=dt, adaptive=False, stages=s)
 
 
 def _stable_run(cfg: RunConfig, prob: ProblemSpec, dt: float, s: int) -> bool:
-    with np.errstate(over="ignore", invalid="ignore"):
-        rep = run_simulation(_trial(cfg, dt, s), problem=prob)
+    rep = run_simulation(_trial(cfg, dt, s), problem=prob)
     if rep.unstable:
         return False
     u0 = sample_velocity(rep.spec, prob.initial_velocity(0.0), 0.0)
@@ -544,8 +541,7 @@ def min_stable_stages(cfg: RunConfig, dt: float,
     raise RuntimeError("no stable stage count within the cap")
 
 
-def stability_sweep(cfg: RunConfig, mode: str, values: Sequence, dt: float = 1e-2,
-                    out: Optional[str] = None):
+def stability_sweep(cfg: RunConfig, mode: str, values: Sequence, dt: float = 1e-2):
     """Sweep rows for the two stability experiments.
 
     ``max_dt_given_s``: values are stage counts; rows (s, measured, theory).
@@ -569,8 +565,6 @@ def stability_sweep(cfg: RunConfig, mode: str, values: Sequence, dt: float = 1e-
             rows.append((float(re_val), s_meas, float(np.sqrt(dt * rho / growth))))
     else:
         raise ValueError("mode must be 'max_dt_given_s' or 'min_s_given_dt'")
-    if out:
-        write_csv(out, HEADERS[mode], rows)
     return rows
 
 
@@ -579,8 +573,7 @@ def stability_sweep(cfg: RunConfig, mode: str, values: Sequence, dt: float = 1e-
 # ---------------------------------------------------------------------------
 
 def efficiency_study(method_cfgs: Sequence[RunConfig], tolerances: Sequence[float],
-                     ref_dt: float = 1e-5, out: Optional[str] = None,
-                     reference: Optional[RunReport] = None):
+                     ref_dt: float = 1e-5, reference: Optional[RunReport] = None):
     """Work-precision rows: per method and tolerance, error vs wall time.
 
     The reference is an RK4 + DAE run at a small fixed step with compensated
@@ -600,33 +593,27 @@ def efficiency_study(method_cfgs: Sequence[RunConfig], tolerances: Sequence[floa
         cfg.validate()
         label = f"{cfg.integrator}+{cfg.coupling}+{cfg.pressure}+cp{cfg.cp}"
         for tol in tolerances:
-            rep = run_simulation(replace(cfg, adaptive=True, atol=tol, rtol=tol, out=None))
+            rep = run_simulation(replace(cfg, adaptive=True, atol=tol, rtol=tol))
             err_u, err_p = _errors(rep, reference.u, reference.v, reference.p)
             rows.append((label, tol, err_u, err_p, rep.wall_time,
                          rep.steps_accepted, rep.total_stages))
     rows.sort(key=lambda r: (r[0], -r[1]))
-    if out:
-        write_csv(out, HEADERS["efficiency"], rows)
     return rows
 
 
-def reynolds_sweep(cfg: RunConfig, re_values: Sequence[float],
-                   out: Optional[str] = None):
+def reynolds_sweep(cfg: RunConfig, re_values: Sequence[float]):
     """Adaptive runs over Reynolds numbers, advection neglected.
 
     Rows: (Re, err_u, wall_time, avg_stages, total_stages, steps, rejected).
     """
     rows = []
     for re_val in re_values:
-        rep = run_simulation(replace(cfg, re=float(re_val), advection=False,
-                                     adaptive=True, out=None))
+        rep = run_simulation(replace(cfg, re=float(re_val), advection=False, adaptive=True))
         rows.append((float(re_val),
                      rep.err_u if rep.err_u is not None else float("nan"),
                      rep.wall_time, rep.avg_stages, rep.total_stages,
                      rep.steps_accepted, rep.steps_rejected))
     rows.sort(key=lambda r: r[0])
-    if out:
-        write_csv(out, HEADERS["reynolds"], rows)
     return rows
 
 
@@ -662,11 +649,10 @@ def ghia_compare(report: RunReport, reference_csv: str, bc_velocity=None):
 
     The reference file is a CSV with header ``profile,coord,value``; rows
     with profile ``u`` give u(0.5, y) at coord = y, rows with ``v`` give
-    v(x, 0.5) at coord = x.  A missing file is skipped with a notice; another
-    header or profile label raises ValueError naming the file and line.
+    v(x, 0.5) at coord = x.  A missing file gives None; another header or
+    profile label raises ValueError naming the file and line.
     """
     if not os.path.exists(reference_csv):
-        print(f"ghia_compare: reference file {reference_csv!r} not found; skipped")
         return None
     ref = {"u": [], "v": []}
     with open(reference_csv) as fh:

@@ -6,10 +6,11 @@ order study), ``stability`` (stability-domain sweeps), ``efficiency``
 sweep), ``ghia`` (cavity run plus centerline comparison against a
 user-supplied reference CSV).
 
-The run options are ``RunConfig``'s fields.  A config file (``--config``)
-holds one ``key = value`` per line, keys named like the flags, booleans as
-1/0/true/false/yes/no, ``#`` comments; a bad line ends the run naming it.
-Explicit command-line flags override file entries.
+The run options are ``RunConfig``'s fields plus ``out``, the directory that
+receives results; this is the only module that writes them.  A config file
+(``--config``) holds one ``key = value`` per line, keys named like the
+flags, booleans as 1/0/true/false/yes/no, ``#`` comments; a bad line ends
+the run naming it.  Explicit command-line flags override file entries.
 """
 
 from __future__ import annotations
@@ -23,17 +24,20 @@ import typing
 
 from .bench import (CHOICES, HEADERS, RunConfig, convergence_study, efficiency_study,
                     ghia_compare, reynolds_sweep, run_simulation, stability_sweep,
-                    write_rows)
+                    write_csv, write_outputs, write_rows)
 from .problems import PROBLEMS, make_problem
 
 _CHOICES = dict(CHOICES, problem=tuple(PROBLEMS))
 _HELP = dict(re="Reynolds number", nx="cells per side", dt="fixed (or initial) time step",
              out="output directory", rock2_table="alternative coefficient table")
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-_TYPES = typing.get_type_hints(RunConfig)
-# the run options by flag name: RunConfig's fields but compensated
+# the output directory, an option read beside RunConfig's fields
+_Output = dataclasses.make_dataclass("_Output", [("out", typing.Optional[str], None)])
+_TYPES = dict(typing.get_type_hints(RunConfig), **typing.get_type_hints(_Output))
+# the run options by flag name: RunConfig's fields but compensated, and out
 _OPTIONS = {("no_" if f.default is True else "") + f.name: f
-            for f in dataclasses.fields(RunConfig) if f.name != "compensated"}
+            for f in dataclasses.fields(RunConfig) + dataclasses.fields(_Output)
+            if f.name != "compensated"}
 
 
 def _kind(f):
@@ -92,7 +96,7 @@ def _add_run_options(p):
 
 
 def _resolve(args):
-    """RunConfig field values: defaults, then config-file entries, then flags."""
+    """RunConfig field values and out: defaults, then file entries, then flags."""
     opts = {f.name: f.default for f in _OPTIONS.values()}
     if getattr(args, "config", None):
         opts.update(_parse_config_file(args.config))
@@ -113,6 +117,14 @@ def _floats(text):
 def _given(**study_options):
     """The study options whose flags were given; the study defaults the rest."""
     return {k: v for k, v in study_options.items() if v is not None}
+
+
+def _write_study(outdir, name, header, rows):
+    """Print a study's rows as CSV and, given an output directory, write the
+    same text to <outdir>/<name>.csv."""
+    write_rows(sys.stdout, header, rows)
+    if outdir:
+        write_csv(os.path.join(outdir, f"{name}.csv"), header, rows)
 
 
 def main(argv=None):
@@ -155,51 +167,53 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     opts = _resolve(args)
-    outdir = opts["out"]
+    outdir = opts.pop("out")
     if outdir:
         os.makedirs(outdir, exist_ok=True)
 
     if args.command == "run":
-        rep = run_simulation(_run_config(opts))
-        _print_report(rep)
+        _run(_run_config(opts), outdir)
     elif args.command == "convergence":
-        cfg = _run_config(opts, out=None)
-        path = None
-        if outdir:      # named after the axis, given or the study's default
-            axis = args.axis or inspect.signature(convergence_study).parameters["axis"].default
-            path = os.path.join(outdir, f"convergence_{axis}.csv")
-        rows = convergence_study(cfg, out=path, **_given(
+        rows = convergence_study(_run_config(opts), **_given(
             axis=args.axis, dts=_floats(args.dts) if args.dts else None, ref_dt=args.ref_dt,
             Ns=[int(v) for v in _floats(args.ns)] if args.ns else None, ref_N=args.ref_n))
-        write_rows(sys.stdout, HEADERS["convergence"], rows)
+        axis = args.axis
+        if axis is None and outdir:     # the file is named after the study's default axis
+            axis = inspect.signature(convergence_study).parameters["axis"].default
+        _write_study(outdir, f"convergence_{axis}", HEADERS["convergence"], rows)
     elif args.command == "stability":
-        cfg = _run_config(opts, out=None)
-        path = os.path.join(outdir, f"stability_{args.mode}.csv") if outdir else None
-        rows = stability_sweep(cfg, args.mode, _floats(args.values), out=path,
+        rows = stability_sweep(_run_config(opts), args.mode, _floats(args.values),
                                **_given(dt=args.sweep_dt))
-        write_rows(sys.stdout, HEADERS[args.mode], rows)
+        _write_study(outdir, f"stability_{args.mode}", HEADERS[args.mode], rows)
     elif args.command == "efficiency":
-        cfg = _run_config(opts, out=None)
-        path = os.path.join(outdir, "efficiency.csv") if outdir else None
-        rows = efficiency_study([cfg], _floats(args.tolerances), out=path,
+        rows = efficiency_study([_run_config(opts)], _floats(args.tolerances),
                                 **_given(ref_dt=args.ref_dt))
-        write_rows(sys.stdout, HEADERS["efficiency"], rows)
+        _write_study(outdir, "efficiency", HEADERS["efficiency"], rows)
     elif args.command == "reynolds":
-        cfg = _run_config(opts, out=None, adaptive=True)
-        path = os.path.join(outdir, "reynolds.csv") if outdir else None
-        rows = reynolds_sweep(cfg, _floats(args.re_values), out=path)
-        write_rows(sys.stdout, HEADERS["reynolds"], rows)
+        rows = reynolds_sweep(_run_config(opts, adaptive=True), _floats(args.re_values))
+        _write_study(outdir, "reynolds", HEADERS["reynolds"], rows)
     elif args.command == "ghia":
         cfg = _run_config(opts, problem="cavity")
-        rep = run_simulation(cfg)
-        _print_report(rep)
+        rep = _run(cfg, outdir)
         prob = make_problem("cavity", cfg.re)
         result = ghia_compare(rep, args.reference, bc_velocity=prob.boundary.velocity)
-        if result is not None:
+        if result is None:
+            print(f"ghia_compare: reference file {args.reference!r} not found; skipped")
+        else:
             for name, stats in result.items():
                 print(f"{name}-centerline: rms = {stats['rms']:.6g}  "
                       f"max = {stats['max']:.6g}")
     return 0
+
+
+def _run(cfg, outdir):
+    """Run cfg, write its fields and summary to outdir when given, print its report."""
+    rep = run_simulation(cfg)
+    _print_report(rep)
+    if outdir:
+        write_outputs(rep, outdir)
+        print(f"  fields and summary written to {outdir}")
+    return rep
 
 
 def _print_report(rep):
@@ -216,8 +230,6 @@ def _print_report(rep):
         if rep.err_p is not None:
             line += f"; pressure error: {rep.err_p:.6e}"
         print(line)
-    if cfg.out:
-        print(f"  fields and summary written to {cfg.out}")
 
 
 if __name__ == "__main__":

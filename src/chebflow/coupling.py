@@ -161,9 +161,6 @@ class CouplingState:
     t: float
     phi_log: List[Tuple[int, float, CellField]] = field(default_factory=list)
 
-    def copy(self) -> "CouplingState":
-        return CouplingState(self.u.copy(), self.p.copy(), self.t, list(self.phi_log))
-
 
 # ---------------------------------------------------------------------------
 # projection methods
@@ -343,6 +340,11 @@ def reconstruct_pressure(entries, dt: float) -> CellField:
     for (c, phi), w in zip(entries[1:], dl[1:]):
         acc += (c * dt) * w * phi.values
     return CellField(acc).zero_mean()
+
+
+# AP2 (RKC only) reconstructs through U_s and U_{s+1}, which must be
+# distinct from U_1 and U_2: the smallest stage count it runs
+AP2_MIN_STAGES = 3
 
 
 def ap2_pressure(phi_log, stage_indices, dt: float) -> CellField:

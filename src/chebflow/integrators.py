@@ -369,9 +369,6 @@ def pirock_step(f_diffusion, f_advection, y, t, dt, tableau: Rock2Tableau):
     k_prev2 = k0
     k_prev = k0 + tab.mu[1] * dt * FD(k0)
     _check_finite(k_prev, 2)
-    k_sm2 = fd_sm2 = None
-    if s == 3:
-        k_sm2 = k_prev               # K_{s-2} = K_1
     for j in range(2, s + 1):
         fd_prev = FD(k_prev)
         if j == s - 1:
@@ -381,8 +378,6 @@ def pirock_step(f_diffusion, f_advection, y, t, dt, tableau: Rock2Tableau):
         k_prev2, k_prev = k_prev, k_new
     K = k_prev                       # K_{s-2+l} with l = 2
     fd_K = FD(K)
-    if fd_sm2 is None:
-        fd_sm2 = FD(k_sm2)
     ks_m1 = k_sm2 + tab.sigma * dt * fd_sm2
     fd_sm1 = FD(ks_m1)
     ks_star = ks_m1 + tab.sigma * dt * fd_sm1
@@ -524,7 +519,7 @@ def stability_poly_eval(method: str, s: int, z):
 
 @dataclass
 class StepController:
-    """Adaptive step state: tolerances plus the previous accepted step/error.
+    """Adaptive step state: tolerances plus the previous attempt's step/error.
 
     The controller works in the tolerance-scaled norm (a step is acceptable
     when the weighted error is <= 1), with the standard memory factor
@@ -544,24 +539,18 @@ class StepController:
     def norm(self, err_vec, y) -> float:
         return weighted_rms_norm(err_vec, y, self.atol, self.rtol)
 
-    def record(self, err_new: float, dt_cur: float) -> None:
-        """Store the last attempt; rejected attempts count too, otherwise a
-        stale dt ratio can lock the proposal into a rejection loop.  A
-        non-finite error is not stored: (inf/inf)^p would make the next
-        proposal NaN."""
-        if not math.isfinite(err_new):
-            return
-        self.err_prev = max(err_new, 1e-14)
-        self.dt_prev = dt_cur
-
 
 def propose_dt(ctrl: StepController, err_new: float, dt_cur: float):
-    """New step size and accept/reject flag from the weighted error.
+    """New step size and accept/reject flag from the weighted error; the
+    attempt is stored in ``ctrl`` as the memory of the next proposal.
 
     A rejected step never proposes growth (otherwise the memory factor fed
     by a previous catastrophic error can lock the controller into a cycle
-    of alternating over- and undershoots).  A non-finite error (an
-    overflowing weighted norm) rejects with the smallest factor.
+    of alternating over- and undershoots).  Rejected attempts are stored
+    too, otherwise a stale dt ratio can lock the proposal into a rejection
+    loop.  A non-finite error (an overflowing weighted norm) rejects with
+    the smallest factor and is not stored: (inf/inf)^p would make the next
+    proposal NaN.
     """
     if err_new < 0:
         raise ValueError("error must be non-negative")
@@ -578,6 +567,8 @@ def propose_dt(ctrl: StepController, err_new: float, dt_cur: float):
     fac = min(max(fac, ctrl.fac_min), ctrl.fac_max)
     if not accept:
         fac = min(fac, 1.0)
+    ctrl.err_prev = max(err_new, 1e-14)
+    ctrl.dt_prev = dt_cur
     return fac * dt_cur, accept
 
 

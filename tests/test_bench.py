@@ -2,6 +2,7 @@ import argparse
 import os
 import re
 import shutil
+import warnings
 
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ import pytest
 
 from chebflow.bench import (RunConfig, centerline_profiles, convergence_study,
                             efficiency_study, fmt, ghia_compare,
-                            restrict_field, run_simulation, write_csv)
+                            restrict_field, run_simulation, write_csv, write_outputs)
 from chebflow.cli import _add_run_options, _resolve
 from chebflow.cli import main as cli_main
 from chebflow.grid import read_field
@@ -34,6 +35,8 @@ def test_validation_rejects_illegal_combinations():
         dict(integrator="rock2", coupling="pm1", pressure="ap1"),
         dict(integrator="rock2", coupling="dae", pressure="p2"),
         dict(integrator="rk4", coupling="dae", adaptive=True),
+        dict(integrator="rkc", coupling="dae", pressure="ap2", stages=2),
+        dict(integrator="rock2", compensated=True),
         dict(dt=None),
     ]
     for kw in bad:
@@ -69,7 +72,7 @@ def test_determinism_bitwise(tmp_path):
     outs = []
     for k in (0, 1):
         out = os.path.join(tmp_path, f"run{k}")
-        run_simulation(small_cfg(out=out, t_end=0.01))
+        write_outputs(run_simulation(small_cfg(t_end=0.01)), out)
         outs.append(out)
     for fname in ("u.txt", "v.txt", "p.txt"):
         a = open(os.path.join(outs[0], fname)).read()
@@ -175,10 +178,12 @@ def test_ghia_compare(tmp_path):
 
 
 def test_unstable_run_is_flagged():
-    # far beyond the stability limit with a pinned tiny stage count
+    # far beyond the stability limit with a pinned tiny stage count; the
+    # report carries the blow-up, so the overflow raises no numpy warning
     cfg = small_cfg(problem="forced", nx=32, dt=0.2, t_end=2.0, stages=3,
                     coupling="pm1", pressure="p1")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rep = run_simulation(cfg)
     assert rep.unstable and rep.blow_up_time is not None
 
@@ -231,7 +236,9 @@ def test_cli_run_flags_and_defaults_are_run_config():
         "--problem", "--re", "--nx", "--dt", "--adaptive", "--atol", "--rtol",
         "--t-end", "--integrator", "--coupling", "--pressure", "--cp", "--stages",
         "--no-advection", "--out", "--config", "--rock2-table", "--dct-algorithm"])
-    assert RunConfig(**_resolve(argparse.Namespace())) == RunConfig()
+    opts = _resolve(argparse.Namespace())
+    assert opts.pop("out") is None
+    assert RunConfig(**opts) == RunConfig()
 
 
 def test_cli_stability_and_convergence(tmp_path, capsys):

@@ -255,12 +255,10 @@ def test_controller_rejects_a_non_finite_error_without_storing_it():
     ctrl = StepController(atol=1e-300, rtol=1e-300)
     for err in (np.inf, np.inf, np.nan):
         dt_new, accept = propose_dt(ctrl, err, 0.01)
-        ctrl.record(err, 0.01)
         assert not accept and dt_new == ctrl.fac_min * 0.01
         assert ctrl.err_prev is None and ctrl.dt_prev is None
-    ctrl.record(4.0, 0.01)
+    propose_dt(ctrl, 4.0, 0.01)
     dt_new, accept = propose_dt(ctrl, np.inf, 0.005)
-    ctrl.record(np.inf, 0.005)
     assert not accept and dt_new == ctrl.fac_min * 0.005
     assert (ctrl.err_prev, ctrl.dt_prev) == (4.0, 0.01)
 
