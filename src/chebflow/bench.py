@@ -25,23 +25,23 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .coupling import (AP2_MIN_STAGES, CouplingState, FlowSystem, Stepper, ap1_pressure,
+from .coupling import (CouplingState, FlowSystem, PressureNeeds, Stepper, ap1_pressure,
                        ap2_pressure, ap2w_coefficients, ap2w_pressure, dae_step,
                        pm1_second_order_pressure, pm1_step, pm1v_step, pm3_step)
 from .grid import (CellField, GridSpec, inf_norm, sample_pressure,
                    sample_velocity, write_field)
-from .dct import ALGORITHMS, DEFAULT_ALGORITHM
+from .dct import ALGORITHMS, DEFAULT_ALGORITHM, check_size
 from .integrators import (METHODS, IntegrationDiverged, StepController,
                           method_spec, nearest_stage_counts, propose_dt,
                           select_stages)
 from .poisson import PoissonSolver
-from . import spatial
+from . import coupling, spatial
 from .problems import ProblemSpec, make_problem
 from .spatial import spectral_radius_estimate
 
 INTEGRATORS = tuple(METHODS)
-COUPLINGS = ("pm1", "pm1v", "pm3", "dae")
-PRESSURES = ("p1", "p2", "ap1", "ap2", "ap2w")
+COUPLINGS = tuple(coupling.COUPLINGS)
+PRESSURES = tuple(dict.fromkeys(p for c in coupling.COUPLINGS.values() for p in c.pressures))
 # the values of RunConfig's choice fields: validate checks them, the CLI offers them
 CHOICES = dict(integrator=INTEGRATORS, coupling=COUPLINGS, pressure=PRESSURES,
                cp=(0, 1), dct_algorithm=ALGORITHMS)
@@ -91,6 +91,7 @@ class RunConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.nx < 4:
             raise ValueError(f"nx must be at least 4 cells per side, got {self.nx}")
+        check_size(self.nx, self.dct_algorithm)
         if not self.re > 0:
             raise ValueError(f"Reynolds number must be positive, got {self.re}")
         if not self.t_end >= 0:
@@ -98,34 +99,31 @@ class RunConfig:
         for name in ("atol", "rtol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        spec = method_spec(self.integrator)
+        needs = coupling.PRESSURE_NEEDS.get(self.pressure, PressureNeeds())
+        try:
+            counts = spec.stage_counts(self.rock2_table)
+        except OSError as exc:
+            raise ValueError(f"cannot read the ROCK2 table {exc.filename!r}: {exc.strerror}")
         if self.stages is not None:
             if self.stages < 1:
                 raise ValueError(f"stages must be at least 1, got {self.stages}")
-            counts = method_spec(self.integrator).stage_counts(self.rock2_table)
             if self.stages not in counts:
                 raise ValueError(f"{self.integrator} cannot run stages={self.stages}; nearest "
                                  f"available: {nearest_stage_counts(counts, self.stages)}")
-        if self.adaptive and self.integrator == "rkc" and self.coupling != "pm1":
-            raise ValueError("adaptive RKC is only valid with PM1 "
-                             "(the error estimate is invalid with projected stages)")
-        if self.integrator == "pirock" and self.coupling != "pm1":
-            raise ValueError("PIROCK is only implemented with PM1")
-        if self.integrator == "pirock" and self.adaptive:
-            raise ValueError("PIROCK runs fixed-step only")
-        if self.integrator == "rk4" and self.adaptive:
-            raise ValueError("RK4 has no embedded error estimate")
-        if self.pressure == "ap2" and self.integrator != "rkc":
-            raise ValueError("AP2 needs second-order internal stages (RKC only)")
-        if self.pressure == "ap2" and self.stages is not None and self.stages < AP2_MIN_STAGES:
-            raise ValueError(f"AP2 needs stages >= {AP2_MIN_STAGES}, got {self.stages}")
+            if self.stages < needs.min_stages:
+                raise ValueError(f"{self.pressure} needs stages >= {needs.min_stages}, "
+                                 f"got {self.stages}")
+        if spec.couplings is not None and self.coupling not in spec.couplings:
+            raise ValueError(f"{self.integrator} does not run the {self.coupling} coupling")
+        if self.adaptive and spec.estimated is not None and self.coupling not in spec.estimated:
+            raise ValueError(f"adaptive {self.integrator}+{self.coupling} has no error estimate")
         if self.compensated and self.integrator != "rk4":
             raise ValueError("compensated accumulation is for RK4 reference runs only")
-        if self.pressure == "ap2w" and self.integrator != "rock2":
-            raise ValueError("AP2W is the ROCK2 workaround (use AP2 with RKC)")
-        if self.pressure in ("ap1", "ap2", "ap2w") and self.coupling != "dae":
-            raise ValueError(f"{self.pressure} requires the DAE coupling")
-        if self.pressure == "p2" and self.coupling == "dae":
-            raise ValueError("p2 is the projection-method pressure; use ap1/ap2(w) with dae")
+        if self.pressure not in coupling.COUPLINGS[self.coupling].pressures:
+            raise ValueError(f"the {self.coupling} coupling reports no {self.pressure} pressure")
+        if needs.integrator not in (None, self.integrator):
+            raise ValueError(f"{self.pressure} needs the stages of {needs.integrator}")
         return self
 
 
@@ -156,23 +154,6 @@ class RunReport:
         return self.total_stages / n
 
 
-def _recover_pressure(cfg: RunConfig, state: CouplingState, system: FlowSystem,
-                      stepper: Stepper, dt: float) -> CellField:
-    if cfg.pressure == "p1":
-        return state.p
-    if cfg.pressure == "p2":
-        return pm1_second_order_pressure(state, system)
-    if cfg.pressure == "ap1":
-        return ap1_pressure(state, system)
-    if cfg.pressure == "ap2":
-        s = stepper.s
-        return ap2_pressure(state.phi_log, [1, s, s + 1], dt)
-    if cfg.pressure == "ap2w":
-        coeffs = ap2w_coefficients(stepper.tableau, (2, 3, 4))
-        return ap2w_pressure(state.phi_log, coeffs, dt)
-    raise ValueError(cfg.pressure)
-
-
 def run_simulation(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
                    track_divergence: bool = False) -> RunReport:
     """Advance one configuration to t_end and report fields and counters."""
@@ -198,21 +179,23 @@ def run_simulation(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
     report = RunReport(config=cfg, spec=spec, u=u0.u, v=u0.v, p=p0.values,
                        pressures={}, t_final=0.0)
 
-    min_stages = AP2_MIN_STAGES if cfg.pressure == "ap2" else None
+    min_stages = coupling.PRESSURE_NEEDS.get(cfg.pressure, PressureNeeds()).min_stages
+    step = {"pm1": pm1_step, "pm1v": pm1v_step, "pm3": pm3_step, "dae": dae_step}[cfg.coupling]
+    # the pressure from the state after a step of dt; p1 is the state's own
+    recover = {
+        "p1": None,
+        "p2": lambda state, stepper, dt: pm1_second_order_pressure(state, system),
+        "ap1": lambda state, stepper, dt: ap1_pressure(state, system),
+        "ap2": lambda state, stepper, dt: ap2_pressure(
+            state.phi_log, [1, stepper.s, stepper.s + 1], dt),
+        "ap2w": lambda state, stepper, dt: ap2w_pressure(
+            state.phi_log, ap2w_coefficients(stepper.tableau, (2, 3, 4)), dt),
+    }[cfg.pressure]
 
     def stepper_for(s: int) -> Stepper:
         if s not in steppers:
             steppers[s] = Stepper(cfg.integrator, s, cfg.rock2_table)
         return steppers[s]
-
-    def advance(state, stepper, dt_step):
-        if cfg.coupling == "pm1":
-            return pm1_step(state, system, stepper, dt_step, err_norm)
-        if cfg.coupling == "pm3":
-            return pm3_step(state, system, stepper, dt_step, err_norm)
-        if cfg.coupling == "pm1v":
-            return pm1v_step(state, system, stepper, dt_step, err_norm)
-        return dae_step(state, system, stepper, dt_step, err_norm)
 
     t0 = time.perf_counter()
     eps_t = 1e-12 * max(cfg.t_end, 1.0)
@@ -230,7 +213,7 @@ def run_simulation(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
                 s_used = cfg.stages or select_stages(
                     dt_step, rho, cfg.integrator, min_stages, cfg.rock2_table)
                 stepper = stepper_for(s_used)
-                new_state, err = advance(state, stepper, dt_step)
+                new_state, err = step(state, system, stepper, dt_step, err_norm)
                 report.steps_attempted += 1
                 report.total_stages += s_used
                 if ctrl is not None and err is not None:
@@ -261,8 +244,8 @@ def run_simulation(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
                     div = system.divergence_of(state.u.flatten(), state.t)
                     norm_u = max(inf_norm(state.u), 0.0)
                     report.divergence_history.append(inf_norm(div) / (1.0 + norm_u))
-                if cfg.cp == 1 and cfg.pressure != "p1":
-                    state.p = _recover_pressure(cfg, state, system, stepper, dt_step)
+                if cfg.cp == 1 and recover is not None:
+                    state.p = recover(state, stepper, dt_step)
     except IntegrationDiverged:
         report.unstable = True
         report.blow_up_time = state.t
@@ -270,9 +253,9 @@ def run_simulation(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
         if not np.all(np.isfinite(state.u.u)) or not np.all(np.isfinite(state.u.v)):
             report.unstable = True
             report.blow_up_time = state.t
-        elif cfg.cp == 0 and cfg.pressure != "p1" and last_dt_step is not None:
+        elif cfg.cp == 0 and recover is not None and last_dt_step is not None:
             report.pressures["p1"] = state.p.values.copy()
-            state.p = _recover_pressure(cfg, state, system, stepper, last_dt_step)
+            state.p = recover(state, stepper, last_dt_step)
     report.wall_time = time.perf_counter() - t0
     report.t_final = state.t
     report.u, report.v, report.p = state.u.u, state.u.v, state.p.values
@@ -386,13 +369,6 @@ def fit_slope(xs, errs) -> float:
     return float(np.polyfit(np.log(xs[keep]), np.log(errs[keep]), 1)[0])
 
 
-def _best_pressure_cfg(cfg: RunConfig) -> RunConfig:
-    """Reference runs carry the second-order pressure of their family."""
-    if cfg.coupling == "dae":
-        return replace(cfg, pressure="ap1")
-    return replace(cfg, pressure="p2")
-
-
 def _stable_reference(ref: RunReport) -> RunReport:
     """A study's reference run, or RuntimeError if it blew up."""
     if ref.unstable:
@@ -429,11 +405,12 @@ def convergence_study(cfg: RunConfig, axis: str = "time",
     the error and slope of u, of the recovered pressure and of p1.
     """
     prob = make_problem(cfg.problem, cfg.re, cfg.advection)
+    # the reference run carries its coupling's second-order pressure
+    ref_cfg = replace(cfg, pressure=coupling.COUPLINGS[cfg.coupling].reference, adaptive=False)
     if axis == "time":
         dts = list(dts) if dts is not None else [2.0**-m for m in range(4, 11)]
         ref_dt = ref_dt if ref_dt is not None else 2.0**-12
-        ref = _stable_reference(run_simulation(
-            replace(_best_pressure_cfg(cfg), dt=ref_dt, adaptive=False), problem=prob))
+        ref = _stable_reference(run_simulation(replace(ref_cfg, dt=ref_dt), problem=prob))
         rows = []
         for dt in sorted(dts, reverse=True):
             rep = run_simulation(replace(cfg, dt=dt, adaptive=False), problem=prob)
@@ -447,8 +424,7 @@ def convergence_study(cfg: RunConfig, axis: str = "time",
         for N in Ns:
             if ref_N % N != 0 or (ref_N // N) & (ref_N // N - 1):
                 raise ValueError(f"grid N={N} is not nested in the reference N={ref_N}")
-        ref = _stable_reference(run_simulation(
-            replace(_best_pressure_cfg(cfg), nx=ref_N, dt=dt, adaptive=False), problem=prob))
+        ref = _stable_reference(run_simulation(replace(ref_cfg, nx=ref_N, dt=dt), problem=prob))
         rows = []
         for N in sorted(Ns):
             rep = run_simulation(replace(cfg, nx=N, dt=dt, adaptive=False), problem=prob)

@@ -42,6 +42,42 @@ from .spatial import MomentumRhsConfig, divergence, gradient_to_faces, momentum_
 _DEGENERATE_NODE_TOL = 1e-12
 
 
+@dataclass(frozen=True)
+class Coupling:
+    """One entry of ``COUPLINGS``: the facts about a coupling that validation
+    and the studies read."""
+
+    pressures: Tuple[str, ...]   # the pressures it reports: p1, the state's, then recoveries
+    reference: str               # the second-order one its studies' reference runs use
+
+
+COUPLINGS = {
+    "pm1": Coupling(("p1", "p2"), "p2"),
+    "pm1v": Coupling(("p1", "p2"), "p2"),
+    "pm3": Coupling(("p1", "p2"), "p2"),
+    "dae": Coupling(("p1", "ap1", "ap2", "ap2w"), "ap1"),
+}
+
+# AP2 reconstructs through U_s and U_{s+1}, which must be distinct from U_1
+# and U_2: the smallest stage count it runs
+AP2_MIN_STAGES = 3
+
+
+@dataclass(frozen=True)
+class PressureNeeds:
+    """What a recovered pressure needs of the integrator; a pressure not in
+    ``PRESSURE_NEEDS`` needs nothing."""
+
+    integrator: Optional[str] = None   # the only integrator whose stages it can use
+    min_stages: int = 1                # the fewest stages it can use
+
+
+PRESSURE_NEEDS = {
+    "ap2": PressureNeeds("rkc", AP2_MIN_STAGES),   # second-order internal stages
+    "ap2w": PressureNeeds("rock2"),                # weights for ROCK2's order-one stages
+}
+
+
 class Stepper:
     """One integrator method bound to a stage count."""
 
@@ -222,31 +258,25 @@ def pm3_step(state: CouplingState, system: FlowSystem, stepper: Stepper,
     return pm1_step(state, system, stepper, dt, err_norm=err_norm, pm3=True)
 
 
-def _stage_hook(system: FlowSystem, mode: str, dt: float, log: list):
-    """Build the stage hook for PM1V (state) or the DAE step (dual buffer)."""
+def _stage_hook(system: FlowSystem, dual: bool, dt: float, log: list):
+    """The hook projecting every stage, logged as (i, c_i, phi_i): PM1V's state,
+    or (``dual``, the DAE step) through lap phi_i = div U*_i / (c_i dt)."""
 
-    def project_state(i, ci, ti, w_star):
-        w, phi = _project_once(system, w_star, ti)
-        log.append((i, ci, phi))
-        return w, phi
-
-    def project_scaled(i, ci, ti, w_star):
-        if ci <= _DEGENERATE_NODE_TOL:
+    def project(i, ci, ti, w_star):
+        if dual and ci <= _DEGENERATE_NODE_TOL:
             raise ValueError(f"degenerate node c_{i} = {ci}")
-        w, phi = _project_once(system, w_star, ti, ci * dt)
+        w, phi = _project_once(system, w_star, ti, ci * dt if dual else None)
         log.append((i, ci, phi))
         return w, phi
 
-    if mode == "project_state":
-        return StageHook(mode, project_state)
-    return StageHook(mode, project_scaled)
+    return StageHook(dual, project)
 
 
 def pm1v_step(state: CouplingState, system: FlowSystem, stepper: Stepper,
               dt: float, err_norm=None):
     """Per-stage-projection variant of PM1 (recursion on projected stages)."""
     log: list = []
-    hook = _stage_hook(system, "project_state", dt, log)
+    hook = _stage_hook(system, False, dt, log)
     f = system.rhs_flat(system.rhs_config(include_pressure=True), state.p)
     w_new, err = stepper.advance(f, state.u.flatten(), state.t, dt, hook, err_norm)
     phi_last = log[-1][2]
@@ -264,7 +294,7 @@ def dae_step(state: CouplingState, system: FlowSystem, stepper: Stepper,
     recoveries; the state pressure is set to the first-order phi_{s+1}.
     """
     log: list = []
-    hook = _stage_hook(system, "project_dual_buffer", dt, log)
+    hook = _stage_hook(system, True, dt, log)
     f = system.rhs_flat(system.rhs_config(include_pressure=False))
     w_new, err = stepper.advance(f, state.u.flatten(), state.t, dt, hook, err_norm)
     p_new = log[-1][2].zero_mean()
@@ -340,11 +370,6 @@ def reconstruct_pressure(entries, dt: float) -> CellField:
     for (c, phi), w in zip(entries[1:], dl[1:]):
         acc += (c * dt) * w * phi.values
     return CellField(acc).zero_mean()
-
-
-# AP2 (RKC only) reconstructs through U_s and U_{s+1}, which must be
-# distinct from U_1 and U_2: the smallest stage count it runs
-AP2_MIN_STAGES = 3
 
 
 def ap2_pressure(phi_log, stage_indices, dt: float) -> CellField:

@@ -35,6 +35,20 @@ def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def check_size(N: int, algorithm: str, cutoff: int = HYBRID_CUTOFF) -> None:
+    """ValueError unless ``algorithm`` transforms length N (with this cutoff)."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown DCT algorithm {algorithm!r}")
+    if N < 1:
+        raise ValueError("transform length must be >= 1")
+    if algorithm == "iterative" and N % 2 != 0:
+        raise ValueError("iterative DCT requires even N")
+    if algorithm in ("recursive", "hybrid") and (not _is_pow2(N) or N < 2):
+        raise ValueError(f"{algorithm} DCT requires N to be a power of two >= 2")
+    if algorithm == "hybrid" and cutoff < 2:
+        raise ValueError("hybrid cutoff must be >= 2")
+
+
 class DctPlan:
     """Precomputed trigonometric tables for transforms of one length.
 
@@ -54,16 +68,7 @@ class DctPlan:
     """
 
     def __init__(self, N: int, algorithm: str = DEFAULT_ALGORITHM, cutoff: int = HYBRID_CUTOFF):
-        if algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown DCT algorithm {algorithm!r}")
-        if N < 1:
-            raise ValueError("transform length must be >= 1")
-        if algorithm == "iterative" and N % 2 != 0:
-            raise ValueError("iterative DCT requires even N")
-        if algorithm in ("recursive", "hybrid") and (not _is_pow2(N) or N < 2):
-            raise ValueError(f"{algorithm} DCT requires N to be a power of two >= 2")
-        if algorithm == "hybrid" and cutoff < 2:
-            raise ValueError("hybrid cutoff must be >= 2")
+        check_size(N, algorithm, cutoff)
         self.N = int(N)
         self.algorithm = algorithm
         self.cutoff = int(cutoff)

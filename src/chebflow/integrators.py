@@ -9,21 +9,18 @@ its implicit stages are not implemented; only the fixed-step l = 2 variant
 is, for which the diffusion part coincides with ROCK2).
 
 Every stage of RKC/ROCK2/RK4 can be routed through a :class:`StageHook`,
-which is how the incompressibility couplings project stages.  Two projected
-modes exist:
-
-- ``project_state``: the recursion is advanced with the projected stages
-  (the per-stage projection variant of the projection method);
-- ``project_dual_buffer``: the recursion is advanced with the *unprojected*
-  stages while the right-hand side is evaluated at the projected ones (the
-  realization consistent with the index-2 DAE formulation).
+which is how the incompressibility couplings project stages.  The
+right-hand side is evaluated at the processed stages, and the recursion
+advances with them (the per-stage projection variant of the projection
+method) or, under the hook's ``dual`` flag, with the *unprocessed* ones (the
+realization consistent with the index-2 DAE formulation).
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,8 +32,6 @@ RKC_STAGES = range(2, STAGE_CAP + 1)
 RKC_GROWTH = 0.653
 RKC_EPS = 0.15        # RKC damping parameter
 ROCK2_GROWTH = 0.811
-
-HOOK_MODES = ("none", "project_state", "project_dual_buffer")
 
 
 class IntegrationDiverged(RuntimeError):
@@ -54,14 +49,11 @@ class StageHook:
     ``callback(i, c_i, t_i, y_star) -> (y_processed, phi_i)`` receives the
     stage index i (stages are numbered U_1..U_{s+1}; U_1 is never passed),
     the node c_i, the stage time t_i and the unprocessed stage vector.
+    ``dual`` advances the recursion with the unprocessed stages.
     """
 
-    mode: str = "none"
+    dual: bool = False
     callback: Optional[Callable] = None
-
-    def __post_init__(self):
-        if self.mode not in HOOK_MODES:
-            raise ValueError(f"unknown hook mode {self.mode!r}")
 
 
 def _check_finite(y, stage):
@@ -69,16 +61,15 @@ def _check_finite(y, stage):
         raise IntegrationDiverged(stage)
 
 
-def _stage(hook, dual, i, ci, ti, g_star):
+def _stage(hook, i, ci, ti, g_star):
     """Stage U_i at node ci, time ti: check it, process it through the hook,
     and return the pair (the vector the recursion continues with, the one
-    the next RHS is evaluated at); dual mode continues unprojected."""
+    the next RHS is evaluated at); a dual hook continues unprocessed."""
     _check_finite(g_star, i)
     if hook is None or hook.callback is None:
-        g_proc = g_star
-    else:
-        g_proc, _phi = hook.callback(i, ci, ti, g_star)
-    return (g_star, g_proc) if dual else (g_proc, g_proc)
+        return g_star, g_star
+    g_proc, _phi = hook.callback(i, ci, ti, g_star)
+    return (g_star if hook.dual else g_proc), g_proc
 
 
 # ---------------------------------------------------------------------------
@@ -163,26 +154,24 @@ def rkc_step(f, y, t, dt, tableau: RkcTableau, hook: Optional[StageHook] = None,
     """One RKC step; returns (y_next, err) with err None unless requested.
 
     The local-error estimate (based on an approximation of y''' that assumes
-    a plain ODE) is only valid without per-stage projection, so requesting
-    it with a projected hook mode is refused.
+    a plain ODE) is only valid without per-stage processing, so requesting
+    it with a hook callback is refused.
     """
-    mode = hook.mode if hook is not None else "none"
-    if err_norm is not None and mode != "none":
+    if err_norm is not None and hook is not None and hook.callback is not None:
         raise ValueError("RKC error estimate is invalid when stages are projected")
     tab = tableau
     s, c = tab.s, tab.c
     y = np.asarray(y, dtype=float)
     f0 = f(t, y)
-    dual = mode == "project_dual_buffer"
 
     prev2_s = y
-    prev_s, prev_p = _stage(hook, dual, 2, c[1], t + c[1] * dt, y + tab.kappa1 * dt * f0)
+    prev_s, prev_p = _stage(hook, 2, c[1], t + c[1] * dt, y + tab.kappa1 * dt * f0)
     for j in range(2, s + 1):
         fj = f(t + c[j - 1] * dt, prev_p)
         g_star = (y + tab.mu[j] * (prev_s - y) + tab.nu[j] * (prev2_s - y)
                   + tab.kappa[j] * dt * (fj - tab.a[j - 1] * f0))
         prev2_s = prev_s
-        prev_s, prev_p = _stage(hook, dual, j + 1, c[j], t + c[j] * dt, g_star)
+        prev_s, prev_p = _stage(hook, j + 1, c[j], t + c[j] * dt, g_star)
     y1 = prev_p
     err = None
     if err_norm is not None:
@@ -307,28 +296,25 @@ def rock2_step(f, y, t, dt, tableau: Rock2Tableau, hook: Optional[StageHook] = N
     """One ROCK2 step; the embedded error estimate is valid in every mode."""
     tab = tableau
     s = tab.s
-    mode = hook.mode if hook is not None else "none"
-    dual = mode == "project_dual_buffer"
     y = np.asarray(y, dtype=float)
     nodes = tab.nodes()
 
     prev2_s = y
-    prev_s, prev_p = _stage(hook, dual, 2, nodes[1], t + nodes[1] * dt,
-                            y + tab.mu[1] * dt * f(t, y))
+    prev_s, prev_p = _stage(hook, 2, nodes[1], t + nodes[1] * dt, y + tab.mu[1] * dt * f(t, y))
     for j in range(2, s - 1):
         fj = f(t + nodes[j - 1] * dt, prev_p)
         g_star = tab.mu[j] * dt * fj - tab.nu[j] * prev_s - tab.kappa[j] * prev2_s
         prev2_s = prev_s
-        prev_s, prev_p = _stage(hook, dual, j + 1, nodes[j], t + nodes[j] * dt, g_star)
+        prev_s, prev_p = _stage(hook, j + 1, nodes[j], t + nodes[j] * dt, g_star)
 
     # finishing: g_{s-1}, then y1 assembled from g*_s and the correction
     f_sm2 = f(t + nodes[s - 2] * dt, prev_p)
-    last_s, last_p = _stage(hook, dual, s, nodes[s - 1], t + nodes[s - 1] * dt,
+    last_s, last_p = _stage(hook, s, nodes[s - 1], t + nodes[s - 1] * dt,
                             prev_s + tab.sigma * dt * f_sm2)
 
     f_sm1 = f(t + nodes[s - 1] * dt, last_p)
     err_vec = tab.sigma * (1.0 - tab.tau / tab.sigma**2) * dt * (f_sm1 - f_sm2)
-    _, y1 = _stage(hook, dual, s + 1, nodes[s], t + nodes[s] * dt,
+    _, y1 = _stage(hook, s + 1, nodes[s], t + nodes[s] * dt,
                    last_s + tab.sigma * dt * f_sm1 - err_vec)
     err = err_norm(err_vec, y) if err_norm is not None else None
     return y1, err
@@ -408,7 +394,8 @@ _RK4_C = (0.0, 0.5, 0.5, 1.0)
 
 
 def rk4_step(f, y, t, dt, hook: Optional[StageHook] = None):
-    """Classical RK4 step; a hook is applied in dual-buffer (DAE) semantics."""
+    """Classical RK4 step; a hook processes the stages the RHS is evaluated at
+    and the result (``dual`` is moot: stages are built from y and RHS values)."""
     y = np.asarray(y, dtype=float)
     fs = []
     for i, row in enumerate(_RK4_A):
@@ -416,10 +403,10 @@ def rk4_step(f, y, t, dt, hook: Optional[StageHook] = None):
         if i == 0:
             y_proc = y
         else:
-            _, y_proc = _stage(hook, True, i + 1, _RK4_C[i], t + _RK4_C[i] * dt, y_star)
+            _, y_proc = _stage(hook, i + 1, _RK4_C[i], t + _RK4_C[i] * dt, y_star)
         fs.append(f(t + _RK4_C[i] * dt, y_proc))
     y_star = y + dt * sum(b * fk for b, fk in zip(_RK4_B, fs))
-    return _stage(hook, True, 5, 1.0, t + dt, y_star)[1]
+    return _stage(hook, 5, 1.0, t + dt, y_star)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -463,23 +450,28 @@ def butcher_tableau(tableau):
 @dataclass(frozen=True)
 class MethodSpec:
     """The facts about one integrator that more than one site needs.  The
-    step call itself is dispatched by name in ``coupling.Stepper.advance``."""
+    step call itself is dispatched by name in ``coupling.Stepper.advance``;
+    couplings are named as in ``coupling.COUPLINGS``."""
 
     growth: Optional[float]   # stability interval growth * s^2; None: no growth law
     stage_counts: Callable    # (table_path) -> ascending stage counts it runs
     tableau: Callable         # (s, table_path) -> coefficients, None for RK4
     nodes: Callable           # (tableau) -> nodes c_1..c_{s+1} of U_1..U_{s+1}
+    couplings: Optional[tuple] = None   # the couplings it runs; None: every one
+    estimated: Optional[tuple] = None   # those its error estimate holds with; None: every one
 
 
 _ROCK2 = MethodSpec(ROCK2_GROWTH, rock2_degrees,
                     lambda s, path: rock2_tableau(s, path), Rock2Tableau.nodes)
 METHODS = {
+    # the estimate presumes unprocessed stages; adaptive runs use it with PM1 only
     "rkc": MethodSpec(RKC_GROWTH, lambda path: RKC_STAGES,
-                      lambda s, path: rkc_tableau(s), RkcTableau.nodes),
+                      lambda s, path: rkc_tableau(s), RkcTableau.nodes, estimated=("pm1",)),
     "rock2": _ROCK2,
-    "pirock": _ROCK2,
+    # the operator split runs through PM1, at a fixed step
+    "pirock": replace(_ROCK2, couplings=("pm1",), estimated=()),
     "rk4": MethodSpec(None, lambda path: (4,), lambda s, path: None,
-                      lambda tableau: np.array(_RK4_C + (1.0,))),
+                      lambda tableau: np.array(_RK4_C + (1.0,)), estimated=()),
 }
 
 

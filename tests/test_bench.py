@@ -44,6 +44,59 @@ def test_validation_rejects_illegal_combinations():
             small_cfg(**kw).validate()
 
 
+# integrator -> coupling -> the pressures validate accepts with it
+ACCEPTED_FIXED_STEP = {
+    "rkc": {"pm1": "p1 p2", "pm1v": "p1 p2", "pm3": "p1 p2", "dae": "p1 ap1 ap2"},
+    "rock2": {"pm1": "p1 p2", "pm1v": "p1 p2", "pm3": "p1 p2", "dae": "p1 ap1 ap2w"},
+    "pirock": {"pm1": "p1 p2"},
+    "rk4": {"pm1": "p1 p2", "pm1v": "p1 p2", "pm3": "p1 p2", "dae": "p1 ap1"},
+}
+ACCEPTED_ADAPTIVE = {
+    "rkc": {"pm1": "p1 p2"},
+    "rock2": {"pm1": "p1 p2", "pm1v": "p1 p2", "pm3": "p1 p2", "dae": "p1 ap1 ap2w"},
+}
+
+
+def test_validation_accepts_exactly_the_valid_combinations():
+    from itertools import product
+    from chebflow.bench import COUPLINGS, INTEGRATORS, PRESSURES
+    accepted = set()
+    for integrator, coupling, pressure, adaptive, cp in product(
+            INTEGRATORS, COUPLINGS, PRESSURES, (False, True), (0, 1)):
+        cfg = small_cfg(integrator=integrator, coupling=coupling, pressure=pressure,
+                        adaptive=adaptive, cp=cp)
+        try:
+            cfg.validate()
+        except ValueError:
+            continue
+        accepted.add((integrator, coupling, pressure, adaptive, cp))
+    expected = {(integrator, coupling, pressure, adaptive, cp)
+                for adaptive, table in ((False, ACCEPTED_FIXED_STEP), (True, ACCEPTED_ADAPTIVE))
+                for integrator, couplings in table.items()
+                for coupling, pressures in couplings.items()
+                for pressure in pressures.split() for cp in (0, 1)}
+    assert len(expected) == 2 * (28 + 11)
+    assert accepted == expected
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(nx=33, dct_algorithm="iterative"), "iterative DCT requires even N"),
+    (dict(nx=24, dct_algorithm="recursive"), "recursive DCT requires N to be a power of two"),
+    (dict(rock2_table="/nonexistent"), "cannot read the ROCK2 table '/nonexistent'"),
+    (dict(rock2_table="/nonexistent", stages=5), "cannot read the ROCK2 table '/nonexistent'"),
+], ids=["iterative_odd", "recursive_not_pow2", "table", "table_with_stages"])
+def test_validation_rejects_what_the_run_cannot_set_up(kw, message):
+    # caught by validate itself, before the run builds its transforms or
+    # reads its stage table
+    with pytest.raises(ValueError, match=message):
+        small_cfg(**kw).validate()
+
+
+def test_validation_ignores_the_rock2_table_off_rock2():
+    for integrator in ("rkc", "rk4"):
+        small_cfg(integrator=integrator, rock2_table="/nonexistent").validate()
+
+
 def test_zero_horizon_returns_initial_state():
     rep = run_simulation(small_cfg(problem="cavity", t_end=0.0, pressure="p1"))
     assert rep.steps_accepted == 0 and rep.steps_attempted == 0

@@ -171,7 +171,7 @@ def test_dae_stages_satisfy_constraint():
     stepper = Stepper("rock2", 5)
     from chebflow.coupling import _stage_hook
     from chebflow.integrators import rock2_step
-    hook = _stage_hook(system, "project_dual_buffer", 1e-2, [])
+    hook = _stage_hook(system, True, 1e-2, [])
     checked = []
 
     def checking_callback(i, ci, ti, w_star):
@@ -180,7 +180,7 @@ def test_dae_stages_satisfy_constraint():
         checked.append(inf_norm(div) / (1 + np.max(np.abs(w))))
         return w, phi
 
-    hook2 = type(hook)(hook.mode, checking_callback)
+    hook2 = type(hook)(hook.dual, checking_callback)
     f = system.rhs_flat(system.rhs_config(include_pressure=False))
     rock2_step(f, state.u.flatten(), 0.0, 1e-2, stepper.tableau, hook2)
     assert len(checked) == 5

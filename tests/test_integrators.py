@@ -211,20 +211,21 @@ def test_hook_neutrality_bit_for_bit():
     M = rng.randn(6, 6) * 0.2
     y0 = rng.randn(6)
     f = lambda t, y: M @ y + np.sin(t)
-    identity = StageHook("none", lambda i, ci, ti, ystar: (ystar, None))
+    identity = StageHook(False, lambda i, ci, ti, ystar: (ystar, None))
     for step, tab in ((rkc_step, rkc_tableau(7)), (rock2_step, rock2_tableau(7))):
         plain, _ = step(f, y0, 0.1, 0.05, tab)
         hooked, _ = step(f, y0, 0.1, 0.05, tab, hook=identity)
         assert np.array_equal(plain, hooked)
     assert np.array_equal(rk4_step(f, y0, 0.1, 0.05),
-                          rk4_step(f, y0, 0.1, 0.05, hook=StageHook("none", None)))
+                          rk4_step(f, y0, 0.1, 0.05, hook=StageHook(False, None)))
 
 
 def test_rkc_error_estimate_refused_with_projection():
-    hook = StageHook("project_dual_buffer", lambda i, ci, ti, ystar: (ystar, None))
-    with pytest.raises(ValueError, match="invalid"):
-        rkc_step(lambda t, y: y, np.ones(2), 0.0, 0.1, rkc_tableau(4),
-                 hook=hook, err_norm=MAXNORM)
+    for dual in (True, False):
+        hook = StageHook(dual, lambda i, ci, ti, ystar: (ystar, None))
+        with pytest.raises(ValueError, match="invalid"):
+            rkc_step(lambda t, y: y, np.ones(2), 0.0, 0.1, rkc_tableau(4),
+                     hook=hook, err_norm=MAXNORM)
 
 
 def test_divergence_detection():
