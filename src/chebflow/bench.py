@@ -480,7 +480,17 @@ def _growth(cfg: RunConfig) -> float:
 
 def max_stable_dt(cfg: RunConfig, s: int, rel_tol: float = 0.02,
                   problem: Optional[ProblemSpec] = None) -> float:
-    """Bisect the largest stable step for a fixed stage count."""
+    """Bisect the largest stable step for a fixed stage count.
+
+    With theory = growth·s²/ρ, the upper bracket starts at 1.5·theory and
+    grows by 1.5 while it runs stable, up to the first step above
+    16·theory (the cap, which is not run).  The bracket [0.5·theory, hi]
+    is then bisected to ``rel_tol``.  Any stable midpoint proves the lower
+    end stable, so 0.5·theory is run only if no midpoint was; if it is
+    unstable, the bracket moves below it (halving down to 1e-6·theory)
+    and is bisected again.  The returned step ran stable, and a step
+    within ``rel_tol`` above it ran unstable or is the cap.
+    """
     _trial(cfg, 1.0, s).validate()      # the trials pick their own steps
     growth = _growth(cfg)
     prob = problem if problem is not None else make_problem(cfg.problem, cfg.re, cfg.advection)
@@ -488,21 +498,23 @@ def max_stable_dt(cfg: RunConfig, s: int, rel_tol: float = 0.02,
     rho = spectral_radius_estimate(spec)
     theory = growth * s * s / rho
     lo, hi = 0.5 * theory, 1.5 * theory
-    while not _stable_run(cfg, prob, lo, s):
-        lo *= 0.5
-        if lo < 1e-6 * theory:
-            raise RuntimeError("no stable step found")
     while _stable_run(cfg, prob, hi, s):
         hi *= 1.5
         if hi > 16 * theory:
             break
-    while (hi - lo) > rel_tol * lo:
-        mid = 0.5 * (lo + hi)
-        if _stable_run(cfg, prob, mid, s):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    while True:
+        start = lo
+        while (hi - lo) > rel_tol * lo:
+            mid = 0.5 * (lo + hi)
+            if _stable_run(cfg, prob, mid, s):
+                lo = mid
+            else:
+                hi = mid
+        if lo > start or _stable_run(cfg, prob, lo, s):
+            return lo
+        hi, lo = lo, 0.5 * lo
+        if lo < 1e-6 * theory:
+            raise RuntimeError("no stable step found")
 
 
 def min_stable_stages(cfg: RunConfig, dt: float,

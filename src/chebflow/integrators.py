@@ -464,9 +464,12 @@ class MethodSpec:
 _ROCK2 = MethodSpec(ROCK2_GROWTH, rock2_degrees,
                     lambda s, path: rock2_tableau(s, path), Rock2Tableau.nodes)
 METHODS = {
-    # the estimate presumes unprocessed stages; adaptive runs use it with PM1 only
+    # the estimate presumes unprocessed stages: adaptive runs use it with the
+    # couplings that project once per step, after it (PM1, and PM3 = PM1 with
+    # exact boundary derivatives)
     "rkc": MethodSpec(RKC_GROWTH, lambda path: RKC_STAGES,
-                      lambda s, path: rkc_tableau(s), RkcTableau.nodes, estimated=("pm1",)),
+                      lambda s, path: rkc_tableau(s), RkcTableau.nodes,
+                      estimated=("pm1", "pm3")),
     "rock2": _ROCK2,
     # the operator split runs through PM1, at a fixed step
     "pirock": replace(_ROCK2, couplings=("pm1",), estimated=()),

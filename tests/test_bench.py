@@ -52,7 +52,7 @@ ACCEPTED_FIXED_STEP = {
     "rk4": {"pm1": "p1 p2", "pm1v": "p1 p2", "pm3": "p1 p2", "dae": "p1 ap1"},
 }
 ACCEPTED_ADAPTIVE = {
-    "rkc": {"pm1": "p1 p2"},
+    "rkc": {"pm1": "p1 p2", "pm3": "p1 p2"},
     "rock2": {"pm1": "p1 p2", "pm1v": "p1 p2", "pm3": "p1 p2", "dae": "p1 ap1 ap2w"},
 }
 
@@ -75,7 +75,7 @@ def test_validation_accepts_exactly_the_valid_combinations():
                 for integrator, couplings in table.items()
                 for coupling, pressures in couplings.items()
                 for pressure in pressures.split() for cp in (0, 1)}
-    assert len(expected) == 2 * (28 + 11)
+    assert len(expected) == 2 * (28 + 13)
     assert accepted == expected
 
 
@@ -489,6 +489,93 @@ def test_cavity_stability_studies_terminate():
     s = min_stable_stages(cfg, 2.0 * dt)
     assert s > 5
     assert min_stable_stages(cfg, 0.5 * dt) <= 5
+
+
+def test_adaptive_rkc_pm3_reaches_the_horizon():
+    # PM3 projects once per step, after the integrator, so RKC's plain-ODE
+    # error estimate holds for it as for PM1
+    rep = run_simulation(small_cfg(integrator="rkc", coupling="pm3", pressure="p1",
+                                   adaptive=True, atol=1e-4, rtol=1e-4, t_end=0.05))
+    assert not rep.unstable and rep.t_final == pytest.approx(0.05, abs=1e-12)
+    assert rep.steps_accepted > 0 and np.isfinite(rep.err_u)
+
+
+def _theory(cfg, s):
+    from chebflow.grid import GridSpec
+    from chebflow.integrators import method_spec
+    from chebflow.spatial import spectral_radius_estimate
+    rho = spectral_radius_estimate(GridSpec(cfg.nx, nu=1.0 / cfg.re))
+    return method_spec(cfg.integrator).growth * s * s / rho
+
+
+def _bisection_before_deferral(stable, theory, rel_tol):
+    """The bisection that first confirmed the lower bracket 0.5*theory."""
+    lo, hi = 0.5 * theory, 1.5 * theory
+    while not stable(lo):
+        lo *= 0.5
+        if lo < 1e-6 * theory:
+            raise RuntimeError("no stable step found")
+    while stable(hi):
+        hi *= 1.5
+        if hi > 16 * theory:
+            break
+    while (hi - lo) > rel_tol * lo:
+        mid = 0.5 * (lo + hi)
+        if stable(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("c", [0.8, 1.2, 2.0, 20.0, 0.3, 0.05, 1e-7])
+def test_max_stable_dt_trial_order_and_fallback(monkeypatch, c):
+    # a trial is stable iff dt <= c*theory; no solver runs
+    from chebflow import bench
+    cfg, s, rel_tol = small_cfg(), 5, 0.02
+    theory = _theory(cfg, s)
+    trials = []
+
+    def threshold(dt):
+        return dt <= c * theory
+
+    def record(cfg_, prob, dt, s_):
+        assert s_ == s
+        trials.append((dt, threshold(dt)))
+        return trials[-1][1]
+
+    monkeypatch.setattr(bench, "_stable_run", record)
+    if c < 1e-6:
+        with pytest.raises(RuntimeError, match="no stable step found"):
+            bench.max_stable_dt(cfg, s, rel_tol=rel_tol)
+        return
+    result = bench.max_stable_dt(cfg, s, rel_tol=rel_tol)
+    assert (result, True) in trials
+    cap = 1.5 * theory
+    while not cap > 16 * theory:
+        cap *= 1.5
+    above = [dt for dt, ok in trials if not ok] + [cap]
+    assert any(result < dt and dt - result <= rel_tol * result for dt in above)
+    if c >= 0.5:
+        before = []
+        expected = _bisection_before_deferral(lambda dt: before.append(dt) or threshold(dt),
+                                               theory, rel_tol)
+        assert result == expected
+        assert len(trials) == len(before) - 1
+        assert 0.5 * theory not in [dt for dt, _ in trials]
+    else:
+        assert [dt for dt, _ in trials].count(0.5 * theory) == 1
+
+
+@pytest.mark.parametrize("coupling, expected", [("pm1", "0.04157185554504393"),
+                                                ("dae", "0.04833936691284179")])
+def test_max_stable_dt_bit_for_bit(coupling, expected):
+    # real trials on the forced flow; a bisection that runs 0.5*theory
+    # first returns these same values, so skipping that trial moves nothing
+    from chebflow.bench import max_stable_dt
+    cfg = RunConfig(problem="forced", re=5.0, nx=16, t_end=1.0,
+                    integrator="rock2", coupling=coupling, pressure="p1")
+    assert repr(max_stable_dt(cfg, 5)) == expected
 
 
 def test_stability_studies_reject_a_method_without_growth_law():
