@@ -200,7 +200,7 @@ def run_simulation(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
     t0 = time.perf_counter()
     eps_t = 1e-12 * max(cfg.t_end, 1.0)
     stepper = None
-    kahan_c = None
+    kahan_c = (np.zeros_like(u0.u), np.zeros_like(u0.v)) if cfg.compensated else None
     last_dt_step = None
     try:
         # a blow-up overflows before the fields are checked; the report carries it
@@ -228,13 +228,9 @@ def run_simulation(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
                 last_dt_step = dt_step
                 if cfg.compensated:
                     # Kahan accumulation of the per-step velocity increments
-                    inc_u = new_state.u.u - state.u.u
-                    inc_v = new_state.u.v - state.u.v
-                    if kahan_c is None:
-                        kahan_c = (np.zeros_like(inc_u), np.zeros_like(inc_v))
-                    for base, inc, c in ((state.u.u, inc_u, kahan_c[0]),
-                                         (state.u.v, inc_v, kahan_c[1])):
-                        yy = inc - c
+                    for base, new, c in zip((state.u.u, state.u.v),
+                                            (new_state.u.u, new_state.u.v), kahan_c):
+                        yy = (new - base) - c
                         tt = base + yy
                         c[:] = (tt - base) - yy
                         base[:] = tt
@@ -449,12 +445,21 @@ def convergence_study(cfg: RunConfig, axis: str = "time",
 # stability sweeps
 # ---------------------------------------------------------------------------
 
+# the fewest full steps a stability trial must take: a shorter run cannot
+# grow far enough to show an instability, so it would count as stable
+MIN_TRIAL_STEPS = 5
+
+
 def _trial(cfg: RunConfig, dt: float, s: Optional[int]) -> RunConfig:
     """The fixed-step run a stability trial makes at step dt with s stages."""
     return replace(cfg, dt=dt, adaptive=False, stages=s)
 
 
 def _stable_run(cfg: RunConfig, prob: ProblemSpec, dt: float, s: int) -> bool:
+    if cfg.t_end < MIN_TRIAL_STEPS * dt:
+        raise ValueError(f"a stability trial at dt={dt:.6g} takes fewer than "
+                         f"{MIN_TRIAL_STEPS} full steps to t_end={cfg.t_end:g}; "
+                         f"lengthen t_end to at least {MIN_TRIAL_STEPS * dt:.6g}")
     rep = run_simulation(_trial(cfg, dt, s), problem=prob)
     if rep.unstable:
         return False
@@ -489,7 +494,9 @@ def max_stable_dt(cfg: RunConfig, s: int, rel_tol: float = 0.02,
     end stable, so 0.5·theory is run only if no midpoint was; if it is
     unstable, the bracket moves below it (halving down to 1e-6·theory)
     and is bisected again.  The returned step ran stable, and a step
-    within ``rel_tol`` above it ran unstable or is the cap.
+    within ``rel_tol`` above it ran unstable or is the cap.  A trial
+    whose step leaves fewer than ``MIN_TRIAL_STEPS`` full steps to ``t_end``
+    raises ValueError instead of running.
     """
     _trial(cfg, 1.0, s).validate()      # the trials pick their own steps
     growth = _growth(cfg)
@@ -519,7 +526,8 @@ def max_stable_dt(cfg: RunConfig, s: int, rel_tol: float = 0.02,
 
 def min_stable_stages(cfg: RunConfig, dt: float,
                       problem: Optional[ProblemSpec] = None) -> int:
-    """Smallest tabulated stage count that runs stably at the given step."""
+    """Smallest tabulated stage count that runs stably at the given step;
+    ValueError if dt leaves fewer than ``MIN_TRIAL_STEPS`` full steps to ``t_end``."""
     _trial(cfg, dt, None).validate()
     _growth(cfg)
     prob = problem if problem is not None else make_problem(cfg.problem, cfg.re, cfg.advection)

@@ -86,9 +86,6 @@ class Stepper:
         self.tableau = method_spec(method).tableau(s, table_path)
         self.s = s
 
-    def nodes(self) -> np.ndarray:
-        return method_spec(self.method).nodes(self.tableau)
-
     def advance(self, f, y, t, dt, hook=None, err_norm=None):
         if self.method == "rkc":
             return rkc_step(f, y, t, dt, self.tableau, hook, err_norm)
@@ -267,7 +264,7 @@ def _stage_hook(system: FlowSystem, dual: bool, dt: float, log: list):
             raise ValueError(f"degenerate node c_{i} = {ci}")
         w, phi = _project_once(system, w_star, ti, ci * dt if dual else None)
         log.append((i, ci, phi))
-        return w, phi
+        return w
 
     return StageHook(dual, project)
 

@@ -46,9 +46,9 @@ class IntegrationDiverged(RuntimeError):
 class StageHook:
     """Per-stage processing for the incompressibility couplings.
 
-    ``callback(i, c_i, t_i, y_star) -> (y_processed, phi_i)`` receives the
-    stage index i (stages are numbered U_1..U_{s+1}; U_1 is never passed),
-    the node c_i, the stage time t_i and the unprocessed stage vector.
+    ``callback(i, c_i, t_i, y_star) -> y_processed`` receives the stage
+    index i (stages are numbered U_1..U_{s+1}; U_1 is never passed), the
+    node c_i, the stage time t_i and the unprocessed stage vector.
     ``dual`` advances the recursion with the unprocessed stages.
     """
 
@@ -68,7 +68,7 @@ def _stage(hook, i, ci, ti, g_star):
     _check_finite(g_star, i)
     if hook is None or hook.callback is None:
         return g_star, g_star
-    g_proc, _phi = hook.callback(i, ci, ti, g_star)
+    g_proc = hook.callback(i, ci, ti, g_star)
     return (g_star if hook.dual else g_proc), g_proc
 
 
@@ -96,8 +96,9 @@ class RkcTableau:
     """RKC recursion coefficients for ``s`` stages and damping parameter eps.
 
     Arrays are indexed by the recursion index j (entries below the first
-    valid j are unused).  ``c`` holds the nodes of the stages g_0..g_s
-    computed by running the recursion on y' = 1; the final node is 1.
+    valid j are unused).  ``c`` holds the nodes of the stages g_0..g_s,
+    which are the DAE stages U_1..U_{s+1}, computed by running the
+    recursion on y' = 1; the final node is 1.
     """
 
     s: int
@@ -115,10 +116,6 @@ class RkcTableau:
     @property
     def damping(self) -> float:
         return float(self.a[self.s] + self.b[self.s])
-
-    def nodes(self) -> np.ndarray:
-        """Nodes of the DAE stages U_1..U_{s+1} (U_i = g_{i-1})."""
-        return self.c.copy()
 
 
 def rkc_tableau(s: int, eps: float = RKC_EPS) -> RkcTableau:
@@ -193,6 +190,8 @@ class Rock2Tableau:
     orthogonal family and are used by the PIROCK coupling stages).
     ``sigma``/``tau`` are the finishing coefficients; the assembled weights
     are b_{s-1} = 2 sigma - tau/sigma and b_s = tau/sigma.
+    ``c`` holds the nodes of the method's stages U_1..U_{s+1}: g_0..g_{s-2},
+    then g_{s-1} and y1 from the finishing procedure.
     """
 
     s: int
@@ -205,15 +204,7 @@ class Rock2Tableau:
     nu: np.ndarray
     kappa: np.ndarray
     c_ext: np.ndarray = field(repr=False)   # nodes of g_0..g_s under the plain recursion
-
-    def nodes(self) -> np.ndarray:
-        """Nodes of the DAE stages U_1..U_{s+1} (method stages, not c_ext)."""
-        s = self.s
-        n = np.zeros(s + 1)
-        n[:s - 1] = self.c_ext[:s - 1]                 # g_0..g_{s-2}
-        n[s - 1] = self.c_ext[s - 2] + self.sigma      # g_{s-1}
-        n[s] = self.c_ext[s - 2] + 2 * self.sigma      # y1
-        return n
+    c: np.ndarray
 
 
 def _parse_rock2_table(path):
@@ -282,9 +273,13 @@ def rock2_tableau(s: int, path: Optional[str] = None) -> Rock2Tableau:
     c_ext[1] = mu[1]
     for j in range(2, s + 1):
         c_ext[j] = mu[j] - nu[j] * c_ext[j - 1] - ka[j] * c_ext[j - 2]
+    c = np.zeros(s + 1)
+    c[:s - 1] = c_ext[:s - 1]                      # g_0..g_{s-2}
+    c[s - 1] = c_ext[s - 2] + rec["sigma"]         # g_{s-1}
+    c[s] = c_ext[s - 2] + 2 * rec["sigma"]         # y1
     tab = Rock2Tableau(s=s, eta=rec["eta"], l=rec["l"], lstar=rec["lstar"],
                        sigma=rec["sigma"], tau=rec["tau"], mu=mu, nu=nu,
-                       kappa=ka, c_ext=c_ext)
+                       kappa=ka, c_ext=c_ext, c=c)
     A, b, c = butcher_tableau(tab)
     if abs(b.sum() - 1.0) > 1e-10 or abs((b * c[:-1]).sum() - 0.5) > 1e-10:
         raise ValueError(f"ROCK2 table record s={s} violates the order conditions")
@@ -295,26 +290,25 @@ def rock2_step(f, y, t, dt, tableau: Rock2Tableau, hook: Optional[StageHook] = N
                err_norm=None):
     """One ROCK2 step; the embedded error estimate is valid in every mode."""
     tab = tableau
-    s = tab.s
+    s, c = tab.s, tab.c
     y = np.asarray(y, dtype=float)
-    nodes = tab.nodes()
 
     prev2_s = y
-    prev_s, prev_p = _stage(hook, 2, nodes[1], t + nodes[1] * dt, y + tab.mu[1] * dt * f(t, y))
+    prev_s, prev_p = _stage(hook, 2, c[1], t + c[1] * dt, y + tab.mu[1] * dt * f(t, y))
     for j in range(2, s - 1):
-        fj = f(t + nodes[j - 1] * dt, prev_p)
+        fj = f(t + c[j - 1] * dt, prev_p)
         g_star = tab.mu[j] * dt * fj - tab.nu[j] * prev_s - tab.kappa[j] * prev2_s
         prev2_s = prev_s
-        prev_s, prev_p = _stage(hook, j + 1, nodes[j], t + nodes[j] * dt, g_star)
+        prev_s, prev_p = _stage(hook, j + 1, c[j], t + c[j] * dt, g_star)
 
     # finishing: g_{s-1}, then y1 assembled from g*_s and the correction
-    f_sm2 = f(t + nodes[s - 2] * dt, prev_p)
-    last_s, last_p = _stage(hook, s, nodes[s - 1], t + nodes[s - 1] * dt,
+    f_sm2 = f(t + c[s - 2] * dt, prev_p)
+    last_s, last_p = _stage(hook, s, c[s - 1], t + c[s - 1] * dt,
                             prev_s + tab.sigma * dt * f_sm2)
 
-    f_sm1 = f(t + nodes[s - 1] * dt, last_p)
+    f_sm1 = f(t + c[s - 1] * dt, last_p)
     err_vec = tab.sigma * (1.0 - tab.tau / tab.sigma**2) * dt * (f_sm1 - f_sm2)
-    _, y1 = _stage(hook, s + 1, nodes[s], t + nodes[s] * dt,
+    _, y1 = _stage(hook, s + 1, c[s], t + c[s] * dt,
                    last_s + tab.sigma * dt * f_sm1 - err_vec)
     err = err_norm(err_vec, y) if err_norm is not None else None
     return y1, err
@@ -410,7 +404,7 @@ def rk4_step(f, y, t, dt, hook: Optional[StageHook] = None):
 
 
 # ---------------------------------------------------------------------------
-# Butcher reconstruction and nodes
+# Butcher reconstruction
 # ---------------------------------------------------------------------------
 
 def butcher_tableau(tableau):
@@ -449,32 +443,30 @@ def butcher_tableau(tableau):
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """The facts about one integrator that more than one site needs.  The
-    step call itself is dispatched by name in ``coupling.Stepper.advance``;
-    couplings are named as in ``coupling.COUPLINGS``."""
+    """The facts about one integrator that more than one site needs; a
+    tableau carries its stage nodes as ``c``.  The step call itself stays
+    dispatched by name in ``coupling.Stepper.advance``, because the perfbench
+    tracer patches the step functions there by name; couplings are named as
+    in ``coupling.COUPLINGS``."""
 
     growth: Optional[float]   # stability interval growth * s^2; None: no growth law
     stage_counts: Callable    # (table_path) -> ascending stage counts it runs
     tableau: Callable         # (s, table_path) -> coefficients, None for RK4
-    nodes: Callable           # (tableau) -> nodes c_1..c_{s+1} of U_1..U_{s+1}
     couplings: Optional[tuple] = None   # the couplings it runs; None: every one
     estimated: Optional[tuple] = None   # those its error estimate holds with; None: every one
 
 
-_ROCK2 = MethodSpec(ROCK2_GROWTH, rock2_degrees,
-                    lambda s, path: rock2_tableau(s, path), Rock2Tableau.nodes)
+_ROCK2 = MethodSpec(ROCK2_GROWTH, rock2_degrees, rock2_tableau)
 METHODS = {
     # the estimate presumes unprocessed stages: adaptive runs use it with the
     # couplings that project once per step, after it (PM1, and PM3 = PM1 with
     # exact boundary derivatives)
     "rkc": MethodSpec(RKC_GROWTH, lambda path: RKC_STAGES,
-                      lambda s, path: rkc_tableau(s), RkcTableau.nodes,
-                      estimated=("pm1", "pm3")),
+                      lambda s, path: rkc_tableau(s), estimated=("pm1", "pm3")),
     "rock2": _ROCK2,
     # the operator split runs through PM1, at a fixed step
     "pirock": replace(_ROCK2, couplings=("pm1",), estimated=()),
-    "rk4": MethodSpec(None, lambda path: (4,), lambda s, path: None,
-                      lambda tableau: np.array(_RK4_C + (1.0,)), estimated=()),
+    "rk4": MethodSpec(None, lambda path: (4,), lambda s, path: None, estimated=()),
 }
 
 
@@ -483,12 +475,6 @@ def method_spec(method: str) -> MethodSpec:
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     return METHODS[method]
-
-
-def nodes_c(method: str, s: int):
-    """Stage nodes c_1..c_{s+1} (including the final node 1)."""
-    spec = method_spec(method)
-    return spec.nodes(spec.tableau(s, None))
 
 
 def stability_poly_eval(method: str, s: int, z):

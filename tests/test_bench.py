@@ -9,9 +9,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chebflow.bench import (RunConfig, centerline_profiles, convergence_study,
-                            efficiency_study, fmt, ghia_compare,
-                            restrict_field, run_simulation, write_csv, write_outputs)
+from chebflow.bench import (HEADERS, RunConfig, centerline_profiles, convergence_study,
+                            efficiency_study, fmt, ghia_compare, restrict_field,
+                            reynolds_sweep, run_simulation, write_csv, write_outputs)
 from chebflow.cli import _add_run_options, _resolve
 from chebflow.cli import main as cli_main
 from chebflow.grid import read_field
@@ -334,7 +334,7 @@ def test_cli_study_options_default_to_the_study_functions(monkeypatch, capsys):
 
 def test_cli_study_prints_the_lines_of_its_csv(tmp_path, capsys):
     assert cli_main(["stability", "--problem", "forced", "--nx", "8", "--re", "20",
-                     "--t-end", "0.1", "--integrator", "rock2", "--coupling", "dae",
+                     "--t-end", "4", "--integrator", "rock2", "--coupling", "dae",
                      "--pressure", "p1", "--values", "3,4", "--out", str(tmp_path)]) == 0
     with open(os.path.join(tmp_path, "stability_max_dt_given_s.csv")) as fh:
         written = fh.read()
@@ -396,6 +396,7 @@ def test_cli_reynolds_and_efficiency(tmp_path, capsys):
                      "dae", "--pressure", "ap1", "--re-values", "50,100",
                      "--out", str(tmp_path)]) == 0
     assert os.path.exists(os.path.join(tmp_path, "reynolds.csv"))
+    assert capsys.readouterr().out.splitlines()[0] == ",".join(HEADERS["reynolds"])
     assert cli_main(["efficiency", "--problem", "taylor", "--nx", "16",
                      "--t-end", "0.05", "--dt", "0.001", "--integrator", "rock2",
                      "--coupling", "dae", "--pressure", "ap1",
@@ -403,6 +404,20 @@ def test_cli_reynolds_and_efficiency(tmp_path, capsys):
                      "--out", str(tmp_path)]) == 0
     assert os.path.exists(os.path.join(tmp_path, "efficiency.csv"))
     capsys.readouterr()
+
+
+def test_reynolds_sweep_rows_are_sorted_direct_runs():
+    cfg = small_cfg(atol=1e-4, rtol=1e-4)
+    rows = reynolds_sweep(cfg, [100.0, 50.0])
+    assert [row[0] for row in rows] == [50.0, 100.0]
+    for row in rows:
+        rep = run_simulation(replace(cfg, re=row[0], advection=False, adaptive=True))
+        direct = dict(re=row[0], err_u=rep.err_u, avg_stages=rep.avg_stages,
+                      total_stages=rep.total_stages, steps=rep.steps_accepted,
+                      rejected=rep.steps_rejected)
+        got = dict(zip(HEADERS["reynolds"], row))
+        del got["wall_time"]
+        assert got == direct
 
 
 def test_cli_stability_and_ghia(tmp_path, capsys):
@@ -576,6 +591,20 @@ def test_max_stable_dt_bit_for_bit(coupling, expected):
     cfg = RunConfig(problem="forced", re=5.0, nx=16, t_end=1.0,
                     integrator="rock2", coupling=coupling, pressure="p1")
     assert repr(max_stable_dt(cfg, 5)) == expected
+
+
+def test_stability_trial_too_short_to_blow_up_raises():
+    # at t_end=0.1 every trial took one or two clipped steps and none could
+    # blow up: the bisection ran stable up to the cap and returned 9.2546
+    # against a theory of 0.55
+    from chebflow.bench import max_stable_dt, min_stable_stages
+    cfg = RunConfig(problem="forced", re=100.0, nx=16, t_end=0.1,
+                    integrator="rock2", coupling="dae", pressure="p1")
+    with pytest.raises(ValueError, match=r"dt=0\.82\d* takes fewer than 5 full steps "
+                                         r"to t_end=0\.1"):
+        max_stable_dt(cfg, 5)
+    with pytest.raises(ValueError, match=r"dt=0\.05 takes fewer than 5 full steps"):
+        min_stable_stages(cfg, 0.05)
 
 
 def test_stability_studies_reject_a_method_without_growth_law():

@@ -175,10 +175,10 @@ def test_dae_stages_satisfy_constraint():
     checked = []
 
     def checking_callback(i, ci, ti, w_star):
-        w, phi = hook.callback(i, ci, ti, w_star)
+        w = hook.callback(i, ci, ti, w_star)
         div = system.divergence_of(w, ti)
         checked.append(inf_norm(div) / (1 + np.max(np.abs(w))))
-        return w, phi
+        return w
 
     hook2 = type(hook)(hook.dual, checking_callback)
     f = system.rhs_flat(system.rhs_config(include_pressure=False))
@@ -217,7 +217,7 @@ def test_dae_matches_explicit_index2_form():
         return gradient_to_faces(phi, spec).flatten()
 
     u_n = state.u.flatten()
-    nodes = stepper.nodes()
+    nodes = stepper.tableau.c
     U = [u_n]
     F = []
     for k in range(2, s + 2):          # build U_2 .. U_{s+1}
@@ -437,7 +437,7 @@ def test_dae_step_samples_boundary_once_per_stage_time():
     stepper = Stepper("rock2", 3)
     dt = 1e-3
     dae_step(state, system, stepper, dt)
-    stage_times = {state.t + c * dt for c in stepper.nodes()}
+    stage_times = {state.t + c * dt for c in stepper.tableau.c}
     assert len(times) == len(stage_times) == len(set(times))
     assert set(times) == stage_times
 

@@ -11,6 +11,8 @@ import importlib.util
 import os
 from types import SimpleNamespace
 
+import pytest
+
 from chebflow import bench, coupling, integrators, poisson, spatial
 from chebflow.problems import make_problem
 
@@ -25,12 +27,12 @@ def load_tracer():
     return module
 
 
-def traced_run(**kw):
+def traced_run(integrator="rock2", **kw):
     """One short forced run under the tracer: (report, its spans)."""
     tracing = load_tracer()
     tracer = tracing.Tracer()
     cfg = bench.RunConfig(problem="forced", re=100.0, nx=8, t_end=3e-3, dt=1e-3,
-                          integrator="rock2", cp=1, **kw)
+                          integrator=integrator, cp=1, **kw)
     problem = tracing.traced_problem(tracer, make_problem("forced", cfg.re))
     modules = SimpleNamespace(bench=bench, coupling=coupling, integrators=integrators,
                               poisson=poisson, spatial=spatial)
@@ -58,3 +60,13 @@ def test_tracer_sees_the_projection_step_and_its_recovery():
     _, spans = traced_run(coupling="pm1", pressure="p2")
     names = [name for _, _, name, *_ in spans]
     assert names.count("coupling.step") == 3 and names.count("coupling.recover") == 3
+
+
+@pytest.mark.parametrize("integrator, coupling", [("rkc", "pm1"), ("rk4", "dae"),
+                                                  ("pirock", "pm1")])
+def test_tracer_sees_every_methods_step(integrator, coupling):
+    # coupling.Stepper.advance and pm1_step reach each step function through
+    # the module name the tracer patches
+    _, spans = traced_run(integrator, coupling=coupling, pressure="p1")
+    names = [name for _, _, name, *_ in spans]
+    assert names.count("integrators.step") == 3 and names.count("coupling.step") == 3

@@ -3,7 +3,7 @@ import pytest
 from conftest import fit_loglog_slope
 
 from chebflow.integrators import (IntegrationDiverged, StageHook, StepController,
-                                  butcher_tableau, nodes_c, pirock_step,
+                                  butcher_tableau, pirock_step,
                                   propose_dt, rk4_step, rkc_step, rkc_tableau,
                                   rock2_degrees, rock2_step, rock2_tableau,
                                   select_stages, stability_poly_eval)
@@ -37,14 +37,14 @@ def test_rkc_kappa1_cross_check():
 
 def test_rkc_nodes_monotone_and_final():
     for s in (3, 10, 30):
-        c = nodes_c("rkc", s)
+        c = rkc_tableau(s).c
         assert abs(c[-1] - 1.0) < 1e-10
         assert np.all(np.diff(c) > 0)
 
 
 def test_rock2_nodes_final():
     for s in (3, 10, 30):
-        c = nodes_c("rock2", s)
+        c = rock2_tableau(s).c
         assert abs(c[-1] - 1.0) < 1e-10
 
 
@@ -211,7 +211,7 @@ def test_hook_neutrality_bit_for_bit():
     M = rng.randn(6, 6) * 0.2
     y0 = rng.randn(6)
     f = lambda t, y: M @ y + np.sin(t)
-    identity = StageHook(False, lambda i, ci, ti, ystar: (ystar, None))
+    identity = StageHook(False, lambda i, ci, ti, ystar: ystar)
     for step, tab in ((rkc_step, rkc_tableau(7)), (rock2_step, rock2_tableau(7))):
         plain, _ = step(f, y0, 0.1, 0.05, tab)
         hooked, _ = step(f, y0, 0.1, 0.05, tab, hook=identity)
@@ -222,7 +222,7 @@ def test_hook_neutrality_bit_for_bit():
 
 def test_rkc_error_estimate_refused_with_projection():
     for dual in (True, False):
-        hook = StageHook(dual, lambda i, ci, ti, ystar: (ystar, None))
+        hook = StageHook(dual, lambda i, ci, ti, ystar: ystar)
         with pytest.raises(ValueError, match="invalid"):
             rkc_step(lambda t, y: y, np.ones(2), 0.0, 0.1, rkc_tableau(4),
                      hook=hook, err_norm=MAXNORM)
