@@ -75,7 +75,6 @@ class RunConfig:
     cp: int = 0                         # 0: recover pressure at t_end only; 1: every step
     stages: Optional[int] = None        # fixed stage count (otherwise selected per step)
     advection: bool = True
-    rock2_table: Optional[str] = None
     dct_algorithm: str = DEFAULT_ALGORITHM
     compensated: bool = False           # Kahan accumulation (RK4 reference runs)
 
@@ -101,13 +100,10 @@ class RunConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         spec = method_spec(self.integrator)
         needs = coupling.PRESSURE_NEEDS.get(self.pressure, PressureNeeds())
-        try:
-            counts = spec.stage_counts(self.rock2_table)
-        except OSError as exc:
-            raise ValueError(f"cannot read the ROCK2 table {exc.filename!r}: {exc.strerror}")
         if self.stages is not None:
             if self.stages < 1:
                 raise ValueError(f"stages must be at least 1, got {self.stages}")
+            counts = spec.stage_counts()
             if self.stages not in counts:
                 raise ValueError(f"{self.integrator} cannot run stages={self.stages}; nearest "
                                  f"available: {nearest_stage_counts(counts, self.stages)}")
@@ -194,7 +190,7 @@ def run_simulation(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
 
     def stepper_for(s: int) -> Stepper:
         if s not in steppers:
-            steppers[s] = Stepper(cfg.integrator, s, cfg.rock2_table)
+            steppers[s] = Stepper(cfg.integrator, s)
         return steppers[s]
 
     t0 = time.perf_counter()
@@ -210,8 +206,7 @@ def run_simulation(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
                     raise RuntimeError(f"adaptive step dt={dt:.3e} fell below the end "
                                        f"tolerance {eps_t:.1e} at t={state.t!r}")
                 dt_step = min(dt, cfg.t_end - state.t)
-                s_used = cfg.stages or select_stages(
-                    dt_step, rho, cfg.integrator, min_stages, cfg.rock2_table)
+                s_used = cfg.stages or select_stages(dt_step, rho, cfg.integrator, min_stages)
                 stepper = stepper_for(s_used)
                 new_state, err = step(state, system, stepper, dt_step, err_norm)
                 report.steps_attempted += 1
@@ -531,7 +526,7 @@ def min_stable_stages(cfg: RunConfig, dt: float,
     _trial(cfg, dt, None).validate()
     _growth(cfg)
     prob = problem if problem is not None else make_problem(cfg.problem, cfg.re, cfg.advection)
-    for s in method_spec(cfg.integrator).stage_counts(cfg.rock2_table):
+    for s in method_spec(cfg.integrator).stage_counts():
         if _stable_run(cfg, prob, dt, s):
             return s
     raise RuntimeError("no stable stage count within the cap")
@@ -618,21 +613,24 @@ def reynolds_sweep(cfg: RunConfig, re_values: Sequence[float]):
 # ---------------------------------------------------------------------------
 
 def centerline_profiles(report: RunReport, bc_velocity=None):
-    """u on the vertical and v on the horizontal centerline, wall values included."""
+    """u on the vertical and v on the horizontal centerline, wall values included.
+
+    The wall values come from ``bc_velocity(t, x, y)``, by default the
+    boundary velocity of the problem the report's config names.
+    """
     N = report.spec.N
     if N % 2:
         raise ValueError("centerline extraction needs even N")
+    if bc_velocity is None:
+        cfg = report.config
+        bc_velocity = make_problem(cfg.problem, cfg.re, cfg.advection).boundary.velocity
     dx = report.spec.dx
     yk = np.concatenate([[0.0], (np.arange(1, N + 1) - 0.5) * dx, [1.0]])
     u_line = report.u[N // 2 - 1, :]
-    if bc_velocity is None:
-        u0 = u1 = 0.0
-        v0 = v1 = 0.0
-    else:
-        u0 = float(np.asarray(bc_velocity(report.t_final, 0.5, 0.0)[0]))
-        u1 = float(np.asarray(bc_velocity(report.t_final, 0.5, 1.0)[0]))
-        v0 = float(np.asarray(bc_velocity(report.t_final, 0.0, 0.5)[1]))
-        v1 = float(np.asarray(bc_velocity(report.t_final, 1.0, 0.5)[1]))
+    u0 = float(np.asarray(bc_velocity(report.t_final, 0.5, 0.0)[0]))
+    u1 = float(np.asarray(bc_velocity(report.t_final, 0.5, 1.0)[0]))
+    v0 = float(np.asarray(bc_velocity(report.t_final, 0.0, 0.5)[1]))
+    v1 = float(np.asarray(bc_velocity(report.t_final, 1.0, 0.5)[1]))
     u_prof = np.concatenate([[u0], u_line, [u1]])
     xk = yk
     v_line = report.v[:, N // 2 - 1]
@@ -646,7 +644,8 @@ def ghia_compare(report: RunReport, reference_csv: str, bc_velocity=None):
     The reference file is a CSV with header ``profile,coord,value``; rows
     with profile ``u`` give u(0.5, y) at coord = y, rows with ``v`` give
     v(x, 0.5) at coord = x.  A missing file gives None; another header or
-    profile label raises ValueError naming the file and line.
+    profile label raises ValueError naming the file and line.  The wall
+    values are taken as in ``centerline_profiles``.
     """
     if not os.path.exists(reference_csv):
         return None

@@ -25,11 +25,11 @@ import typing
 from .bench import (CHOICES, HEADERS, RunConfig, convergence_study, efficiency_study,
                     ghia_compare, reynolds_sweep, run_simulation, stability_sweep,
                     write_csv, write_outputs, write_rows)
-from .problems import PROBLEMS, make_problem
+from .problems import PROBLEMS
 
 _CHOICES = dict(CHOICES, problem=tuple(PROBLEMS))
 _HELP = dict(re="Reynolds number", nx="cells per side", dt="fixed (or initial) time step",
-             out="output directory", rock2_table="alternative coefficient table")
+             out="output directory")
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 # the output directory, an option read beside RunConfig's fields
 _Output = dataclasses.make_dataclass("_Output", [("out", typing.Optional[str], None)])
@@ -193,10 +193,8 @@ def main(argv=None):
         rows = reynolds_sweep(_run_config(opts, adaptive=True), _floats(args.re_values))
         _write_study(outdir, "reynolds", HEADERS["reynolds"], rows)
     elif args.command == "ghia":
-        cfg = _run_config(opts, problem="cavity")
-        rep = _run(cfg, outdir)
-        prob = make_problem("cavity", cfg.re)
-        result = ghia_compare(rep, args.reference, bc_velocity=prob.boundary.velocity)
+        rep = _run(_run_config(opts, problem="cavity"), outdir)
+        result = ghia_compare(rep, args.reference)
         if result is None:
             print(f"ghia_compare: reference file {args.reference!r} not found; skipped")
         else:

@@ -81,9 +81,9 @@ PRESSURE_NEEDS = {
 class Stepper:
     """One integrator method bound to a stage count."""
 
-    def __init__(self, method: str, s: int, table_path: Optional[str] = None):
+    def __init__(self, method: str, s: int):
         self.method = method
-        self.tableau = method_spec(method).tableau(s, table_path)
+        self.tableau = method_spec(method).tableau(s)
         self.s = s
 
     def advance(self, f, y, t, dt, hook=None, err_norm=None):
@@ -407,10 +407,12 @@ class Ap2wCoefficients:
 
 def ap2w_coefficients(tableau: Rock2Tableau, stages=(2, 3, 4)) -> Ap2wCoefficients:
     """Weights annihilating both the O(dt) node offset and the shared
-    leading error term of the stage averages."""
+    leading error term of the stage averages; the nodes are the tableau's,
+    at which the DAE step projects its stages."""
     from .integrators import butcher_tableau
 
-    A, b, c = butcher_tableau(tableau)
+    A = butcher_tableau(tableau)[0]
+    c = tableau.c
     i, j, k = stages
 
     def e_of(m):

@@ -18,6 +18,7 @@ realization consistent with the index-2 DAE formulation).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -52,8 +53,8 @@ class StageHook:
     ``dual`` advances the recursion with the unprocessed stages.
     """
 
-    dual: bool = False
-    callback: Optional[Callable] = None
+    dual: bool
+    callback: Callable
 
 
 def _check_finite(y, stage):
@@ -66,7 +67,7 @@ def _stage(hook, i, ci, ti, g_star):
     and return the pair (the vector the recursion continues with, the one
     the next RHS is evaluated at); a dual hook continues unprocessed."""
     _check_finite(g_star, i)
-    if hook is None or hook.callback is None:
+    if hook is None:
         return g_star, g_star
     g_proc = hook.callback(i, ci, ti, g_star)
     return (g_star if hook.dual else g_proc), g_proc
@@ -152,9 +153,9 @@ def rkc_step(f, y, t, dt, tableau: RkcTableau, hook: Optional[StageHook] = None,
 
     The local-error estimate (based on an approximation of y''' that assumes
     a plain ODE) is only valid without per-stage processing, so requesting
-    it with a hook callback is refused.
+    it with a hook is refused.
     """
-    if err_norm is not None and hook is not None and hook.callback is not None:
+    if err_norm is not None and hook is not None:
         raise ValueError("RKC error estimate is invalid when stages are projected")
     tab = tableau
     s, c = tab.s, tab.c
@@ -195,9 +196,6 @@ class Rock2Tableau:
     """
 
     s: int
-    eta: float
-    l: float
-    lstar: float
     sigma: float
     tau: float
     mu: np.ndarray
@@ -223,31 +221,22 @@ def _parse_rock2_table(path):
         ka = np.array([float(x) for x in lines[i + 3].split()[1:]])
         if len(mu) != s or len(nu) != s - 1 or len(ka) != s - 1:
             raise ValueError(f"corrupt ROCK2 record for s={s}")
-        records[s] = dict(eta=float(kv["eta"]), l=float(kv["l"]),
-                          lstar=float(kv["lstar"]), sigma=float(kv["sigma"]),
-                          tau=float(kv["tau"]), mu=mu, nu=nu, kappa=ka)
+        records[s] = dict(sigma=float(kv["sigma"]), tau=float(kv["tau"]),
+                          mu=mu, nu=nu, kappa=ka)
         i += 4
     return records
 
 
-_ROCK2_CACHE = {}
+@functools.cache
+def _rock2_records() -> dict:
+    """The vendored coefficient table, read once."""
+    return _parse_rock2_table(os.path.join(os.path.dirname(__file__), "data",
+                                           "rock2_coeffs.txt"))
 
 
-def rock2_table_path(path: Optional[str] = None) -> str:
-    """``path``, or the vendored table when none is named."""
-    return path or os.path.join(os.path.dirname(__file__), "data", "rock2_coeffs.txt")
-
-
-def _rock2_records(path: Optional[str] = None) -> dict:
-    p = rock2_table_path(path)
-    if p not in _ROCK2_CACHE:
-        _ROCK2_CACHE[p] = _parse_rock2_table(p)
-    return _ROCK2_CACHE[p]
-
-
-def rock2_degrees(path: Optional[str] = None):
+def rock2_degrees():
     """Sorted stage counts available in the coefficient table."""
-    return sorted(_rock2_records(path))
+    return sorted(_rock2_records())
 
 
 def nearest_stage_counts(counts, s: int) -> str:
@@ -257,8 +246,8 @@ def nearest_stage_counts(counts, s: int) -> str:
     return ", ".join(str(d) for d in (below, above) if d is not None)
 
 
-def rock2_tableau(s: int, path: Optional[str] = None) -> Rock2Tableau:
-    records = _rock2_records(path)
+def rock2_tableau(s: int) -> Rock2Tableau:
+    records = _rock2_records()
     if s not in records:
         raise ValueError(f"ROCK2 degree s={s} not in table; nearest available: "
                          f"{nearest_stage_counts(records, s)}")
@@ -277,8 +266,7 @@ def rock2_tableau(s: int, path: Optional[str] = None) -> Rock2Tableau:
     c[:s - 1] = c_ext[:s - 1]                      # g_0..g_{s-2}
     c[s - 1] = c_ext[s - 2] + rec["sigma"]         # g_{s-1}
     c[s] = c_ext[s - 2] + 2 * rec["sigma"]         # y1
-    tab = Rock2Tableau(s=s, eta=rec["eta"], l=rec["l"], lstar=rec["lstar"],
-                       sigma=rec["sigma"], tau=rec["tau"], mu=mu, nu=nu,
+    tab = Rock2Tableau(s=s, sigma=rec["sigma"], tau=rec["tau"], mu=mu, nu=nu,
                        kappa=ka, c_ext=c_ext, c=c)
     A, b, c = butcher_tableau(tab)
     if abs(b.sum() - 1.0) > 1e-10 or abs((b * c[:-1]).sum() - 0.5) > 1e-10:
@@ -443,15 +431,18 @@ def butcher_tableau(tableau):
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """The facts about one integrator that more than one site needs; a
-    tableau carries its stage nodes as ``c``.  The step call itself stays
-    dispatched by name in ``coupling.Stepper.advance``, because the perfbench
-    tracer patches the step functions there by name; couplings are named as
-    in ``coupling.COUPLINGS``."""
+    """The facts about one integrator that more than one site needs: its
+    growth law, the stage counts it runs (ROCK2's are the degrees of the
+    vendored table), its coefficients per stage count, and the couplings it
+    runs and estimates its error with.  A tableau carries its stage nodes as
+    ``c``.  The step call itself stays dispatched by name in
+    ``coupling.Stepper.advance``, because the perfbench tracer patches the
+    step functions there by name; couplings are named as in
+    ``coupling.COUPLINGS``."""
 
     growth: Optional[float]   # stability interval growth * s^2; None: no growth law
-    stage_counts: Callable    # (table_path) -> ascending stage counts it runs
-    tableau: Callable         # (s, table_path) -> coefficients, None for RK4
+    stage_counts: Callable    # () -> ascending stage counts it runs
+    tableau: Callable         # (s) -> coefficients, None for RK4
     couplings: Optional[tuple] = None   # the couplings it runs; None: every one
     estimated: Optional[tuple] = None   # those its error estimate holds with; None: every one
 
@@ -461,12 +452,12 @@ METHODS = {
     # the estimate presumes unprocessed stages: adaptive runs use it with the
     # couplings that project once per step, after it (PM1, and PM3 = PM1 with
     # exact boundary derivatives)
-    "rkc": MethodSpec(RKC_GROWTH, lambda path: RKC_STAGES,
-                      lambda s, path: rkc_tableau(s), estimated=("pm1", "pm3")),
+    "rkc": MethodSpec(RKC_GROWTH, lambda: RKC_STAGES, rkc_tableau,
+                      estimated=("pm1", "pm3")),
     "rock2": _ROCK2,
     # the operator split runs through PM1, at a fixed step
     "pirock": replace(_ROCK2, couplings=("pm1",), estimated=()),
-    "rk4": MethodSpec(None, lambda path: (4,), lambda s, path: None, estimated=()),
+    "rk4": MethodSpec(None, lambda: (4,), lambda s: None, estimated=()),
 }
 
 
@@ -479,7 +470,7 @@ def method_spec(method: str) -> MethodSpec:
 
 def stability_poly_eval(method: str, s: int, z):
     """Amplification factor R(z) of one step on y' = lambda y (z = lambda dt)."""
-    tab = method_spec(method).tableau(s, None)
+    tab = method_spec(method).tableau(s)
     z = np.asarray(z, dtype=float)
     y0 = np.ones_like(z)
     f = lambda t, y: z * y
@@ -498,6 +489,14 @@ def stability_poly_eval(method: str, s: int, z):
 # Step-size control and stage selection
 # ---------------------------------------------------------------------------
 
+# the step controller's fixed tuning: safety factor, step-ratio clamps, and the
+# error exponent 1/(p+1) of an order-one (p = 1) estimate
+SAFETY = 0.8
+FAC_MIN = 0.1
+FAC_MAX = 10.0
+ERR_EXPONENT = 0.5
+
+
 @dataclass
 class StepController:
     """Adaptive step state: tolerances plus the previous attempt's step/error.
@@ -505,15 +504,13 @@ class StepController:
     The controller works in the tolerance-scaled norm (a step is acceptable
     when the weighted error is <= 1), with the standard memory factor
     (err_prev/err_new)^(1/(p+1)) * (dt_cur/dt_prev) on top of the memoryless
-    proposal, a safety factor, and growth clamps.
+    proposal, the safety factor ``SAFETY`` and the clamps ``FAC_MIN``/``FAC_MAX``,
+    with p = 1 (``ERR_EXPONENT``); the tuning is fixed, so a controller holds
+    only its tolerances and the previous attempt.
     """
 
     atol: float
     rtol: float
-    safety: float = 0.8
-    fac_min: float = 0.1
-    fac_max: float = 10.0
-    order_hat: int = 1
     err_prev: Optional[float] = None
     dt_prev: Optional[float] = None
 
@@ -530,22 +527,21 @@ def propose_dt(ctrl: StepController, err_new: float, dt_cur: float):
     of alternating over- and undershoots).  Rejected attempts are stored
     too, otherwise a stale dt ratio can lock the proposal into a rejection
     loop.  A non-finite error (an overflowing weighted norm) rejects with
-    the smallest factor and is not stored: (inf/inf)^p would make the next
+    the smallest factor and is not stored: (inf/inf)^0.5 would make the next
     proposal NaN.
     """
     if err_new < 0:
         raise ValueError("error must be non-negative")
     if not math.isfinite(err_new):
-        return ctrl.fac_min * dt_cur, False
+        return FAC_MIN * dt_cur, False
     accept = err_new <= 1.0
-    p = 1.0 / (ctrl.order_hat + 1.0)
     if err_new < 1e-12:
-        fac = ctrl.fac_max
+        fac = FAC_MAX
     else:
-        fac = ctrl.safety * (1.0 / err_new) ** p
+        fac = SAFETY * (1.0 / err_new) ** ERR_EXPONENT
         if ctrl.err_prev is not None and ctrl.dt_prev:
-            fac *= (ctrl.err_prev / err_new) ** p * (dt_cur / ctrl.dt_prev)
-    fac = min(max(fac, ctrl.fac_min), ctrl.fac_max)
+            fac *= (ctrl.err_prev / err_new) ** ERR_EXPONENT * (dt_cur / ctrl.dt_prev)
+    fac = min(max(fac, FAC_MIN), FAC_MAX)
     if not accept:
         fac = min(fac, 1.0)
     ctrl.err_prev = max(err_new, 1e-14)
@@ -553,8 +549,7 @@ def propose_dt(ctrl: StepController, err_new: float, dt_cur: float):
     return fac * dt_cur, accept
 
 
-def select_stages(dt: float, rho: float, method: str, min_stages: Optional[int] = None,
-                  table_path: Optional[str] = None) -> int:
+def select_stages(dt: float, rho: float, method: str, min_stages: Optional[int] = None) -> int:
     """Smallest stage count the method runs whose stability interval, by its
     growth law, covers dt * rho; RK4, without one, runs its only stage count."""
     if dt <= 0 or rho <= 0:
@@ -563,7 +558,7 @@ def select_stages(dt: float, rho: float, method: str, min_stages: Optional[int] 
     need = 0 if spec.growth is None else math.ceil(math.sqrt(dt * rho / spec.growth) - 1e-9)
     if min_stages is not None:
         need = max(need, min_stages)
-    for s in spec.stage_counts(table_path):
+    for s in spec.stage_counts():
         if s >= need:
             return s
     raise ValueError(f"required stage count {need} exceeds the {method} stage counts")

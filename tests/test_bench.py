@@ -1,7 +1,6 @@
 import argparse
 import os
 import re
-import shutil
 import warnings
 
 from dataclasses import replace
@@ -82,19 +81,11 @@ def test_validation_accepts_exactly_the_valid_combinations():
 @pytest.mark.parametrize("kw, message", [
     (dict(nx=33, dct_algorithm="iterative"), "iterative DCT requires even N"),
     (dict(nx=24, dct_algorithm="recursive"), "recursive DCT requires N to be a power of two"),
-    (dict(rock2_table="/nonexistent"), "cannot read the ROCK2 table '/nonexistent'"),
-    (dict(rock2_table="/nonexistent", stages=5), "cannot read the ROCK2 table '/nonexistent'"),
-], ids=["iterative_odd", "recursive_not_pow2", "table", "table_with_stages"])
+], ids=["iterative_odd", "recursive_not_pow2"])
 def test_validation_rejects_what_the_run_cannot_set_up(kw, message):
-    # caught by validate itself, before the run builds its transforms or
-    # reads its stage table
+    # caught by validate itself, before the run builds its transforms
     with pytest.raises(ValueError, match=message):
         small_cfg(**kw).validate()
-
-
-def test_validation_ignores_the_rock2_table_off_rock2():
-    for integrator in ("rkc", "rk4"):
-        small_cfg(integrator=integrator, rock2_table="/nonexistent").validate()
 
 
 def test_zero_horizon_returns_initial_state():
@@ -230,6 +221,20 @@ def test_ghia_compare(tmp_path):
     assert ghia_compare(rep, os.path.join(tmp_path, "missing.csv")) is None
 
 
+def test_centerline_walls_default_to_the_reports_problem():
+    # without walls named, the profiles end at the cavity's own walls: the
+    # lid moves at u = 1
+    from chebflow.problems import lid_driven_cavity
+    rep = run_simulation(small_cfg(problem="cavity", re=100.0, nx=16, t_end=0.05,
+                                   pressure="p1"))
+    (yk, u_prof), (xk, v_prof) = centerline_profiles(rep)
+    (yk2, u_prof2), (xk2, v_prof2) = centerline_profiles(
+        rep, lid_driven_cavity(100.0).boundary.velocity)
+    for a, b in ((yk, yk2), (u_prof, u_prof2), (xk, xk2), (v_prof, v_prof2)):
+        assert np.array_equal(a, b)
+    assert u_prof[-1] == 1.0
+
+
 def test_unstable_run_is_flagged():
     # far beyond the stability limit with a pinned tiny stage count; the
     # report carries the blow-up, so the overflow raises no numpy warning
@@ -288,7 +293,7 @@ def test_cli_run_flags_and_defaults_are_run_config():
     assert sorted(flags) == sorted([
         "--problem", "--re", "--nx", "--dt", "--adaptive", "--atol", "--rtol",
         "--t-end", "--integrator", "--coupling", "--pressure", "--cp", "--stages",
-        "--no-advection", "--out", "--config", "--rock2-table", "--dct-algorithm"])
+        "--no-advection", "--out", "--config", "--dct-algorithm"])
     opts = _resolve(argparse.Namespace())
     assert opts.pop("out") is None
     assert RunConfig(**opts) == RunConfig()
@@ -455,22 +460,11 @@ def test_validation_rejects_invalid_values(kw, message):
         run_simulation(small_cfg(**kw))
 
 
-def test_cli_rock2_table_reaches_solver_without_touching_environment(tmp_path, capsys):
-    from chebflow.integrators import rock2_table_path
-    table = os.path.join(tmp_path, "rock2.txt")
-    shutil.copy(rock2_table_path(), table)
+def test_cli_run_leaves_the_environment_unchanged(capsys):
     before = dict(os.environ)
-    args = ["run", "--problem", "taylor", "--nx", "8", "--dt", "0.001",
-            "--t-end", "0.003", "--integrator", "rock2", "--coupling", "dae",
-            "--pressure", "p1", "--rock2-table"]
-    assert cli_main(args + [table]) == 0
-    assert dict(os.environ) == before
-    # the solver reads the table named on the command line
-    corrupt = os.path.join(tmp_path, "corrupt.txt")
-    with open(corrupt, "w") as fh:
-        fh.write("x 1\n")
-    with pytest.raises(ValueError, match="corrupt ROCK2 table"):
-        cli_main(args + [corrupt])
+    assert cli_main(["run", "--problem", "taylor", "--nx", "8", "--dt", "0.001",
+                     "--t-end", "0.003", "--integrator", "rock2", "--coupling", "dae",
+                     "--pressure", "p1"]) == 0
     assert dict(os.environ) == before
     capsys.readouterr()
 

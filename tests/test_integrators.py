@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from conftest import fit_loglog_slope
 
-from chebflow.integrators import (IntegrationDiverged, StageHook, StepController,
-                                  butcher_tableau, pirock_step,
+from chebflow.integrators import (FAC_MAX, FAC_MIN, SAFETY, IntegrationDiverged,
+                                  StageHook, StepController, butcher_tableau, pirock_step,
                                   propose_dt, rk4_step, rkc_step, rkc_tableau,
                                   rock2_degrees, rock2_step, rock2_tableau,
                                   select_stages, stability_poly_eval)
@@ -217,7 +217,7 @@ def test_hook_neutrality_bit_for_bit():
         hooked, _ = step(f, y0, 0.1, 0.05, tab, hook=identity)
         assert np.array_equal(plain, hooked)
     assert np.array_equal(rk4_step(f, y0, 0.1, 0.05),
-                          rk4_step(f, y0, 0.1, 0.05, hook=StageHook(False, None)))
+                          rk4_step(f, y0, 0.1, 0.05, hook=identity))
 
 
 def test_rkc_error_estimate_refused_with_projection():
@@ -236,31 +236,32 @@ def test_divergence_detection():
 
 
 def test_controller_examples():
-    ctrl = StepController(atol=1.0, rtol=1.0, safety=1.0)
+    ctrl = StepController(atol=1.0, rtol=1.0)
     ctrl.err_prev, ctrl.dt_prev = 1.0, 0.02
     dt_new, accept = propose_dt(ctrl, 1.0, 0.02)
-    assert accept and abs(dt_new - 0.02) < 1e-15     # fixed point
+    assert accept and abs(dt_new - SAFETY * 0.02) < 1e-15    # 0.016: the safety factor alone
     ctrl.err_prev, ctrl.dt_prev = 1.0, 0.01
     dt_new, accept = propose_dt(ctrl, 4.0, 0.01)
-    assert not accept and abs(dt_new - 0.0025) < 1e-15
+    # 0.002: (1/4)^(1/2) twice, from the error and the memory factor
+    assert not accept and abs(dt_new - SAFETY * 0.25 * 0.01) < 1e-15
     dt_new, accept = propose_dt(ctrl, 1e-12, 0.01)
-    assert accept and abs(dt_new - 0.1) < 1e-15      # fac_max clamp
+    assert accept and abs(dt_new - FAC_MAX * 0.01) < 1e-15   # growth clamp
     # clamps bound every proposal
     ctrl2 = StepController(atol=1e-6, rtol=1e-6)
     for err in (1e-9, 1e3):
         dt_new, _ = propose_dt(ctrl2, err, 0.01)
-        assert 0.1 * 0.01 - 1e-18 <= dt_new <= 10 * 0.01 + 1e-18
+        assert FAC_MIN * 0.01 - 1e-18 <= dt_new <= FAC_MAX * 0.01 + 1e-18
 
 
 def test_controller_rejects_a_non_finite_error_without_storing_it():
     ctrl = StepController(atol=1e-300, rtol=1e-300)
     for err in (np.inf, np.inf, np.nan):
         dt_new, accept = propose_dt(ctrl, err, 0.01)
-        assert not accept and dt_new == ctrl.fac_min * 0.01
+        assert not accept and dt_new == FAC_MIN * 0.01
         assert ctrl.err_prev is None and ctrl.dt_prev is None
     propose_dt(ctrl, 4.0, 0.01)
     dt_new, accept = propose_dt(ctrl, np.inf, 0.005)
-    assert not accept and dt_new == ctrl.fac_min * 0.005
+    assert not accept and dt_new == FAC_MIN * 0.005
     assert (ctrl.err_prev, ctrl.dt_prev) == (4.0, 0.01)
 
 
@@ -295,11 +296,24 @@ def test_rkc_damped_strip():
 
 
 def test_rock2_table_path_resolution(tmp_path, monkeypatch):
-    import os
-    from chebflow.integrators import rock2_table_path
-    default = rock2_table_path()
-    assert default.endswith("rock2_coeffs.txt") and os.path.exists(default)
-    # the table is chosen by argument only; the environment plays no part
-    monkeypatch.setenv("CHEBFLOW_ROCK2_TABLE", "/tmp/custom_table.txt")
-    assert rock2_table_path() == default
-    assert rock2_table_path("/explicit/wins.txt") == "/explicit/wins.txt"
+    # the vendored table is the only one; the environment plays no part
+    from chebflow.integrators import _rock2_records
+    degrees = rock2_degrees()
+    corrupt = tmp_path / "corrupt.txt"
+    corrupt.write_text("x 1\n")
+    monkeypatch.setenv("CHEBFLOW_ROCK2_TABLE", str(corrupt))
+    _rock2_records.cache_clear()
+    assert rock2_degrees() == degrees
+
+
+def test_rock2_parser_rejects_malformed_files(tmp_path):
+    from chebflow.integrators import _parse_rock2_table
+    header = tmp_path / "header.txt"
+    header.write_text("x 1\n")
+    with pytest.raises(ValueError, match="corrupt ROCK2 table near: x 1"):
+        _parse_rock2_table(header)
+    short = tmp_path / "short.txt"       # s = 3 needs three mu values
+    short.write_text("s 3 eta 1 l 1 lstar 1 sigma 0.4 tau 0.3\n"
+                     "mu 0.1 0.2\nnu 0.1 0.2\nkappa 0.1 0.2\n")
+    with pytest.raises(ValueError, match="corrupt ROCK2 record for s=3"):
+        _parse_rock2_table(short)

@@ -13,7 +13,9 @@ one thread, as the bits of a matrix product can depend on the split.
 file; ``--compare FILE`` reads such a file (made from another tree) and,
 for every run whose fields or counters differ from it, prints max |du|,
 max |dv|, the largest relative pressure change max|dp| / max|p| over the
-stored pressures, and whether the counters agree.
+stored pressures, and whether the counters agree.  It exits with status 1
+when any run differs or is missing from FILE, and 0 otherwise, so a script
+can gate on bitwise identical results.
 
 Usage: python tools/field_digest.py [--src DIR] [--dump FILE] [--compare FILE]
 (DIR defaults to ./src)
@@ -140,7 +142,8 @@ def main(argv=None):
         np.savez(args.dump, **dump)
     if old is not None:
         print(f"{changed} of {len(runs)} runs differ from {args.compare}")
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
