@@ -26,25 +26,25 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .coupling import (CouplingState, FlowSystem, PressureNeeds, Stepper, ap1_pressure,
-                       ap2_pressure, ap2w_coefficients, ap2w_pressure, dae_step,
-                       pm1_second_order_pressure, pm1_step, pm1v_step, pm3_step)
+                       ap2_pressure, ap2w_pressure, dae_step, pm1_second_order_pressure,
+                       pm1_step, pm1v_step, pm3_step)
 from .grid import (CellField, GridSpec, inf_norm, sample_pressure,
                    sample_velocity, write_field)
 from .dct import ALGORITHMS, DEFAULT_ALGORITHM, check_size
-from .integrators import (METHODS, IntegrationDiverged, StepController,
-                          method_spec, nearest_stage_counts, propose_dt,
+from .integrators import (METHODS, IntegrationDiverged, StepController, growth_stages,
+                          growth_step, method_spec, nearest_stage_counts, propose_dt,
                           select_stages)
 from .poisson import PoissonSolver
 from . import coupling, spatial
-from .problems import ProblemSpec, make_problem
+from .problems import PROBLEMS, ProblemSpec, make_problem
 from .spatial import spectral_radius_estimate
 
 INTEGRATORS = tuple(METHODS)
 COUPLINGS = tuple(coupling.COUPLINGS)
 PRESSURES = tuple(dict.fromkeys(p for c in coupling.COUPLINGS.values() for p in c.pressures))
 # the values of RunConfig's choice fields: validate checks them, the CLI offers them
-CHOICES = dict(integrator=INTEGRATORS, coupling=COUPLINGS, pressure=PRESSURES,
-               cp=(0, 1), dct_algorithm=ALGORITHMS)
+CHOICES = dict(problem=tuple(PROBLEMS), integrator=INTEGRATORS, coupling=COUPLINGS,
+               pressure=PRESSURES, cp=(0, 1), dct_algorithm=ALGORITHMS)
 # the columns of each study's rows (the stability sweep's by mode), as its CSV
 # file and the CLI print them
 HEADERS = {
@@ -120,6 +120,10 @@ class RunConfig:
             raise ValueError(f"the {self.coupling} coupling reports no {self.pressure} pressure")
         if needs.integrator not in (None, self.integrator):
             raise ValueError(f"{self.pressure} needs the stages of {needs.integrator}")
+        if (self.coupling == "pm3" and make_problem(self.problem, self.re, self.advection)
+                .boundary.tangential_normal_derivative is None):
+            raise ValueError(f"pm3 needs the exact wall-normal derivatives, which the "
+                             f"{self.problem} problem does not give")
         return self
 
 
@@ -132,7 +136,6 @@ class RunReport:
     p: np.ndarray
     pressures: dict
     t_final: float
-    steps_attempted: int = 0
     steps_accepted: int = 0
     steps_rejected: int = 0
     total_stages: int = 0
@@ -143,6 +146,10 @@ class RunReport:
     err_u: Optional[float] = None
     err_p: Optional[float] = None
     divergence_history: List[float] = field(default_factory=list)
+
+    @property
+    def steps_attempted(self) -> int:
+        return self.steps_accepted + self.steps_rejected
 
     @property
     def avg_stages(self) -> float:
@@ -159,7 +166,7 @@ def run_simulation(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
     system = FlowSystem(spec, prob.boundary, prob.forcing, prob.advection,
                         poisson=PoissonSolver(cfg.nx, cfg.dct_algorithm),
                         forcing_factory=prob.forcing_factory)
-    rho = spectral_radius_estimate(spec)
+    rho = _spectral_radius(cfg)
 
     u0 = sample_velocity(spec, prob.initial_velocity(0.0), 0.0)
     if prob.exact_pressure is not None:
@@ -177,16 +184,9 @@ def run_simulation(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
 
     min_stages = coupling.PRESSURE_NEEDS.get(cfg.pressure, PressureNeeds()).min_stages
     step = {"pm1": pm1_step, "pm1v": pm1v_step, "pm3": pm3_step, "dae": dae_step}[cfg.coupling]
-    # the pressure from the state after a step of dt; p1 is the state's own
-    recover = {
-        "p1": None,
-        "p2": lambda state, stepper, dt: pm1_second_order_pressure(state, system),
-        "ap1": lambda state, stepper, dt: ap1_pressure(state, system),
-        "ap2": lambda state, stepper, dt: ap2_pressure(
-            state.phi_log, [1, stepper.s, stepper.s + 1], dt),
-        "ap2w": lambda state, stepper, dt: ap2w_pressure(
-            state.phi_log, ap2w_coefficients(stepper.tableau, (2, 3, 4)), dt),
-    }[cfg.pressure]
+    # the pressure from the state after a step; p1 is the state's own
+    recover = {"p1": None, "p2": pm1_second_order_pressure, "ap1": ap1_pressure,
+               "ap2": ap2_pressure, "ap2w": ap2w_pressure}[cfg.pressure]
 
     def stepper_for(s: int) -> Stepper:
         if s not in steppers:
@@ -209,7 +209,6 @@ def run_simulation(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
                 s_used = cfg.stages or select_stages(dt_step, rho, cfg.integrator, min_stages)
                 stepper = stepper_for(s_used)
                 new_state, err = step(state, system, stepper, dt_step, err_norm)
-                report.steps_attempted += 1
                 report.total_stages += s_used
                 if ctrl is not None and err is not None:
                     dt_new, accept = propose_dt(ctrl, err, dt_step)
@@ -236,7 +235,7 @@ def run_simulation(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
                     norm_u = max(inf_norm(state.u), 0.0)
                     report.divergence_history.append(inf_norm(div) / (1.0 + norm_u))
                 if cfg.cp == 1 and recover is not None:
-                    state.p = recover(state, stepper, dt_step)
+                    state.p = recover(state, system, stepper, dt_step)
     except IntegrationDiverged:
         report.unstable = True
         report.blow_up_time = state.t
@@ -246,7 +245,7 @@ def run_simulation(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
             report.blow_up_time = state.t
         elif cfg.cp == 0 and recover is not None and last_dt_step is not None:
             report.pressures["p1"] = state.p.values.copy()
-            state.p = recover(state, stepper, last_dt_step)
+            state.p = recover(state, system, stepper, last_dt_step)
     report.wall_time = time.perf_counter() - t0
     report.t_final = state.t
     report.u, report.v, report.p = state.u.u, state.u.v, state.p.values
@@ -470,6 +469,11 @@ def _stable_run(cfg: RunConfig, prob: ProblemSpec, dt: float, s: int) -> bool:
     return peak <= 10.0 * max(scale, 1e-30)
 
 
+def _spectral_radius(cfg: RunConfig) -> float:
+    """The diffusion operator's spectral radius bound on cfg's grid."""
+    return spectral_radius_estimate(GridSpec(cfg.nx, nu=1.0 / cfg.re))
+
+
 def _growth(cfg: RunConfig) -> float:
     """The growth constant of the stability interval; studies need one."""
     growth = method_spec(cfg.integrator).growth
@@ -496,9 +500,7 @@ def max_stable_dt(cfg: RunConfig, s: int, rel_tol: float = 0.02,
     _trial(cfg, 1.0, s).validate()      # the trials pick their own steps
     growth = _growth(cfg)
     prob = problem if problem is not None else make_problem(cfg.problem, cfg.re, cfg.advection)
-    spec = GridSpec(cfg.nx, nu=1.0 / cfg.re)
-    rho = spectral_radius_estimate(spec)
-    theory = growth * s * s / rho
+    theory = growth_step(growth, s, _spectral_radius(cfg))
     lo, hi = 0.5 * theory, 1.5 * theory
     while _stable_run(cfg, prob, hi, s):
         hi *= 1.5
@@ -542,18 +544,16 @@ def stability_sweep(cfg: RunConfig, mode: str, values: Sequence, dt: float = 1e-
     growth = _growth(cfg)
     rows = []
     if mode == "max_dt_given_s":
-        spec = GridSpec(cfg.nx, nu=1.0 / cfg.re)
-        rho = spectral_radius_estimate(spec)
+        rho = _spectral_radius(cfg)
         for s in values:
             measured = max_stable_dt(cfg, int(s))
-            rows.append((int(s), measured, growth * s * s / rho))
+            rows.append((int(s), measured, growth_step(growth, s, rho)))
     elif mode == "min_s_given_dt":
         for re_val in values:
             cfg_re = replace(cfg, re=float(re_val), advection=False)
-            spec = GridSpec(cfg.nx, nu=1.0 / float(re_val))
-            rho = spectral_radius_estimate(spec)
             s_meas = min_stable_stages(cfg_re, dt)
-            rows.append((float(re_val), s_meas, float(np.sqrt(dt * rho / growth))))
+            rows.append((float(re_val), s_meas,
+                         growth_stages(growth, dt, _spectral_radius(cfg_re))))
     else:
         raise ValueError("mode must be 'max_dt_given_s' or 'min_s_given_dt'")
     return rows

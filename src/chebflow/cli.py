@@ -25,9 +25,6 @@ import typing
 from .bench import (CHOICES, HEADERS, RunConfig, convergence_study, efficiency_study,
                     ghia_compare, reynolds_sweep, run_simulation, stability_sweep,
                     write_csv, write_outputs, write_rows)
-from .problems import PROBLEMS
-
-_CHOICES = dict(CHOICES, problem=tuple(PROBLEMS))
 _HELP = dict(re="Reynolds number", nx="cells per side", dt="fixed (or initial) time step",
              out="output directory")
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
@@ -52,8 +49,8 @@ def _cast(f, text):
             raise ValueError(f"expected one of {'/'.join(_BOOLS)}, got {text!r}")
         return _BOOLS[text.lower()]
     value = _kind(f)(text)
-    if f.name in _CHOICES and value not in _CHOICES[f.name]:
-        raise ValueError(f"expected one of {_CHOICES[f.name]}, got {text!r}")
+    if f.name in CHOICES and value not in CHOICES[f.name]:
+        raise ValueError(f"expected one of {CHOICES[f.name]}, got {text!r}")
     return value
 
 
@@ -90,7 +87,7 @@ def _add_run_options(p):
             p.add_argument(flag, dest=f.name, action="store_const", const=not f.default,
                            default=None)
         else:
-            p.add_argument(flag, type=_kind(f), choices=_CHOICES.get(f.name),
+            p.add_argument(flag, type=_kind(f), choices=CHOICES.get(f.name),
                            default=None, help=_HELP.get(f.name))
     p.add_argument("--config", default=None, help="key = value config file")
 

@@ -151,11 +151,9 @@ class FlowSystem:
             last = self._last_walls = (t, self.bc, walls)
         return last[2]
 
-    def rhs_config(self, include_pressure: bool, pm3: bool = False,
-                   advection: Optional[bool] = None, diffusion: bool = True,
-                   forcing: bool = True) -> MomentumRhsConfig:
+    def rhs_config(self, pm3: bool = False, advection: Optional[bool] = None,
+                   diffusion: bool = True, forcing: bool = True) -> MomentumRhsConfig:
         return MomentumRhsConfig(
-            include_pressure=include_pressure,
             include_advection=self.advection if advection is None else advection,
             forcing=self._forcing_eval if forcing else None,
             pm3_derivative=self.bc.tangential_normal_derivative if pm3 else None,
@@ -163,7 +161,8 @@ class FlowSystem:
         )
 
     def rhs_flat(self, cfg: MomentumRhsConfig, p: Optional[CellField] = None):
-        """Momentum RHS as a callable on flattened state vectors.
+        """Momentum RHS as a callable on flattened state vectors, with the
+        pressure gradient of ``p`` when given.
 
         Every call returns a new array: the integrators keep earlier
         evaluations (f_0, f_{s-2}) across later ones.
@@ -228,20 +227,19 @@ def pm1_step(state: CouplingState, system: FlowSystem, stepper: Stepper,
     """
     if pm3 and system.bc.tangential_normal_derivative is None:
         raise ValueError("PM3 requires exact boundary derivatives")
-    cfg = system.rhs_config(include_pressure=True, pm3=pm3)
     p_n = state.p
     w0 = state.u.flatten()
     t = state.t
     if stepper.method == "pirock":
         # diffusion operator carries the frozen pressure gradient; advection
         # operator carries the nonlinear term and the forcing
-        f_d = system.rhs_flat(system.rhs_config(True, pm3=pm3, advection=False,
-                                                forcing=False), p_n)
-        f_a = system.rhs_flat(system.rhs_config(False, diffusion=False))
+        f_d = system.rhs_flat(system.rhs_config(pm3=pm3, advection=False, forcing=False),
+                              p_n)
+        f_a = system.rhs_flat(system.rhs_config(diffusion=False))
         w_star = pirock_step(f_d, f_a, w0, t, dt, stepper.tableau)
         err = None
     else:
-        f = system.rhs_flat(cfg, p_n)
+        f = system.rhs_flat(system.rhs_config(pm3=pm3), p_n)
         w_star, err = stepper.advance(f, w0, t, dt, hook=None, err_norm=err_norm)
     w_new, phi1 = _project_once(system, w_star, t + dt)
     p_new = CellField(p_n.values + (2.0 / dt) * phi1.values).zero_mean()
@@ -274,7 +272,7 @@ def pm1v_step(state: CouplingState, system: FlowSystem, stepper: Stepper,
     """Per-stage-projection variant of PM1 (recursion on projected stages)."""
     log: list = []
     hook = _stage_hook(system, False, dt, log)
-    f = system.rhs_flat(system.rhs_config(include_pressure=True), state.p)
+    f = system.rhs_flat(system.rhs_config(), state.p)
     w_new, err = stepper.advance(f, state.u.flatten(), state.t, dt, hook, err_norm)
     phi_last = log[-1][2]
     p_new = CellField(state.p.values + (2.0 / dt) * phi_last.values).zero_mean()
@@ -292,7 +290,7 @@ def dae_step(state: CouplingState, system: FlowSystem, stepper: Stepper,
     """
     log: list = []
     hook = _stage_hook(system, True, dt, log)
-    f = system.rhs_flat(system.rhs_config(include_pressure=False))
+    f = system.rhs_flat(system.rhs_config())
     w_new, err = stepper.advance(f, state.u.flatten(), state.t, dt, hook, err_norm)
     p_new = log[-1][2].zero_mean()
     new = CouplingState(VelocityField.from_flat(w_new, system.spec.N), p_new,
@@ -301,21 +299,22 @@ def dae_step(state: CouplingState, system: FlowSystem, stepper: Stepper,
 
 
 # ---------------------------------------------------------------------------
-# pressure recoveries
+# pressure recoveries: recover(state, system, stepper, dt) is the pressure at
+# state.t after a step of dt by stepper; AP2 and AP2W pick their stages from it
 # ---------------------------------------------------------------------------
 
 def _hidden_constraint(state: CouplingState, system: FlowSystem,
                        p: Optional[CellField], rate_bc: BoundaryData) -> CellField:
     """phi with lap phi = div F(u, t): F the momentum RHS with the pressure p
     (None: no pressure term), its boundary faces the wall rates ``rate_bc``."""
-    cfg = system.rhs_config(include_pressure=p is not None)
-    F = momentum_rhs(state.u, p, system.bc, system.spec, state.t, cfg,
+    F = momentum_rhs(state.u, p, system.bc, system.spec, state.t, system.rhs_config(),
                      walls=system.walls(state.t), work=system.work)
     rhs = divergence(F, rate_bc, system.spec, state.t, work=system.work)
     return system.poisson.solve(rhs)
 
 
-def pm1_second_order_pressure(state: CouplingState, system: FlowSystem) -> CellField:
+def pm1_second_order_pressure(state: CouplingState, system: FlowSystem,
+                              stepper: Stepper, dt: float) -> CellField:
     """Second projection on the acceleration: p + phi2 with lap phi2 = div F."""
     rate_bc = (system.bc.as_rate() if system.bc.velocity_dt is not None
                else BoundaryData(velocity=lambda t, x, y: (np.zeros_like(x), np.zeros_like(y))))
@@ -323,7 +322,8 @@ def pm1_second_order_pressure(state: CouplingState, system: FlowSystem) -> CellF
     return CellField(state.p.values + phi2.values).zero_mean()
 
 
-def ap1_pressure(state: CouplingState, system: FlowSystem) -> CellField:
+def ap1_pressure(state: CouplingState, system: FlowSystem,
+                 stepper: Stepper, dt: float) -> CellField:
     """Solve the hidden constraint lap p = div F(u, t) - r1'(t) for the pressure."""
     if system.bc.velocity_dt is None:
         raise ValueError("AP1 requires boundary time derivative")
@@ -369,27 +369,15 @@ def reconstruct_pressure(entries, dt: float) -> CellField:
     return CellField(acc).zero_mean()
 
 
-def ap2_pressure(phi_log, stage_indices, dt: float) -> CellField:
-    """Lagrange reconstruction through selected stage potentials (RKC).
+def ap2_pressure(state: CouplingState, system: FlowSystem,
+                 stepper: Stepper, dt: float) -> CellField:
+    """Lagrange reconstruction through the step start, U_s and U_{s+1} (RKC).
 
-    ``stage_indices`` selects stages by their U-index; index 1 denotes the
-    step start (zero average).  The last selected stage must be the final
-    one (node 1).  Stage potentials must be second-order accurate averages,
-    which requires second-order internal stages and s >= 3.
+    The stage potentials must be second-order accurate averages, which
+    requires second-order internal stages and s >= ``AP2_MIN_STAGES``.
     """
-    by_index = {i: (c, phi) for i, c, phi in phi_log}
-    entries = []
-    for k in stage_indices:
-        if k == 1:
-            entries.append((0.0, None))
-        elif k in by_index:
-            entries.append(by_index[k])
-        else:
-            raise ValueError(f"stage {k} not present in the potential log")
-    entries.sort(key=lambda e: e[0])
-    if entries[0][0] != 0.0:
-        raise ValueError("reconstruction must include the step start")
-    return reconstruct_pressure(entries, dt)
+    stages = {i: (c, phi) for i, c, phi in state.phi_log}
+    return reconstruct_pressure([(0.0, None), stages[stepper.s], stages[stepper.s + 1]], dt)
 
 
 @dataclass(frozen=True)
@@ -405,7 +393,7 @@ class Ap2wCoefficients:
     gamma: float
 
 
-def ap2w_coefficients(tableau: Rock2Tableau, stages=(2, 3, 4)) -> Ap2wCoefficients:
+def ap2w_coefficients(tableau: Rock2Tableau, stages) -> Ap2wCoefficients:
     """Weights annihilating both the O(dt) node offset and the shared
     leading error term of the stage averages; the nodes are the tableau's,
     at which the DAE step projects its stages."""
@@ -436,15 +424,14 @@ def ap2w_coefficients(tableau: Rock2Tableau, stages=(2, 3, 4)) -> Ap2wCoefficien
                             alpha=alpha, beta=beta, gamma=gamma)
 
 
-def ap2w_pressure(phi_log, coeffs: Ap2wCoefficients, dt: float) -> CellField:
-    """AP2 reconstruction seeded with the combined second-order average."""
-    by_index = {i: (c, phi) for i, c, phi in phi_log}
-    i, j, k = coeffs.stages
-    phi_i, phi_j, phi_k = (by_index[m][1] for m in (i, j, k))
+def ap2w_pressure(state: CouplingState, system: FlowSystem,
+                  stepper: Stepper, dt: float) -> CellField:
+    """AP2 reconstruction through the step start, the combination of U_2, U_3
+    and U_4 (second order from ROCK2's first-order stages) and U_{s+1}."""
+    coeffs = ap2w_coefficients(stepper.tableau, (2, 3, 4))
+    stages = {i: (c, phi) for i, c, phi in state.phi_log}
+    phi_i, phi_j, phi_k = (stages[m][1] for m in coeffs.stages)
     s_total = coeffs.alpha + coeffs.beta + coeffs.gamma
     bar = CellField((coeffs.alpha * phi_i.values + coeffs.beta * phi_j.values
                      + coeffs.gamma * phi_k.values) / s_total)
-    last_index = max(by_index)
-    c_last, phi_last = by_index[last_index]
-    entries = [(0.0, None), (coeffs.c[1], bar), (c_last, phi_last)]
-    return reconstruct_pressure(entries, dt)
+    return reconstruct_pressure([(0.0, None), (coeffs.c[1], bar), stages[stepper.s + 1]], dt)

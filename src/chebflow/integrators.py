@@ -209,21 +209,24 @@ def _parse_rock2_table(path):
     records = {}
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    i = 0
-    while i < len(lines):
+    for i in range(0, len(lines), 4):
         head = lines[i].split()
         if head[0] != "s":
             raise ValueError(f"corrupt ROCK2 table near: {lines[i][:60]}")
         kv = dict(zip(head[0::2], head[1::2]))
-        s = int(kv["s"])
-        mu = np.array([float(x) for x in lines[i + 1].split()[1:]])
-        nu = np.array([float(x) for x in lines[i + 2].split()[1:]])
-        ka = np.array([float(x) for x in lines[i + 3].split()[1:]])
+        s = kv.get("s")
+        try:
+            s = int(s)
+            sigma, tau = float(kv["sigma"]), float(kv["tau"])
+            mu, nu, ka = (np.array([float(x) for x in lines[i + k].split()[1:]])
+                          for k in (1, 2, 3))
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise ValueError(f"corrupt ROCK2 record for s={s} in {path}: "
+                             f"{type(exc).__name__} {exc}") from None
         if len(mu) != s or len(nu) != s - 1 or len(ka) != s - 1:
-            raise ValueError(f"corrupt ROCK2 record for s={s}")
-        records[s] = dict(sigma=float(kv["sigma"]), tau=float(kv["tau"]),
-                          mu=mu, nu=nu, kappa=ka)
-        i += 4
+            raise ValueError(f"corrupt ROCK2 record for s={s} in {path}: "
+                             "wrong number of coefficients")
+        records[s] = dict(sigma=sigma, tau=tau, mu=mu, nu=nu, kappa=ka)
     return records
 
 
@@ -549,13 +552,23 @@ def propose_dt(ctrl: StepController, err_new: float, dt_cur: float):
     return fac * dt_cur, accept
 
 
+def growth_step(growth: float, s: float, rho: float) -> float:
+    """The largest step the growth law lets s stages take: growth·s²/ρ."""
+    return growth * s * s / rho
+
+
+def growth_stages(growth: float, dt: float, rho: float) -> float:
+    """The (real) stage count the growth law needs for step dt: √(dt·ρ/growth)."""
+    return math.sqrt(dt * rho / growth)
+
+
 def select_stages(dt: float, rho: float, method: str, min_stages: Optional[int] = None) -> int:
     """Smallest stage count the method runs whose stability interval, by its
     growth law, covers dt * rho; RK4, without one, runs its only stage count."""
     if dt <= 0 or rho <= 0:
         raise ValueError("dt and rho must be positive")
     spec = method_spec(method)
-    need = 0 if spec.growth is None else math.ceil(math.sqrt(dt * rho / spec.growth) - 1e-9)
+    need = 0 if spec.growth is None else math.ceil(growth_stages(spec.growth, dt, rho) - 1e-9)
     if min_stages is not None:
         need = max(need, min_stages)
     for s in spec.stage_counts():

@@ -36,20 +36,14 @@ class PoissonSolver:
         safe[0, 0] = 1.0
         self._scale = self.dx**2 / safe
 
-    def solve(self, rhs: CellField, return_diagnostics: bool = False):
+    def solve(self, rhs: CellField) -> CellField:
         """Solve lap u = rhs with zero-mean gauge.
 
-        With ``return_diagnostics`` the discarded incompatible-mean magnitude
-        (dx^2 F_00, i.e. the residual the projected mode leaves behind) is
-        returned alongside the solution.
+        The mean of rhs, which no field with Neumann walls can produce, is
+        discarded with the (0, 0) mode.
         """
         if rhs.N != self.N:
             raise ValueError(f"rhs side {rhs.N} does not match solver N={self.N}")
-        F = dct2d(self.plan, rhs.values)
-        discarded = self.dx**2 * F[0, 0]
-        U = self._scale * F
+        U = self._scale * dct2d(self.plan, rhs.values)
         U[0, 0] = 0.0
-        u = CellField(idct2d(self.plan, U))
-        if return_diagnostics:
-            return u, float(discarded)
-        return u
+        return CellField(idct2d(self.plan, U))

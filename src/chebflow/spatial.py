@@ -25,7 +25,8 @@ from .grid import BoundaryData, CellField, GridSpec, VelocityField
 
 @dataclass
 class MomentumRhsConfig:
-    """Term selection for the momentum right-hand side.
+    """Term selection for the momentum right-hand side; the pressure gradient
+    is not selected here but comes with the pressure ``momentum_rhs`` gets.
 
     ``forcing``, when given, is a grid evaluator ``g(t) -> (f1, f2)``, f1 at
     the stored u unknowns and f2 at the stored v unknowns (``FlowSystem``
@@ -36,7 +37,6 @@ class MomentumRhsConfig:
     Neumann data over the actual wall-to-unknown distance dx/2.
     """
 
-    include_pressure: bool = True
     include_advection: bool = True
     forcing: Optional[Callable] = None
     pm3_derivative: Optional[Callable] = None
@@ -176,15 +176,14 @@ def momentum_rhs(vel: VelocityField, p: Optional[CellField], bc: BoundaryData,
                  walls=None, out=None, work=None) -> VelocityField:
     """Momentum right-hand side -(u.grad)u - grad p + nu lap u + forcing.
 
-    Each term is included according to ``cfg``; the pressure gradient needs
-    ``p``.  Boundary values are evaluated at time t; ``walls``, when given,
-    is ``wall_velocities(bc, spec, t)`` sampled earlier.  ``out``, a
+    Each term but the pressure gradient is included according to ``cfg``;
+    the pressure gradient is subtracted exactly when ``p`` is given.
+    Boundary values are evaluated at time t; ``walls``, when given, is
+    ``wall_velocities(bc, spec, t)`` sampled earlier.  ``out``, a
     :class:`VelocityField` (such as views of a flat vector), receives the
     result; ``work``, a :class:`StencilWork` for this grid, supplies the
     scratch arrays.  Either is allocated when omitted.
     """
-    if cfg.include_pressure and p is None:
-        raise ValueError("pressure required")
     N, dx, nu = spec.N, spec.dx, spec.nu
     dx2 = dx**2
     if walls is None:
@@ -264,7 +263,7 @@ def momentum_rhs(vel: VelocityField, p: Optional[CellField], bc: BoundaryData,
         A += C
         R -= A
 
-    if cfg.include_pressure:
+    if p is not None:
         # (p[1:] - p[:-1]) / dx, from p and p^T in the blocks of c
         work.c_p[...] = p.values
         work.c_pt[...] = p.values.T

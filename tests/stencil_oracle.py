@@ -66,7 +66,7 @@ def momentum_rhs(vel, p, bc, spec, t, cfg):
         dudy[:, -1] = -(u[:, -2] + 3.0 * u[:, -1] - 4.0 * walls["u_top"]) / (3.0 * dx)
         vbar = 0.25 * (vf[:-1, :-1] + vf[1:, :-1] + vf[:-1, 1:] + vf[1:, 1:])
         rhs_u -= u * dudx + vbar * dudy
-    if cfg.include_pressure:
+    if p is not None:
         rhs_u -= (p.values[1:, :] - p.values[:-1, :]) / dx
 
     if cfg.include_diffusion:
@@ -90,7 +90,7 @@ def momentum_rhs(vel, p, bc, spec, t, cfg):
         dvdx[-1, :] = -(v[-2, :] + 3.0 * v[-1, :] - 4.0 * walls["v_right"]) / (3.0 * dx)
         ubar = 0.25 * (uf[:-1, :-1] + uf[:-1, 1:] + uf[1:, :-1] + uf[1:, 1:])
         rhs_v -= ubar * dvdx + v * dvdy
-    if cfg.include_pressure:
+    if p is not None:
         rhs_v -= (p.values[:, 1:] - p.values[:, :-1]) / dx
 
     if cfg.forcing is not None:

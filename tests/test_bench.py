@@ -81,7 +81,10 @@ def test_validation_accepts_exactly_the_valid_combinations():
 @pytest.mark.parametrize("kw, message", [
     (dict(nx=33, dct_algorithm="iterative"), "iterative DCT requires even N"),
     (dict(nx=24, dct_algorithm="recursive"), "recursive DCT requires N to be a power of two"),
-], ids=["iterative_odd", "recursive_not_pow2"])
+    (dict(problem="nope"), "problem must be one of"),
+    # the cavity's walls give no exact wall-normal derivative
+    (dict(problem="cavity", coupling="pm3", pressure="p1"), "pm3 needs the exact wall-normal"),
+], ids=["iterative_odd", "recursive_not_pow2", "unknown_problem", "pm3_without_derivatives"])
 def test_validation_rejects_what_the_run_cannot_set_up(kw, message):
     # caught by validate itself, before the run builds its transforms
     with pytest.raises(ValueError, match=message):

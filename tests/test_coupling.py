@@ -84,12 +84,12 @@ def test_pm1_second_order_pressure_consistent_state():
     prob = green_taylor(50.0)
     system = make_system(prob, 16)
     state = initial_state(prob, system)
-    cfg = system.rhs_config(include_pressure=False)
+    cfg = system.rhs_config()
     F = momentum_rhs(state.u, None, system.bc, system.spec, 0.0, cfg)
     rhs = divergence(F, system.bc.as_rate(), system.spec, 0.0)
     p_consistent = system.poisson.solve(rhs)
     state.p = p_consistent
-    p2 = pm1_second_order_pressure(state, system)
+    p2 = pm1_second_order_pressure(state, system, None, None)
     assert np.max(np.abs(p2.values - p_consistent.values)) < 1e-10 * (1 + inf_norm(p_consistent))
 
 
@@ -97,12 +97,12 @@ def test_pm1_second_order_pressure_perturbation_reversal():
     prob = green_taylor(50.0)
     system = make_system(prob, 16)
     state = initial_state(prob, system)
-    base = pm1_second_order_pressure(state, system)
+    base = pm1_second_order_pressure(state, system, None, None)
     rng = np.random.RandomState(31)
     delta = rng.randn(16, 16)
     delta -= delta.mean()
     state2 = CouplingState(state.u.copy(), CellField(state.p.values + delta), 0.0)
-    shifted = pm1_second_order_pressure(state2, system)
+    shifted = pm1_second_order_pressure(state2, system, None, None)
     assert np.max(np.abs(shifted.values - base.values)) < 1e-10 * (1 + inf_norm(base))
 
 
@@ -111,7 +111,7 @@ def test_pm1_second_order_pressure_zero_state():
     spec = GridSpec(8, nu=0.1)
     system = FlowSystem(spec, bc, None, True, poisson=PoissonSolver(8, "naive"))
     state = CouplingState(VelocityField.zeros(8), CellField.zeros(8), 0.0)
-    assert inf_norm(pm1_second_order_pressure(state, system)) < 1e-14
+    assert inf_norm(pm1_second_order_pressure(state, system, None, None)) < 1e-14
 
 
 def test_default_poisson_solver_takes_any_grid_size():
@@ -181,7 +181,7 @@ def test_dae_stages_satisfy_constraint():
         return w
 
     hook2 = type(hook)(hook.dual, checking_callback)
-    f = system.rhs_flat(system.rhs_config(include_pressure=False))
+    f = system.rhs_flat(system.rhs_config())
     rock2_step(f, state.u.flatten(), 0.0, 1e-2, stepper.tableau, hook2)
     assert len(checked) == 5
     assert max(checked) <= 1e-10
@@ -199,7 +199,7 @@ def test_dae_matches_explicit_index2_form():
     stepper = Stepper("rock2", s)
     dt = 1e-2
     A, b, c = butcher_tableau(stepper.tableau)
-    f = system.rhs_flat(system.rhs_config(include_pressure=False))
+    f = system.rhs_flat(system.rhs_config())
     zero = np.zeros_like(state.u.flatten())
 
     def project_raw(w):
@@ -240,7 +240,7 @@ def test_ap1_green_taylor_exact_state():
     t = 0.13
     u = sample_velocity(system.spec, prob.exact_velocity, t)
     state = CouplingState(u, CellField.zeros(32), t)
-    p = ap1_pressure(state, system)
+    p = ap1_pressure(state, system, None, None)
     pex = sample_pressure(system.spec, prob.exact_pressure, t).zero_mean()
     assert np.max(np.abs(p.values - pex.values)) <= 5e-3
 
@@ -251,11 +251,11 @@ def test_ap1_zero_state_and_missing_rate():
     spec = GridSpec(8, nu=0.1)
     system = FlowSystem(spec, bc, None, True, poisson=PoissonSolver(8, "naive"))
     state = CouplingState(VelocityField.zeros(8), CellField.zeros(8), 0.0)
-    assert inf_norm(ap1_pressure(state, system)) < 1e-13
+    assert inf_norm(ap1_pressure(state, system, None, None)) < 1e-13
     bare = BoundaryData(velocity=bc.velocity)
     system2 = FlowSystem(spec, bare, None, True, poisson=system.poisson)
     with pytest.raises(ValueError, match="AP1 requires boundary time derivative"):
-        ap1_pressure(state, system2)
+        ap1_pressure(state, system2, None, None)
 
 
 def test_ap1_stationary_boundaries_equal_mf_solve():
@@ -264,8 +264,8 @@ def test_ap1_stationary_boundaries_equal_mf_solve():
     t = 0.4
     u = sample_velocity(system.spec, prob.exact_velocity, t)
     state = CouplingState(u, CellField.zeros(16), t)
-    p = ap1_pressure(state, system)
-    cfg = system.rhs_config(include_pressure=False)
+    p = ap1_pressure(state, system, None, None)
+    cfg = system.rhs_config()
     F = momentum_rhs(u, None, system.bc, system.spec, t, cfg)
     zero_rate = BoundaryData(velocity=lambda t, x, y: (np.zeros_like(x + y),
                                                        np.zeros_like(x + y)))
@@ -320,9 +320,28 @@ def test_ap2_node_validation():
         reconstruct_pressure([(0.0, None), (1.0, phi)], dt)
     with pytest.raises(ValueError, match="distinct"):
         reconstruct_pressure([(0.0, None), (0.5, phi), (0.5, phi), (1.0, phi)], dt)
-    log = [(2, 0.5, phi), (3, 1.0, phi)]
-    with pytest.raises(ValueError, match="not present"):
-        ap2_pressure(log, [1, 4, 5], dt)
+
+
+@pytest.mark.parametrize("method, s", [("rkc", 3), ("rkc", 7), ("rock2", 3), ("rock2", 9)])
+def test_reconstructions_read_their_stages_from_the_stepper(method, s):
+    # AP2 interpolates through U_s and U_{s+1}; AP2W combines U_2, U_3, U_4
+    prob = green_taylor(100.0)
+    system = make_system(prob, 16)
+    stepper = Stepper(method, s)
+    dt = 1e-3
+    new, _ = dae_step(initial_state(prob, system), system, stepper, dt)
+    stages = {i: (c, phi) for i, c, phi in new.phi_log}
+    assert sorted(stages) == list(range(2, s + 2))
+    if method == "rkc":
+        want = reconstruct_pressure([(0.0, None), stages[s], stages[s + 1]], dt)
+        got = ap2_pressure(new, system, stepper, dt)
+    else:
+        co = ap2w_coefficients(stepper.tableau, (2, 3, 4))
+        bar = CellField((co.alpha * stages[2][1].values + co.beta * stages[3][1].values
+                         + co.gamma * stages[4][1].values) / (co.alpha + co.beta + co.gamma))
+        want = reconstruct_pressure([(0.0, None), (co.c[1], bar), stages[s + 1]], dt)
+        got = ap2w_pressure(new, system, stepper, dt)
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_ap2w_coefficients_identities_and_example():
@@ -365,9 +384,8 @@ def test_pressure_independence_of_velocity():
     new, _ = dae_step(state, system, stepper, 1e-3)
     u_before = new.u.u.copy()
     v_before = new.u.v.copy()
-    ap1_pressure(new, system)
-    co = ap2w_coefficients(stepper.tableau, (2, 3, 4))
-    ap2w_pressure(new.phi_log, co, 1e-3)
+    ap1_pressure(new, system, stepper, 1e-3)
+    ap2w_pressure(new, system, stepper, 1e-3)
     assert np.array_equal(new.u.u, u_before)
     assert np.array_equal(new.u.v, v_before)
 
@@ -475,6 +493,6 @@ def test_flow_system_with_a_factory_never_calls_the_pointwise_forcing():
     prob = dataclasses.replace(prob, forcing=counted)
     system = make_system(prob, 16)
     state, _ = dae_step(initial_state(prob, system), system, Stepper("rock2", 3), 1e-3)
-    ap1_pressure(state, system)
-    pm1_second_order_pressure(state, system)
+    ap1_pressure(state, system, None, None)
+    pm1_second_order_pressure(state, system, None, None)
     assert calls == []

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from conftest import fit_loglog_slope
@@ -317,3 +319,13 @@ def test_rock2_parser_rejects_malformed_files(tmp_path):
                      "mu 0.1 0.2\nnu 0.1 0.2\nkappa 0.1 0.2\n")
     with pytest.raises(ValueError, match="corrupt ROCK2 record for s=3"):
         _parse_rock2_table(short)
+    # a header without tau, and a record cut short after its mu line, name
+    # the file and the degree
+    no_tau = tmp_path / "no_tau.txt"
+    no_tau.write_text("s 3 sigma 0.4\nmu 0.1 0.2 0.3\nnu 0.1 0.2\nkappa 0.1 0.2\n")
+    cut = tmp_path / "cut.txt"
+    cut.write_text("s 3 sigma 0.4 tau 0.3\nmu 0.1 0.2 0.3\n")
+    for path in (no_tau, cut):
+        message = f"corrupt ROCK2 record for s=3 in {re.escape(str(path))}"
+        with pytest.raises(ValueError, match=message):
+            _parse_rock2_table(path)

@@ -84,11 +84,15 @@ def test_momentum_rhs_zero_state():
     assert inf_norm(rhs) == 0.0
 
 
-def test_momentum_rhs_requires_pressure():
+def test_momentum_rhs_subtracts_the_pressure_gradient_exactly_when_given_one():
     spec = GridSpec(8, nu=0.5)
-    with pytest.raises(ValueError, match="pressure required"):
-        momentum_rhs(VelocityField.zeros(8), None, zero_bc(), spec, 0.0,
-                     MomentumRhsConfig(include_pressure=True))
+    vel = VelocityField.zeros(8)
+    cfg = MomentumRhsConfig()
+    assert inf_norm(momentum_rhs(vel, None, zero_bc(), spec, 0.0, cfg)) == 0.0
+    p = CellField(np.random.RandomState(5).randn(8, 8))
+    rhs = momentum_rhs(vel, p, zero_bc(), spec, 0.0, cfg)
+    grad = gradient_to_faces(p, spec)
+    assert np.array_equal(rhs.u, -grad.u) and np.array_equal(rhs.v, -grad.v)
 
 
 def test_momentum_rhs_diffusion_polynomial_fields():
@@ -98,7 +102,7 @@ def test_momentum_rhs_diffusion_polynomial_fields():
     f = lambda t, x, y: (y**2, x**2)
     bc = BoundaryData(velocity=f)
     vel = sample_velocity(spec, f, 0.0)
-    cfg = MomentumRhsConfig(include_pressure=False, include_advection=False)
+    cfg = MomentumRhsConfig(include_advection=False)
     rhs = momentum_rhs(vel, None, bc, spec, 0.0, cfg)
     assert np.max(np.abs(rhs.u - 2.0)) < 1e-11
     assert np.max(np.abs(rhs.v - 2.0)) < 1e-11
@@ -108,7 +112,7 @@ def test_momentum_rhs_linearity_without_advection():
     spec = GridSpec(8, nu=0.3)
     prob = green_taylor(10.0)
     bc = prob.boundary
-    cfg = MomentumRhsConfig(include_pressure=False, include_advection=False)
+    cfg = MomentumRhsConfig(include_advection=False)
     rng = np.random.RandomState(6)
     x = VelocityField(rng.randn(7, 8), rng.randn(8, 7))
     y = VelocityField(rng.randn(7, 8), rng.randn(8, 7))
