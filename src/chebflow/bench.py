@@ -72,7 +72,8 @@ class RunConfig:
     integrator: str = "rock2"
     coupling: str = "dae"
     pressure: str = "p1"
-    cp: int = 0                         # 0: recover pressure at t_end only; 1: every step
+    cp: int = 0                         # 0: recover pressure at t_end only; 1: every step,
+                                        # for the next step to read
     stages: Optional[int] = None        # fixed stage count (otherwise selected per step)
     advection: bool = True
     dct_algorithm: str = DEFAULT_ALGORITHM
@@ -118,6 +119,9 @@ class RunConfig:
             raise ValueError("compensated accumulation is for RK4 reference runs only")
         if self.pressure not in coupling.COUPLINGS[self.coupling].pressures:
             raise ValueError(f"the {self.coupling} coupling reports no {self.pressure} pressure")
+        if self.cp == 1 and not coupling.COUPLINGS[self.coupling].reads_pressure:
+            raise ValueError(f"cp=1 recovers the pressure every step for the next step to "
+                             f"read, but the {self.coupling} step does not read it; use cp=0")
         if needs.integrator not in (None, self.integrator):
             raise ValueError(f"{self.pressure} needs the stages of {needs.integrator}")
         if (self.coupling == "pm3" and make_problem(self.problem, self.re, self.advection)
@@ -392,7 +396,8 @@ def convergence_study(cfg: RunConfig, axis: str = "time",
     Time axis: fixed grid, reference at the smallest step, h = dt.  Space
     axis: fixed step, reference on the finest (nested) grid restricted to
     each coarse one, h = dx.  Rows are ``HEADERS["convergence"]``: h, then
-    the error and slope of u, of the recovered pressure and of p1.
+    the error and slope of u, of the recovered pressure and of p1, each
+    against the reference's own.
     """
     prob = make_problem(cfg.problem, cfg.re, cfg.advection)
     # the reference run carries its coupling's second-order pressure
@@ -419,9 +424,10 @@ def convergence_study(cfg: RunConfig, axis: str = "time",
         for N in sorted(Ns):
             rep = run_simulation(replace(cfg, nx=N, dt=dt, adaptive=False), problem=prob)
             r = ref_N // N
-            p_ref = restrict_field(ref.p, "p", r)
             rows.append((1.0 / N, *_errors(rep, restrict_field(ref.u, "u", r),
-                                           restrict_field(ref.v, "v", r), p_ref, p_ref)))
+                                           restrict_field(ref.v, "v", r),
+                                           restrict_field(ref.p, "p", r),
+                                           restrict_field(ref.pressures["p1"], "p", r))))
         rows.sort(key=lambda r: -r[0])
     else:
         raise ValueError("axis must be 'time' or 'space'")

@@ -17,9 +17,10 @@ index-2 DAE: the momentum right-hand side carries no pressure at all, every
 stage U*_i is projected through the pressure-like variable phi_i solving
 ``lap phi_i = div(U*_i, t_i) / (c_i dt)``, and the recursion is advanced
 with the unprojected buffers (the realization equivalent to the Butcher
-form of the method).  Accurate pressures are recovered afterwards: AP1 by
-one extra Poisson solve of the hidden constraint, AP2 by differentiating a
-Lagrange interpolant of the pressure primitive through the phi_i (needs
+form of the method).  Accurate pressures are recovered afterwards, once,
+at the end of a run: AP1 by one extra Poisson solve of the hidden
+constraint, AP2 by differentiating the quadratic interpolant of the
+pressure primitive through the step start and two phi_i (needs
 second-order internal stages, i.e. RKC), AP2W by first combining three
 first-order phi_i into a second-order average (for ROCK2's order-one
 stages).
@@ -49,13 +50,14 @@ class Coupling:
 
     pressures: Tuple[str, ...]   # the pressures it reports: p1, the state's, then recoveries
     reference: str               # the second-order one its studies' reference runs use
+    reads_pressure: bool         # whether its step reads the state's pressure
 
 
 COUPLINGS = {
-    "pm1": Coupling(("p1", "p2"), "p2"),
-    "pm1v": Coupling(("p1", "p2"), "p2"),
-    "pm3": Coupling(("p1", "p2"), "p2"),
-    "dae": Coupling(("p1", "ap1", "ap2", "ap2w"), "ap1"),
+    "pm1": Coupling(("p1", "p2"), "p2", True),
+    "pm1v": Coupling(("p1", "p2"), "p2", True),
+    "pm3": Coupling(("p1", "p2"), "p2", True),
+    "dae": Coupling(("p1", "ap1", "ap2", "ap2w"), "ap1", False),
 }
 
 # AP2 reconstructs through U_s and U_{s+1}, which must be distinct from U_1
@@ -286,7 +288,8 @@ def dae_step(state: CouplingState, system: FlowSystem, stepper: Stepper,
     """Index-2 DAE step: pressure-free RHS, every stage projected, dual buffers.
 
     The stage potentials (c_i, phi_i) are logged for the pressure
-    recoveries; the state pressure is set to the first-order phi_{s+1}.
+    recoveries; the state pressure is set to the first-order phi_{s+1},
+    which the next step does not read.
     """
     log: list = []
     hook = _stage_hook(system, True, dt, log)
@@ -330,54 +333,30 @@ def ap1_pressure(state: CouplingState, system: FlowSystem,
     return _hidden_constraint(state, system, None, system.bc.as_rate()).zero_mean()
 
 
-def _lagrange_derivative_at_last(times: np.ndarray) -> np.ndarray:
-    """d/dt of each Lagrange basis polynomial, evaluated at the last node."""
-    m = len(times)
-    tm = times[-1]
-    out = np.empty(m)
-    for j in range(m):
-        others = np.delete(times, j)
-        if j == m - 1:
-            out[j] = np.sum(1.0 / (tm - others))
-        else:
-            mask = others != tm
-            num = np.prod(tm - others[mask])
-            out[j] = num / np.prod(times[j] - others)
-    return out
+def reconstruct_pressure(inner, last) -> CellField:
+    """Pressure at the node b of ``last`` from two running averages.
 
-
-def reconstruct_pressure(entries, dt: float) -> CellField:
-    """Pressure point value from running averages phi_i.
-
-    ``entries`` is a list of (c_i, phi_i or None) pairs sorted by node; the
-    first entry is the step start (c = 0, average zero) and the last must be
-    the step end (c = 1).  Returns the derivative of the interpolant of the
-    pressure primitive, evaluated at the step end, with zero-mean gauge.
+    ``inner`` = (a, phi_a) and ``last`` = (b, phi_b), phi_c the average of
+    p over the first c dt of the step.  The quadratic through the
+    primitive's values 0, a dt phi_a and b dt phi_b at the step start, a and
+    b has the derivative ((2b - a) phi_b - b phi_a) / (b - a) at b (dt
+    cancels); returned with zero-mean gauge.
     """
-    cs = np.array([c for c, _ in entries], dtype=float)
-    if len(cs) < 3:
-        raise ValueError("pressure reconstruction needs at least 3 nodes")
-    if np.unique(cs).size != cs.size:
-        raise ValueError("pressure reconstruction nodes must be distinct")
-    if abs(cs[0]) > 1e-14 or abs(cs[-1] - 1.0) > 1e-10:
-        raise ValueError("reconstruction nodes must bracket the step (c=0 and c=1)")
-    dl = _lagrange_derivative_at_last(cs * dt)
-    N = entries[-1][1].N
-    acc = np.zeros((N, N))
-    for (c, phi), w in zip(entries[1:], dl[1:]):
-        acc += (c * dt) * w * phi.values
-    return CellField(acc).zero_mean()
+    (a, phi_a), (b, phi_b) = inner, last
+    if len({0.0, a, b}) < 3:
+        raise ValueError(f"pressure reconstruction nodes 0, {a}, {b} must be distinct")
+    return CellField(((2 * b - a) * phi_b.values - b * phi_a.values) / (b - a)).zero_mean()
 
 
 def ap2_pressure(state: CouplingState, system: FlowSystem,
                  stepper: Stepper, dt: float) -> CellField:
-    """Lagrange reconstruction through the step start, U_s and U_{s+1} (RKC).
+    """Reconstruction through the step start, U_s and U_{s+1} (RKC).
 
     The stage potentials must be second-order accurate averages, which
     requires second-order internal stages and s >= ``AP2_MIN_STAGES``.
     """
     stages = {i: (c, phi) for i, c, phi in state.phi_log}
-    return reconstruct_pressure([(0.0, None), stages[stepper.s], stages[stepper.s + 1]], dt)
+    return reconstruct_pressure(stages[stepper.s], stages[stepper.s + 1])
 
 
 @dataclass(frozen=True)
@@ -434,4 +413,4 @@ def ap2w_pressure(state: CouplingState, system: FlowSystem,
     s_total = coeffs.alpha + coeffs.beta + coeffs.gamma
     bar = CellField((coeffs.alpha * phi_i.values + coeffs.beta * phi_j.values
                      + coeffs.gamma * phi_k.values) / s_total)
-    return reconstruct_pressure([(0.0, None), (coeffs.c[1], bar), stages[stepper.s + 1]], dt)
+    return reconstruct_pressure((coeffs.c[1], bar), stages[stepper.s + 1])

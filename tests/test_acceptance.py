@@ -258,27 +258,14 @@ def test_criterion_12_boundary_layer_ordering():
            f"pm1/pm1v = {errs['pm1'] / errs['pm1v']:.0f} >= 10")
 
 
-def test_criterion_13_cavity_long_run(tmp_path):
+def test_criterion_13_cavity_long_run():
     cfg = RunConfig(problem="cavity", re=1000.0, nx=128, adaptive=True,
                     atol=1e-3, rtol=1e-3, dt=1e-3, t_end=500.0,
                     integrator="rock2", coupling="dae", pressure="p1")
     rep = run_simulation(cfg)
     ok = (not rep.unstable) and abs(rep.t_final - 500.0) < 1e-6 \
         and np.max(np.abs(rep.u)) <= 10.0
-    # centerline comparison is reported when a reference file is present
-    import os
-    from chebflow.bench import centerline_profiles, ghia_compare
-    from chebflow.problems import lid_driven_cavity
-    bcv = lid_driven_cavity(1000.0).boundary.velocity
-    (yk, u_prof), (xk, v_prof) = centerline_profiles(rep, bcv)
-    path = os.path.join(tmp_path, "ghia_ref.csv")
-    with open(path, "w") as fh:
-        fh.write("profile,coord,value\n")
-        for c, v in zip(yk[::4], u_prof[::4]):
-            fh.write(f"u,{c:.17g},{v:.17g}\n")
-    stats = ghia_compare(rep, path, bc_velocity=bcv)
     report(13, "lid-driven cavity reaches t=500 stably", ok,
            f"steps {rep.steps_accepted} (+{rep.steps_rejected} rejected), "
            f"avg stages {rep.avg_stages:.1f}, max|u| = {np.max(np.abs(rep.u)):.3f}, "
-           f"wall {rep.wall_time:.0f}s; centerline RMS vs supplied reference: "
-           f"{stats['u']['rms']:.2e}")
+           f"wall {rep.wall_time:.0f}s")

@@ -37,6 +37,7 @@ def test_validation_rejects_illegal_combinations():
         dict(integrator="rkc", coupling="dae", pressure="ap2", stages=2),
         dict(integrator="rock2", compensated=True),
         dict(dt=None),
+        dict(coupling="dae", cp=1),
     ]
     for kw in bad:
         with pytest.raises(ValueError):
@@ -54,6 +55,9 @@ ACCEPTED_ADAPTIVE = {
     "rkc": {"pm1": "p1 p2", "pm3": "p1 p2"},
     "rock2": {"pm1": "p1 p2", "pm1v": "p1 p2", "pm3": "p1 p2", "dae": "p1 ap1 ap2w"},
 }
+# coupling -> the cp values validate accepts with it: cp=1 only where the
+# step reads the state's pressure
+ACCEPTED_CP = {"pm1": (0, 1), "pm1v": (0, 1), "pm3": (0, 1), "dae": (0,)}
 
 
 def test_validation_accepts_exactly_the_valid_combinations():
@@ -73,8 +77,8 @@ def test_validation_accepts_exactly_the_valid_combinations():
                 for adaptive, table in ((False, ACCEPTED_FIXED_STEP), (True, ACCEPTED_ADAPTIVE))
                 for integrator, couplings in table.items()
                 for coupling, pressures in couplings.items()
-                for pressure in pressures.split() for cp in (0, 1)}
-    assert len(expected) == 2 * (28 + 13)
+                for pressure in pressures.split() for cp in ACCEPTED_CP[coupling]}
+    assert len(expected) == 71
     assert accepted == expected
 
 
@@ -84,7 +88,10 @@ def test_validation_accepts_exactly_the_valid_combinations():
     (dict(problem="nope"), "problem must be one of"),
     # the cavity's walls give no exact wall-normal derivative
     (dict(problem="cavity", coupling="pm3", pressure="p1"), "pm3 needs the exact wall-normal"),
-], ids=["iterative_odd", "recursive_not_pow2", "unknown_problem", "pm3_without_derivatives"])
+    # the DAE step does not read the pressure a per-step recovery would give it
+    (dict(coupling="dae", cp=1), "cp=1 .* the dae step does not read it"),
+], ids=["iterative_odd", "recursive_not_pow2", "unknown_problem", "pm3_without_derivatives",
+        "dae_cp1"])
 def test_validation_rejects_what_the_run_cannot_set_up(kw, message):
     # caught by validate itself, before the run builds its transforms
     with pytest.raises(ValueError, match=message):
@@ -377,6 +384,17 @@ def test_space_convergence_gives_an_unstable_trial_a_nan_row():
     assert fine[0] == 1 / 16 and np.all(np.isnan(fine[1:]))
 
 
+def test_space_convergence_compares_p1_with_the_references_p1():
+    # the p1 column measures the trial's p1 chain against the reference's own
+    # p1, restricted to the trial's grid, not against its recovered pressure
+    cfg = RunConfig(problem="taylor", re=100.0, nx=8, t_end=0.125, dt=2.0**-6,
+                    integrator="rock2", coupling="dae", pressure="ap1")
+    (row,) = convergence_study(cfg, axis="space", Ns=[8], ref_N=16)
+    ref, trial = run_simulation(replace(cfg, nx=16)), run_simulation(cfg)
+    d = trial.pressures["p1"] - restrict_field(ref.pressures["p1"], "p", 2)
+    assert row[5] == float(np.max(np.abs(d - d.mean())))
+
+
 def test_min_stages_monotone_in_reynolds():
     # with diffusion-only stiffness, rho ~ 1/Re: the smallest stable stage
     # count cannot grow when Re grows
@@ -388,13 +406,6 @@ def test_min_stages_monotone_in_reynolds():
     assert all(b <= a for a, b in zip(ss, ss[1:]))
     # measured counts bracket the theoretical estimate from above
     assert all(r[1] >= r[2] * 0.5 for r in rows)
-
-
-def test_cp1_matches_cp0_for_state_determined_recovery():
-    a = run_simulation(small_cfg(cp=0, t_end=0.01))
-    b = run_simulation(small_cfg(cp=1, t_end=0.01))
-    assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
-    assert np.max(np.abs(a.p - b.p)) < 1e-15
 
 
 def test_cli_reynolds_and_efficiency(tmp_path, capsys):

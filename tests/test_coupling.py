@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from chebflow.coupling import (Ap2wCoefficients, CouplingState, FlowSystem,
+from chebflow.coupling import (COUPLINGS, Ap2wCoefficients, CouplingState, FlowSystem,
                                Stepper, ap1_pressure, ap2_pressure,
                                ap2w_coefficients, ap2w_pressure, dae_step,
                                pm1_second_order_pressure, pm1_step, pm1v_step,
@@ -275,51 +275,38 @@ def test_ap1_stationary_boundaries_equal_mf_solve():
 
 
 def test_ap2_reconstruction_exactness_and_remainder():
-    # scalar p(t) embedded in constant fields; exact averages from closed forms
-    N = 4
-    dt = 0.37
-    cs = [0.0, 0.4, 1.0]
+    # p(t) = P0 + P1 t + P2 t^2 with random fields P_k: the average over
+    # [0, c dt] is P0 + P1 c dt / 2 + P2 (c dt)^2 / 3, and the pressure at
+    # the node b up to the zero-mean gauge
+    rng = np.random.RandomState(5)
+    N, dt, a, b = 4, 0.37, 0.4, 1.0
+    P0, P1, P2 = (rng.randn(N, N) for _ in range(3))
 
-    def entries_for(avg):
-        out = [(0.0, None)]
-        for c in cs[1:]:
-            out.append((c, CellField(np.full((N, N), avg(c)))))
-        return out
+    def gauged(x):
+        return x - x.mean()
 
-    # constant p = P0: average = P0 -> reconstruction returns P0 (zero-mean
-    # gauge is a no-op for the comparison of differences, so compare spreads)
-    P0 = 2.3
-    rec = reconstruct_pressure(entries_for(lambda c: P0), dt)
-    assert np.max(np.abs(rec.values - rec.values[0, 0])) < 1e-12   # constant field
-    # linear p = P0 + P1 t: average over [0, c dt] = P0 + P1 c dt / 2
-    P1 = -1.7
-    rec = reconstruct_pressure(entries_for(lambda c: P0 + P1 * c * dt / 2), dt)
-    # compare against the scalar value up to the zero-mean gauge
-    expect = P0 + P1 * dt
-    assert np.max(np.abs(rec.values - rec.values.mean() - 0.0)) < 1e-12
-    # scalar reconstruction value before gauging:
-    from chebflow.coupling import _lagrange_derivative_at_last
-    dl = _lagrange_derivative_at_last(np.array(cs) * dt)
-    scalar = sum(c * dt * (P0 + P1 * c * dt / 2) * w for c, w in zip(cs[1:], dl[1:]))
-    assert abs(scalar - expect) < 1e-12
-    # quadratic p = t^2: averages c^2 dt^2 / 3; compare against the exact
-    # derivative of the parabola interpolating the primitive t^3/3
-    scalar2 = sum(c * dt * ((c * dt) ** 2 / 3.0) * w for c, w in zip(cs[1:], dl[1:]))
-    times = np.array(cs) * dt
-    primitive = times**3 / 3.0
-    coeff = np.polyfit(times, primitive, 2)
-    expect2 = np.polyval(np.polyder(coeff), dt)
-    assert abs(scalar2 - expect2) < 1e-12
+    def reconstruct(average):
+        return reconstruct_pressure(*((c, CellField(average(c * dt))) for c in (a, b))).values
+
+    # a constant and a linear pressure (quadratic primitive) are exact
+    assert np.max(np.abs(reconstruct(lambda t: P0) - gauged(P0))) < 1e-12
+    assert np.max(np.abs(reconstruct(lambda t: P0 + P1 * t / 2)
+                         - gauged(P0 + P1 * b * dt))) < 1e-12
+    # p = t^2: the derivative at b dt of the parabola through the primitive
+    # t^3/3 at 0, a dt and b dt
+    times = np.array([0.0, a, b]) * dt
+    expect = np.polyval(np.polyder(np.polyfit(times, times**3 / 3.0, 2)), b * dt)
+    assert np.max(np.abs(reconstruct(lambda t: P2 * t**2 / 3.0)
+                         - gauged(expect * P2))) < 1e-12
+    assert abs(expect - (b * dt)**2) > 1e-3   # a remainder the quadratic leaves
 
 
 def test_ap2_node_validation():
-    N = 4
-    dt = 0.1
-    phi = CellField(np.ones((N, N)))
-    with pytest.raises(ValueError, match="at least 3"):
-        reconstruct_pressure([(0.0, None), (1.0, phi)], dt)
+    phi = CellField(np.ones((4, 4)))
     with pytest.raises(ValueError, match="distinct"):
-        reconstruct_pressure([(0.0, None), (0.5, phi), (0.5, phi), (1.0, phi)], dt)
+        reconstruct_pressure((0.5, phi), (0.5, phi))
+    with pytest.raises(ValueError, match="distinct"):   # coincides with the step start
+        reconstruct_pressure((0.0, phi), (1.0, phi))
 
 
 @pytest.mark.parametrize("method, s", [("rkc", 3), ("rkc", 7), ("rock2", 3), ("rock2", 9)])
@@ -332,16 +319,38 @@ def test_reconstructions_read_their_stages_from_the_stepper(method, s):
     new, _ = dae_step(initial_state(prob, system), system, stepper, dt)
     stages = {i: (c, phi) for i, c, phi in new.phi_log}
     assert sorted(stages) == list(range(2, s + 2))
+
+    def formula(inner, last):
+        (a, phi_a), (b, phi_b) = inner, last
+        return CellField(((2 * b - a) * phi_b.values - b * phi_a.values) / (b - a)).zero_mean()
+
     if method == "rkc":
-        want = reconstruct_pressure([(0.0, None), stages[s], stages[s + 1]], dt)
+        want = formula(stages[s], stages[s + 1])
         got = ap2_pressure(new, system, stepper, dt)
     else:
         co = ap2w_coefficients(stepper.tableau, (2, 3, 4))
         bar = CellField((co.alpha * stages[2][1].values + co.beta * stages[3][1].values
                          + co.gamma * stages[4][1].values) / (co.alpha + co.beta + co.gamma))
-        want = reconstruct_pressure([(0.0, None), (co.c[1], bar), stages[s + 1]], dt)
+        want = formula((co.c[1], bar), stages[s + 1])
         got = ap2w_pressure(new, system, stepper, dt)
     assert got.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize("name", list(COUPLINGS))
+def test_a_step_reads_the_state_pressure_as_its_coupling_says(name):
+    # the DAE step's velocity and pressure do not depend on the state's
+    # pressure, so a recovery fed back to it (cp=1) would change nothing
+    prob = green_taylor(100.0)
+    system = make_system(prob, 16)
+    state = initial_state(prob, system)
+    delta = 0.1 * np.random.RandomState(3).randn(16, 16)
+    shifted = CouplingState(state.u.copy(), CellField(state.p.values + delta), 0.0)
+    step = {"pm1": pm1_step, "pm1v": pm1v_step, "pm3": pm3_step, "dae": dae_step}[name]
+    a, _ = step(state, system, Stepper("rock2", 3), 1e-3)
+    b, _ = step(shifted, system, Stepper("rock2", 3), 1e-3)
+    same = all(np.array_equal(x, y) for x, y in ((a.u.u, b.u.u), (a.u.v, b.u.v),
+                                                  (a.p.values, b.p.values)))
+    assert same != COUPLINGS[name].reads_pressure
 
 
 def test_ap2w_coefficients_identities_and_example():

@@ -28,11 +28,12 @@ def load_tracer():
 
 
 def traced_run(integrator="rock2", **kw):
-    """One short forced run under the tracer: (report, its spans)."""
+    """One short forced run under the tracer: (report, its spans); ``kw`` are
+    further ``RunConfig`` fields (cp=0 unless given)."""
     tracing = load_tracer()
     tracer = tracing.Tracer()
     cfg = bench.RunConfig(problem="forced", re=100.0, nx=8, t_end=3e-3, dt=1e-3,
-                          integrator=integrator, cp=1, **kw)
+                          integrator=integrator, **kw)
     problem = tracing.traced_problem(tracer, make_problem("forced", cfg.re))
     modules = SimpleNamespace(bench=bench, coupling=coupling, integrators=integrators,
                               poisson=poisson, spatial=spatial)
@@ -45,6 +46,8 @@ def traced_run(integrator="rock2", **kw):
 def test_tracer_sees_every_layer_of_a_forced_dae_run():
     _, spans = traced_run(coupling="dae", pressure="ap1")
     name_of = {sid: name for sid, _, name, *_ in spans}
+    # the DAE recovers its pressure once, after the last step
+    assert list(name_of.values()).count("coupling.recover") == 1
     assert {"spatial.rhs", "spatial.div", "coupling.hook", "coupling.recover",
             "problems.forcing", "coupling.step", "integrators.step",
             "integrators.controller", "coupling.rhs_flat", "poisson.solve", "dct.fwd",
@@ -57,7 +60,7 @@ def test_tracer_sees_every_layer_of_a_forced_dae_run():
 
 def test_tracer_sees_the_projection_step_and_its_recovery():
     # pm1_step and pm1_second_order_pressure, once per step each (cp=1)
-    _, spans = traced_run(coupling="pm1", pressure="p2")
+    _, spans = traced_run(coupling="pm1", pressure="p2", cp=1)
     names = [name for _, _, name, *_ in spans]
     assert names.count("coupling.step") == 3 and names.count("coupling.recover") == 3
 
