@@ -122,6 +122,9 @@ class RunConfig:
         if self.cp == 1 and not coupling.COUPLINGS[self.coupling].reads_pressure:
             raise ValueError(f"cp=1 recovers the pressure every step for the next step to "
                              f"read, but the {self.coupling} step does not read it; use cp=0")
+        if self.cp == 1 and self.pressure == "p1":
+            raise ValueError("cp=1 recovers the pressure every step, but p1 is the state's "
+                             "own pressure and has no recovery; use cp=0")
         if needs.integrator not in (None, self.integrator):
             raise ValueError(f"{self.pressure} needs the stages of {needs.integrator}")
         if (self.coupling == "pm3" and make_problem(self.problem, self.re, self.advection)
@@ -147,6 +150,7 @@ class RunReport:
     wall_time: float = 0.0
     unstable: bool = False
     blow_up_time: Optional[float] = None
+    blow_up_stage: Optional[int] = None     # the stage that turned non-finite, if one did
     err_u: Optional[float] = None
     err_p: Optional[float] = None
     divergence_history: List[float] = field(default_factory=list)
@@ -238,11 +242,12 @@ def run_simulation(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
                     div = system.divergence_of(state.u.flatten(), state.t)
                     norm_u = max(inf_norm(state.u), 0.0)
                     report.divergence_history.append(inf_norm(div) / (1.0 + norm_u))
-                if cfg.cp == 1 and recover is not None:
+                if cfg.cp == 1:
                     state.p = recover(state, system, stepper, dt_step)
-    except IntegrationDiverged:
+    except IntegrationDiverged as exc:
         report.unstable = True
         report.blow_up_time = state.t
+        report.blow_up_stage = exc.stage
     else:
         if not np.all(np.isfinite(state.u.u)) or not np.all(np.isfinite(state.u.v)):
             report.unstable = True
@@ -286,6 +291,9 @@ def write_outputs(report: RunReport, directory: str) -> None:
         "unstable": int(report.unstable),
         "wall_time": report.wall_time,
     }
+    if report.unstable:
+        lines["blow_up_time"] = report.blow_up_time
+        lines["blow_up_stage"] = report.blow_up_stage
     if report.err_u is not None:
         lines["err_u"] = report.err_u
     if report.err_p is not None:

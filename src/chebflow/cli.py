@@ -219,7 +219,7 @@ def _print_report(rep):
           f"stages: {rep.total_stages} total, {rep.avg_stages:.2f}/step "
           f"(last s={rep.last_stages}); wall {rep.wall_time:.3f}s")
     if rep.unstable:
-        print(f"  UNSTABLE (blow-up at t={rep.blow_up_time:g})")
+        print(f"  UNSTABLE (blow-up at t={rep.blow_up_time:g}, stage {rep.blow_up_stage})")
     if rep.err_u is not None:
         line = f"  velocity error vs exact: {rep.err_u:.6e}"
         if rep.err_p is not None:

@@ -493,63 +493,58 @@ def stability_poly_eval(method: str, s: int, z):
 # ---------------------------------------------------------------------------
 
 # the step controller's fixed tuning: safety factor, step-ratio clamps, and the
-# error exponent 1/(p+1) of an order-one (p = 1) estimate
-SAFETY = 0.8
+# PI filter's exponents 0.7/k and 0.4/k on the current and the previous
+# accepted error, for an order-one estimate (k = p + 1 = 2)
+SAFETY = 0.95
 FAC_MIN = 0.1
 FAC_MAX = 10.0
-ERR_EXPONENT = 0.5
+ALPHA = 0.35
+BETA = 0.2
 
 
 @dataclass
 class StepController:
-    """Adaptive step state: tolerances plus the previous attempt's step/error.
+    """Adaptive step state: tolerances plus the last accepted step's error.
 
     The controller works in the tolerance-scaled norm (a step is acceptable
-    when the weighted error is <= 1), with the standard memory factor
-    (err_prev/err_new)^(1/(p+1)) * (dt_cur/dt_prev) on top of the memoryless
-    proposal, the safety factor ``SAFETY`` and the clamps ``FAC_MIN``/``FAC_MAX``,
-    with p = 1 (``ERR_EXPONENT``); the tuning is fixed, so a controller holds
-    only its tolerances and the previous attempt.
+    when the weighted error is <= 1) and proposes by the PI filter of
+    ``propose_dt``; the tuning is fixed in module constants, so a controller
+    holds only its tolerances and the memory of that filter.  A fresh
+    controller remembers err_prev = 1, which makes its first proposal the
+    memoryless one.
     """
 
     atol: float
     rtol: float
-    err_prev: Optional[float] = None
-    dt_prev: Optional[float] = None
+    err_prev: float = 1.0
 
     def norm(self, err_vec, y) -> float:
         return weighted_rms_norm(err_vec, y, self.atol, self.rtol)
 
 
 def propose_dt(ctrl: StepController, err_new: float, dt_cur: float):
-    """New step size and accept/reject flag from the weighted error; the
-    attempt is stored in ``ctrl`` as the memory of the next proposal.
+    """New step size and accept/reject flag from the weighted error.
 
-    A rejected step never proposes growth (otherwise the memory factor fed
-    by a previous catastrophic error can lock the controller into a cycle
-    of alternating over- and undershoots).  Rejected attempts are stored
-    too, otherwise a stale dt ratio can lock the proposal into a rejection
-    loop.  A non-finite error (an overflowing weighted norm) rejects with
-    the smallest factor and is not stored: (inf/inf)^0.5 would make the next
-    proposal NaN.
+    The PI filter (Gustafsson 1991): an accepted step proposes
+    dt·SAFETY·err^-ALPHA·err_prev^BETA and stores its error (floored at
+    1e-14) in ``ctrl`` as err_prev; a rejected step proposes
+    dt·SAFETY·err^-ALPHA, which is below dt since err > 1 > SAFETY, and
+    stores nothing, so the filter's memory is always an accepted step's.
+    Every factor is clamped to [``FAC_MIN``, ``FAC_MAX``].  A non-finite
+    error (an overflowing weighted norm) rejects with the smallest factor
+    and stores nothing.
     """
     if err_new < 0:
         raise ValueError("error must be non-negative")
     if not math.isfinite(err_new):
         return FAC_MIN * dt_cur, False
+    err = max(err_new, 1e-14)
+    fac = SAFETY * err ** -ALPHA
     accept = err_new <= 1.0
-    if err_new < 1e-12:
-        fac = FAC_MAX
-    else:
-        fac = SAFETY * (1.0 / err_new) ** ERR_EXPONENT
-        if ctrl.err_prev is not None and ctrl.dt_prev:
-            fac *= (ctrl.err_prev / err_new) ** ERR_EXPONENT * (dt_cur / ctrl.dt_prev)
-    fac = min(max(fac, FAC_MIN), FAC_MAX)
-    if not accept:
-        fac = min(fac, 1.0)
-    ctrl.err_prev = max(err_new, 1e-14)
-    ctrl.dt_prev = dt_cur
-    return fac * dt_cur, accept
+    if accept:
+        fac *= ctrl.err_prev ** BETA
+        ctrl.err_prev = err
+    return min(max(fac, FAC_MIN), FAC_MAX) * dt_cur, accept
 
 
 def growth_step(growth: float, s: float, rho: float) -> float:

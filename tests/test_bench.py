@@ -38,6 +38,7 @@ def test_validation_rejects_illegal_combinations():
         dict(integrator="rock2", compensated=True),
         dict(dt=None),
         dict(coupling="dae", cp=1),
+        dict(coupling="pm1", pressure="p1", cp=1),
     ]
     for kw in bad:
         with pytest.raises(ValueError):
@@ -55,9 +56,10 @@ ACCEPTED_ADAPTIVE = {
     "rkc": {"pm1": "p1 p2", "pm3": "p1 p2"},
     "rock2": {"pm1": "p1 p2", "pm1v": "p1 p2", "pm3": "p1 p2", "dae": "p1 ap1 ap2w"},
 }
-# coupling -> the cp values validate accepts with it: cp=1 only where the
-# step reads the state's pressure
-ACCEPTED_CP = {"pm1": (0, 1), "pm1v": (0, 1), "pm3": (0, 1), "dae": (0,)}
+# the (coupling, pressure) pairs validate accepts cp=1 with: the step reads
+# the state's pressure (not the DAE's), and the pressure has a per-step
+# recovery (not p1, the state's own)
+ACCEPTED_CP1 = {("pm1", "p2"), ("pm1v", "p2"), ("pm3", "p2")}
 
 
 def test_validation_accepts_exactly_the_valid_combinations():
@@ -77,8 +79,9 @@ def test_validation_accepts_exactly_the_valid_combinations():
                 for adaptive, table in ((False, ACCEPTED_FIXED_STEP), (True, ACCEPTED_ADAPTIVE))
                 for integrator, couplings in table.items()
                 for coupling, pressures in couplings.items()
-                for pressure in pressures.split() for cp in ACCEPTED_CP[coupling]}
-    assert len(expected) == 71
+                for pressure in pressures.split()
+                for cp in ((0, 1) if (coupling, pressure) in ACCEPTED_CP1 else (0,))}
+    assert len(expected) == 56
     assert accepted == expected
 
 
@@ -90,8 +93,10 @@ def test_validation_accepts_exactly_the_valid_combinations():
     (dict(problem="cavity", coupling="pm3", pressure="p1"), "pm3 needs the exact wall-normal"),
     # the DAE step does not read the pressure a per-step recovery would give it
     (dict(coupling="dae", cp=1), "cp=1 .* the dae step does not read it"),
+    # p1 is the state's own pressure: no per-step recovery to run
+    (dict(coupling="pm1", pressure="p1", cp=1), "cp=1 .* p1 .* has no recovery"),
 ], ids=["iterative_odd", "recursive_not_pow2", "unknown_problem", "pm3_without_derivatives",
-        "dae_cp1"])
+        "dae_cp1", "p1_cp1"])
 def test_validation_rejects_what_the_run_cannot_set_up(kw, message):
     # caught by validate itself, before the run builds its transforms
     with pytest.raises(ValueError, match=message):
@@ -245,7 +250,7 @@ def test_centerline_walls_default_to_the_reports_problem():
     assert u_prof[-1] == 1.0
 
 
-def test_unstable_run_is_flagged():
+def test_unstable_run_is_flagged(tmp_path):
     # far beyond the stability limit with a pinned tiny stage count; the
     # report carries the blow-up, so the overflow raises no numpy warning
     cfg = small_cfg(problem="forced", nx=32, dt=0.2, t_end=2.0, stages=3,
@@ -254,6 +259,14 @@ def test_unstable_run_is_flagged():
         warnings.simplefilter("error")
         rep = run_simulation(cfg)
     assert rep.unstable and rep.blow_up_time is not None
+    # ROCK2's stages are U_1..U_{s+1}
+    assert 0.0 < rep.blow_up_time < cfg.t_end and 1 <= rep.blow_up_stage <= cfg.stages + 1
+    write_outputs(rep, str(tmp_path))
+    with open(os.path.join(tmp_path, "summary.txt")) as fh:
+        summary = dict(line.rstrip("\n").split("=", 1) for line in fh)
+    assert summary["unstable"] == "1"
+    assert float(summary["blow_up_time"]) == rep.blow_up_time
+    assert int(summary["blow_up_stage"]) == rep.blow_up_stage
 
 
 def test_config_file_and_cli(tmp_path, capsys):
@@ -373,13 +386,26 @@ def test_study_against_an_unstable_reference_raises():
         efficiency_study([small_cfg()], [1e-3], reference=blown)
 
 
-def test_space_convergence_gives_an_unstable_trial_a_nan_row():
-    # at dt=0.25 the N=16 reference, PM1 carrying the recovered p2, holds
-    # while PM1 carrying p1 blows up on the same grid
-    cfg = RunConfig(problem="taylor", re=100.0, nx=8, t_end=4.0, dt=0.25, stages=3,
-                    integrator="rock2", coupling="pm1", pressure="p1", cp=1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        coarse, fine = convergence_study(cfg, axis="space", Ns=[8, 16], ref_N=16)
+def test_space_convergence_gives_an_unstable_trial_a_nan_row(monkeypatch):
+    # on the reference's grid and step a p1 trial takes the reference's steps,
+    # so the N=16 trial is made to blow up by walls that move at NaN speed
+    import dataclasses
+    from chebflow import bench
+    run = bench.run_simulation
+
+    def nan_walls(t, x, y):
+        return np.full_like(x, np.nan), np.full_like(y, np.nan)
+
+    def run_with_nan_walls_in_the_fine_trial(cfg, problem=None, **kw):
+        if cfg.nx == 16 and cfg.pressure == "p1":
+            problem = dataclasses.replace(problem, boundary=dataclasses.replace(
+                problem.boundary, velocity=nan_walls))
+        return run(cfg, problem=problem, **kw)
+
+    monkeypatch.setattr(bench, "run_simulation", run_with_nan_walls_in_the_fine_trial)
+    cfg = RunConfig(problem="taylor", re=100.0, nx=8, t_end=0.5, dt=0.05, stages=3,
+                    integrator="rock2", coupling="pm1", pressure="p1")
+    coarse, fine = convergence_study(cfg, axis="space", Ns=[8, 16], ref_N=16)
     assert coarse[0] == 1 / 8 and np.all(np.isfinite(coarse[1::2]))
     assert fine[0] == 1 / 16 and np.all(np.isnan(fine[1:]))
 
@@ -499,6 +525,24 @@ def test_adaptive_cavity_samples_its_walls_once():
                                    adaptive=True, atol=1e-3, rtol=1e-3), problem=prob)
     assert rep.steps_rejected > 0 and not rep.unstable
     assert len(times) == 1
+
+
+def test_adaptive_cavity_takes_the_same_steps_under_every_dct_algorithm():
+    # the four DCT algorithms agree to rounding; the step controller must not
+    # turn that into different step sequences on this stability-limited flow,
+    # as a controller that cycles between accepted and rejected steps did
+    from chebflow.dct import ALGORITHMS
+    counts = set()
+    for algorithm in ALGORITHMS:
+        rep = run_simulation(RunConfig(problem="cavity", re=1000.0, nx=64, t_end=5.0,
+                                       dt=1e-3, adaptive=True, atol=1e-3, rtol=1e-3,
+                                       integrator="rock2", coupling="dae", pressure="p1",
+                                       dct_algorithm=algorithm))
+        assert not rep.unstable
+        counts.add((rep.steps_accepted, rep.steps_rejected, rep.total_stages))
+    assert len(counts) == 1
+    (accepted, rejected, _), = counts
+    assert rejected <= 0.05 * (accepted + rejected)
 
 
 def test_cavity_stability_studies_terminate():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import fit_loglog_slope
 
-from chebflow.integrators import (FAC_MAX, FAC_MIN, SAFETY, IntegrationDiverged,
+from chebflow.integrators import (ALPHA, FAC_MAX, FAC_MIN, SAFETY, IntegrationDiverged,
                                   StageHook, StepController, butcher_tableau, pirock_step,
                                   propose_dt, rk4_step, rkc_step, rkc_tableau,
                                   rock2_degrees, rock2_step, rock2_tableau,
@@ -238,21 +238,27 @@ def test_divergence_detection():
 
 
 def test_controller_examples():
+    # the PI filter: dt·SAFETY·err^-ALPHA·err_prev^BETA on an accepted step
     ctrl = StepController(atol=1.0, rtol=1.0)
-    ctrl.err_prev, ctrl.dt_prev = 1.0, 0.02
-    dt_new, accept = propose_dt(ctrl, 1.0, 0.02)
-    assert accept and abs(dt_new - SAFETY * 0.02) < 1e-15    # 0.016: the safety factor alone
-    ctrl.err_prev, ctrl.dt_prev = 1.0, 0.01
+    dt_new, accept = propose_dt(ctrl, 0.5, 0.01)
+    # a fresh controller proposes the memoryless 0.95·0.5^-0.35·dt
+    assert accept and dt_new == pytest.approx(0.012108325959532991, rel=1e-14)
+    assert ctrl.err_prev == 0.5
+    dt_new, accept = propose_dt(ctrl, 0.25, 0.01)
+    # with memory: 0.95·0.25^-0.35·0.5^0.2·dt
+    assert accept and dt_new == pytest.approx(0.0134350288425444, rel=1e-14)
+    assert ctrl.err_prev == 0.25
+    # a rejection ignores the memory, shrinks the step and stores nothing
     dt_new, accept = propose_dt(ctrl, 4.0, 0.01)
-    # 0.002: (1/4)^(1/2) twice, from the error and the memory factor
-    assert not accept and abs(dt_new - SAFETY * 0.25 * 0.01) < 1e-15
-    dt_new, accept = propose_dt(ctrl, 1e-12, 0.01)
-    assert accept and abs(dt_new - FAC_MAX * 0.01) < 1e-15   # growth clamp
+    assert not accept and dt_new == pytest.approx(SAFETY * 4.0 ** -ALPHA * 0.01, rel=1e-15)
+    assert dt_new < 0.01 and ctrl.err_prev == 0.25
+    # a zero error is floored at 1e-14 and the growth clamped
+    dt_new, accept = propose_dt(ctrl, 0.0, 0.01)
+    assert accept and dt_new == FAC_MAX * 0.01 and ctrl.err_prev == 1e-14
     # clamps bound every proposal
     ctrl2 = StepController(atol=1e-6, rtol=1e-6)
-    for err in (1e-9, 1e3):
-        dt_new, _ = propose_dt(ctrl2, err, 0.01)
-        assert FAC_MIN * 0.01 - 1e-18 <= dt_new <= FAC_MAX * 0.01 + 1e-18
+    assert propose_dt(ctrl2, 1e-9, 0.01) == (FAC_MAX * 0.01, True)
+    assert propose_dt(ctrl2, 1e3, 0.01) == (FAC_MIN * 0.01, False)
 
 
 def test_controller_rejects_a_non_finite_error_without_storing_it():
@@ -260,11 +266,11 @@ def test_controller_rejects_a_non_finite_error_without_storing_it():
     for err in (np.inf, np.inf, np.nan):
         dt_new, accept = propose_dt(ctrl, err, 0.01)
         assert not accept and dt_new == FAC_MIN * 0.01
-        assert ctrl.err_prev is None and ctrl.dt_prev is None
-    propose_dt(ctrl, 4.0, 0.01)
+        assert ctrl.err_prev == 1.0
+    propose_dt(ctrl, 0.5, 0.01)
     dt_new, accept = propose_dt(ctrl, np.inf, 0.005)
     assert not accept and dt_new == FAC_MIN * 0.005
-    assert (ctrl.err_prev, ctrl.dt_prev) == (4.0, 0.01)
+    assert ctrl.err_prev == 0.5
 
 
 def test_select_stages():

@@ -42,7 +42,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 # the iterative one an even N
 DCT_SIZES = (("naive", 12), ("iterative", 24), ("recursive", 16), ("hybrid", 32))
 ADAPTIVE = (("taylor", "rock2", "dae", "ap1"), ("forced", "rock2", "pm1", "p2"),
-            ("cavity", "rkc", "pm1", "p1"), ("forced", "rock2", "pm1v", "p1"))
+            ("cavity", "rkc", "pm1", "p1"), ("forced", "rock2", "pm1v", "p1"),
+            ("cavity", "rock2", "dae", "p1"))
 
 
 def _valid(cfg):
@@ -75,7 +76,7 @@ def configs(bench):
                     runs += valid
                     slot += 1
     for k, (problem, integrator, coupling, pressure) in enumerate(ADAPTIVE):
-        algorithm, nx = DCT_SIZES[k]
+        algorithm, nx = DCT_SIZES[k % len(DCT_SIZES)]
         runs.append(bench.RunConfig(problem=problem, nx=nx, dt=1e-2, t_end=2.0,
                                     adaptive=True, atol=1e-5, rtol=1e-5,
                                     integrator=integrator, coupling=coupling,
