@@ -77,7 +77,6 @@ class RunConfig:
     stages: Optional[int] = None        # fixed stage count (otherwise selected per step)
     advection: bool = True
     dct_algorithm: str = DEFAULT_ALGORITHM
-    compensated: bool = False           # Kahan accumulation (RK4 reference runs)
 
     def validate(self) -> "RunConfig":
         for name, allowed in CHOICES.items():
@@ -115,8 +114,6 @@ class RunConfig:
             raise ValueError(f"{self.integrator} does not run the {self.coupling} coupling")
         if self.adaptive and spec.estimated is not None and self.coupling not in spec.estimated:
             raise ValueError(f"adaptive {self.integrator}+{self.coupling} has no error estimate")
-        if self.compensated and self.integrator != "rk4":
-            raise ValueError("compensated accumulation is for RK4 reference runs only")
         if self.pressure not in coupling.COUPLINGS[self.coupling].pressures:
             raise ValueError(f"the {self.coupling} coupling reports no {self.pressure} pressure")
         if self.cp == 1 and not coupling.COUPLINGS[self.coupling].reads_pressure:
@@ -204,7 +201,6 @@ def run_simulation(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
     t0 = time.perf_counter()
     eps_t = 1e-12 * max(cfg.t_end, 1.0)
     stepper = None
-    kahan_c = (np.zeros_like(u0.u), np.zeros_like(u0.v)) if cfg.compensated else None
     last_dt_step = None
     try:
         # a blow-up overflows before the fields are checked; the report carries it
@@ -228,15 +224,6 @@ def run_simulation(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
                 report.steps_accepted += 1
                 report.last_stages = s_used
                 last_dt_step = dt_step
-                if cfg.compensated:
-                    # Kahan accumulation of the per-step velocity increments
-                    for base, new, c in zip((state.u.u, state.u.v),
-                                            (new_state.u.u, new_state.u.v), kahan_c):
-                        yy = (new - base) - c
-                        tt = base + yy
-                        c[:] = (tt - base) - yy
-                        base[:] = tt
-                    new_state.u = state.u
                 state = new_state
                 if track_divergence:
                     div = system.divergence_of(state.u.flatten(), state.t)
@@ -581,8 +568,8 @@ def efficiency_study(method_cfgs: Sequence[RunConfig], tolerances: Sequence[floa
                      ref_dt: float = 1e-5, reference: Optional[RunReport] = None):
     """Work-precision rows: per method and tolerance, error vs wall time.
 
-    The reference is an RK4 + DAE run at a small fixed step with compensated
-    accumulation; errors are measured against it in the infinity norm.
+    The reference is an RK4 + DAE run at a small fixed step; errors are
+    measured against it in the infinity norm.
     """
     if not method_cfgs:
         return []
@@ -590,8 +577,7 @@ def efficiency_study(method_cfgs: Sequence[RunConfig], tolerances: Sequence[floa
     if reference is None:
         reference = run_simulation(RunConfig(
             problem=base.problem, re=base.re, nx=base.nx, t_end=base.t_end, dt=ref_dt,
-            integrator="rk4", coupling="dae", pressure="ap1", advection=base.advection,
-            compensated=True))
+            integrator="rk4", coupling="dae", pressure="ap1", advection=base.advection))
     reference = _stable_reference(reference)
     rows = []
     for cfg in method_cfgs:

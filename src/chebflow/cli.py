@@ -31,10 +31,9 @@ _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no"
 # the output directory, an option read beside RunConfig's fields
 _Output = dataclasses.make_dataclass("_Output", [("out", typing.Optional[str], None)])
 _TYPES = dict(typing.get_type_hints(RunConfig), **typing.get_type_hints(_Output))
-# the run options by flag name: RunConfig's fields but compensated, and out
+# the run options by flag name: RunConfig's fields and out
 _OPTIONS = {("no_" if f.default is True else "") + f.name: f
-            for f in dataclasses.fields(RunConfig) + dataclasses.fields(_Output)
-            if f.name != "compensated"}
+            for f in dataclasses.fields(RunConfig) + dataclasses.fields(_Output)}
 
 
 def _kind(f):

@@ -20,6 +20,24 @@ All algorithms produce identical results up to rounding.  ``dct``/``idct``
 are the 1D entry points: they accept arrays of shape (..., N) and
 transform along the last axis; ``dct2d``/``idct2d`` require a square
 (N, N) array.
+
+The 2D transforms apply the 1D ones along each axis, except that ``naive``
+plans of even N >= ``FOLD_MIN`` fold the cosine matrix by parity (the
+symmetry behind Makhoul's fast cosine transform, IEEE Trans. ASSP 28, 1980):
+column k of C satisfies C[N-1-n, k] = (-1)^k C[n, k], so a product with C
+is two half-size products on the sum and the difference of an array's front
+half and its reversed back half.  That halves the flops, 2N^3 in place of
+4N^3 per 2D transform, in four BLAS calls and four elementwise passes where
+the row-column form makes two BLAS calls.  ``PoissonSolver.solve`` of an
+F-ordered right-hand side, in microseconds (OpenBLAS on one thread of a
+2-vCPU x86-64 box, min of 15 timeit rounds):
+
+    N             64   80   96  112  128   256
+    row-column    52   88  135  233  358  2438
+    folded        65   90  121  165  233  1644
+
+Below the crossover the extra calls cost more than the saved flops.  The 1D
+``naive`` transforms stay the direct products: they are the oracle.
 """
 
 from __future__ import annotations
@@ -29,6 +47,9 @@ import numpy as np
 # the matrix product takes any N and runs as one BLAS call per axis
 DEFAULT_ALGORITHM = "naive"
 HYBRID_CUTOFF = 64
+# the smallest even N whose naive 2D transforms fold by parity (measured
+# crossover; see the module docstring)
+FOLD_MIN = 96
 
 
 def _is_pow2(n: int) -> bool:
@@ -75,6 +96,8 @@ class DctPlan:
         # the size at which the recursion stops: 2 (solved directly), or the
         # hybrid's cutoff clamped to [2, N] (solved iteratively above 2)
         self.base = max(2, min(self.cutoff, self.N)) if algorithm == "hybrid" else 2
+        # whether dct2d/idct2d fold the cosine matrix by parity
+        self.folds = algorithm == "naive" and self.N % 2 == 0 and self.N >= FOLD_MIN
         self._tables = {}
 
     def table(self, n: int, name: str):
@@ -116,8 +139,17 @@ def _naive_inv(plan, n):    # transposed cosine matrix, the 1/2 weight of F_0 fo
     return c.T
 
 
+def _fold(plan, n):         # parity blocks of the cosine matrix's front half rows
+    c, h = plan.table(n, "naive"), n // 2
+    even, odd = c[:h, 0::2], c[:h, 1::2]
+    # the inverse's blocks carry its 2/n scale and the 1/2 weight of F_0
+    inv_even, inv_odd = (2.0 / n) * even, (2.0 / n) * odd
+    inv_even[:, 0] *= 0.5
+    return even.copy(), odd.copy(), inv_even, inv_odd
+
+
 _TABLES = {"it_fwd": _it_fwd, "it_inv": _it_inv, "rec": _rotations(1), "rec0": _rotations(0),
-           "naive": _naive, "naive_inv": _naive_inv}
+           "naive": _naive, "naive_inv": _naive_inv, "fold": _fold}
 
 
 # -- naive ------------------------------------------------------------------
@@ -131,6 +163,43 @@ def _idct_naive(plan, F, n):
     # picks its kernel, and with it the summation order, by memory layout:
     # the product keeps a C-ordered left operand.
     return (2.0 / n) * (np.ascontiguousarray(F) @ plan.table(n, "naive_inv"))
+
+
+# -- naive, folded by parity (2D, even N) -----------------------------------
+
+def _fold_fwd(x, even, odd):
+    """(C^T x)^T, F-ordered, for a square x of even side.
+
+    Row N-1-n of C is row n with the odd columns negated, so the even
+    frequencies take the front half of x plus its reversed back half, and the
+    odd ones the difference; BLAS writes them into alternate rows.
+    """
+    h = len(even)
+    front, back = x[:h], x[::-1][:h]
+    out = np.empty(x.shape)
+    np.matmul(even.T, front + back, out=out[0::2])
+    np.matmul(odd.T, front - back, out=out[1::2])
+    return out.T
+
+
+def _fold_inv(x, inv_even, inv_odd, transpose):
+    """D x, or (D x)^T if ``transpose``, C-ordered, for a C-ordered square x.
+
+    D is the inverse's matrix (2/N) C with column 0 halved.  Its even and odd
+    columns take the even and odd rows of x; the sum of the two products is
+    the front half of D x and their difference its reversed back half.
+    """
+    h = len(inv_even)
+    out = np.empty(x.shape)
+    if transpose:
+        even, odd = x[0::2].T @ inv_even.T, x[1::2].T @ inv_odd.T
+        front, back = out[:, :h], out[:, ::-1][:, :h]
+    else:
+        even, odd = inv_even @ x[0::2], inv_odd @ x[1::2]
+        front, back = out[:h], out[::-1][:h]
+    np.add(even, odd, out=front)
+    np.subtract(even, odd, out=back)
+    return out
 
 
 # -- iterative (O(N^2) recurrences) -----------------------------------------
@@ -274,15 +343,25 @@ def dct2d(plan: DctPlan, f):
     """Two-dimensional forward transform of a square array.
 
     Separable row-column application: ``F[j, k]`` pairs frequency ``j`` with
-    the first array axis and ``k`` with the second.
+    the first array axis and ``k`` with the second.  The result is F-ordered.
     """
+    f = _check_square(plan, f)
+    if plan.folds:
+        even, odd = plan.table(plan.N, "fold")[:2]
+        return _fold_fwd(_fold_fwd(f, even, odd), even, odd)   # (f^T C)^T C = C^T f C
     forward = _ALGORITHMS[plan.algorithm][0]
-    t = forward(plan, _check_square(plan, f), plan.N)   # over axis 1 (index n -> k)
-    return forward(plan, t.T, plan.N).T                 # over axis 0 (index m -> j)
+    t = forward(plan, f, plan.N)                # over axis 1 (index n -> k)
+    return forward(plan, t.T, plan.N).T         # over axis 0 (index m -> j)
 
 
 def idct2d(plan: DctPlan, F):
-    """Two-dimensional inverse transform of a square array."""
+    """Two-dimensional inverse transform of a square array, F-ordered."""
+    F = _check_square(plan, F)
+    if plan.folds:
+        inv_even, inv_odd = plan.table(plan.N, "fold")[2:]
+        # BLAS reads the parity rows by stride, which needs C order
+        t = _fold_inv(np.ascontiguousarray(F), inv_even, inv_odd, transpose=True)
+        return _fold_inv(t, inv_even, inv_odd, transpose=False).T   # (D (D F)^T)^T
     inverse = _ALGORITHMS[plan.algorithm][1]
-    t = inverse(plan, _check_square(plan, F), plan.N)
+    t = inverse(plan, F, plan.N)
     return inverse(plan, t.T, plan.N).T

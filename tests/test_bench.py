@@ -35,7 +35,6 @@ def test_validation_rejects_illegal_combinations():
         dict(integrator="rock2", coupling="dae", pressure="p2"),
         dict(integrator="rk4", coupling="dae", adaptive=True),
         dict(integrator="rkc", coupling="dae", pressure="ap2", stages=2),
-        dict(integrator="rock2", compensated=True),
         dict(dt=None),
         dict(coupling="dae", cp=1),
         dict(coupling="pm1", pressure="p1", cp=1),
@@ -202,8 +201,7 @@ def test_efficiency_error_decreases_with_tolerance():
 def test_efficiency_reference_self_check():
     # Richardson check of the reference: halving its step barely moves it
     cfg = RunConfig(problem="taylor", re=100.0, nx=16, t_end=0.05, dt=1e-3,
-                    integrator="rk4", coupling="dae", pressure="ap1",
-                    compensated=True)
+                    integrator="rk4", coupling="dae", pressure="ap1")
     a = run_simulation(cfg)
     b = run_simulation(RunConfig(**{**cfg.__dict__, "dt": 5e-4}))
     diff = max(np.max(np.abs(a.u - b.u)), np.max(np.abs(a.v - b.v)))

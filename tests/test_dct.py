@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chebflow.dct import DctPlan, dct, dct2d, idct, idct2d
+from chebflow.dct import FOLD_MIN, DctPlan, dct, dct2d, idct, idct2d
 
 ALL_N = [2, 4, 8, 16, 32, 64, 128, 256, 512]
 
@@ -140,3 +140,53 @@ def test_plan_builds_only_the_tables_its_algorithm_reads(algorithm, N, tables):
     assert plan._tables == {}
     idct(plan, dct(plan, np.random.RandomState(0).randn(N)))
     assert {n: set(t) for n, t in plan._tables.items()} == tables
+
+
+def _row_column(N):
+    """The row-column 2D pair as explicit products with the naive tables."""
+    plan = DctPlan(N, "naive")
+    C, Cinv = plan.table(N, "naive"), plan.table(N, "naive_inv")
+    fwd = lambda f: ((f @ C).T @ C).T
+    inv = lambda F: ((2.0 / N) * (np.ascontiguousarray(
+        ((2.0 / N) * (np.ascontiguousarray(F) @ Cinv)).T) @ Cinv)).T
+    return fwd, inv
+
+
+def test_only_even_naive_plans_from_fold_min_fold():
+    assert DctPlan(FOLD_MIN).folds and DctPlan(FOLD_MIN + 2).folds
+    assert not DctPlan(FOLD_MIN - 2).folds and not DctPlan(FOLD_MIN + 1).folds
+    assert not any(DctPlan(128, alg).folds for alg in ("iterative", "recursive", "hybrid"))
+
+
+@pytest.mark.parametrize("N", [96, 128, 256])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_folded_2d_transforms_match_the_row_column_products(N, order):
+    # the two forms sum in different orders; both sit about N eps (relative)
+    # from the exact transform of these random arrays
+    fwd, inv = _row_column(N)
+    plan = DctPlan(N)
+    f = np.array(np.random.RandomState(N).randn(N, N), order=order)
+    rel = lambda got, want: np.linalg.norm(got - want) / np.linalg.norm(want)
+    tol = N * np.finfo(float).eps
+    F = dct2d(plan, f)
+    assert rel(F, fwd(f)) <= tol
+    assert rel(idct2d(plan, f), inv(f)) <= tol
+    assert rel(idct2d(plan, F), f) <= tol
+    # both outputs are F-ordered, as the row-column path's are
+    for got, want in ((F, fwd(f)), (idct2d(plan, f), inv(f))):
+        assert got.flags.f_contiguous and want.flags.f_contiguous
+
+
+def test_folded_plan_builds_the_fold_blocks_from_the_naive_table():
+    plan = DctPlan(128)
+    idct2d(plan, dct2d(plan, np.random.RandomState(1).randn(128, 128)))
+    assert {n: set(t) for n, t in plan._tables.items()} == {128: {"naive", "fold"}}
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_unfolded_naive_2d_keeps_the_row_column_bits(order):
+    fwd, inv = _row_column(64)
+    plan = DctPlan(64)
+    f = np.array(np.random.RandomState(64).randn(64, 64), order=order)
+    assert dct2d(plan, f).tobytes() == fwd(f).tobytes()
+    assert idct2d(plan, f).tobytes() == inv(f).tobytes()

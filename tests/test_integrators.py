@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import fit_loglog_slope
 
+from chebflow.grid import weighted_rms_norm
 from chebflow.integrators import (ALPHA, FAC_MAX, FAC_MIN, SAFETY, IntegrationDiverged,
                                   StageHook, StepController, butcher_tableau, pirock_step,
                                   propose_dt, rk4_step, rkc_step, rkc_tableau,
@@ -335,3 +336,17 @@ def test_rock2_parser_rejects_malformed_files(tmp_path):
         message = f"corrupt ROCK2 record for s=3 in {re.escape(str(path))}"
         with pytest.raises(ValueError, match=message):
             _parse_rock2_table(path)
+
+
+def test_controller_norm_is_weighted_rms_norm_bit_for_bit():
+    # a quarter of such vectors give another last bit when summed in another
+    # order (np.dot), so twenty of them pin the order of np.mean
+    ctrl = StepController(atol=1e-3, rtol=1e-4)
+    rng = np.random.RandomState(4)
+    cases = [(rng.randn(n) * 10.0 ** rng.uniform(-6, 0), rng.randn(n))
+             for n in [33024] * 20 + [7, 1]]
+    cases += [(np.zeros(n), np.zeros(n)) for n in (33024, 7)] + [(rng.randn(7), np.zeros(7))]
+    for err, y in cases:
+        want = weighted_rms_norm(err, y, ctrl.atol, ctrl.rtol)
+        assert np.float64(ctrl.norm(err, y)).tobytes() == np.float64(want).tobytes()
+    assert ctrl.norm(np.zeros(5), np.ones(5)) == 0.0

@@ -90,3 +90,20 @@ def test_solver_bitwise_equal_to_expression_form(N, algorithm):
     got = solver.solve(CellField(rhs)).values
     assert got.tobytes() == want.tobytes()
     assert got.flags.f_contiguous == want.flags.f_contiguous
+
+
+def test_folded_solver_residual_and_constant_gauge():
+    # criterion 02's checks at a size whose transforms fold by parity
+    N = 128
+    solver = PoissonSolver(N)
+    assert solver.plan.folds
+    rng = np.random.RandomState(128)
+    for _ in range(3):
+        rhs = np.asfortranarray(rng.randn(N, N))
+        rhs -= rhs.mean()
+        u = solver.solve(CellField(rhs))
+        res = apply_neumann_laplacian(u.values, 1.0 / N) - rhs
+        assert np.max(np.abs(res)) <= 1e-11 * np.max(np.abs(rhs))
+        assert u.values.flags.f_contiguous
+    const = solver.solve(CellField(np.full((N, N), 3.3)))
+    assert np.max(np.abs(const.values)) < 1e-13
