@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from conftest import wall_flux
 
+from chebflow import problems
+from chebflow.bench import RunConfig, run_simulation
 from chebflow.grid import GridSpec, inf_norm, sample_velocity
-from chebflow.problems import (forced_flow, green_taylor, lid_driven_cavity,
-                               make_problem)
+from chebflow.problems import (MEMO_POINT_SETS, forced_flow, green_taylor,
+                               lid_driven_cavity, make_problem)
 from chebflow.spatial import divergence
 
 
@@ -109,3 +111,191 @@ def test_make_problem_dispatch():
         make_problem("channel", 1.0)
     with pytest.raises(ValueError):
         forced_flow(-1.0)
+
+
+# -- the memoized closed forms against the written-out formulas ---------------
+
+PI = np.pi
+
+
+def forced_oracle(prob):
+    """The forced flow's fields and grid forcing as whole expressions."""
+    def velocity(t, x, y):
+        return (-np.cos(t) * np.sin(PI * x) ** 2 * np.sin(2 * PI * y),
+                np.cos(t) * np.sin(2 * PI * x) * np.sin(PI * y) ** 2)
+
+    def velocity_dt(t, x, y):
+        return (np.sin(t) * np.sin(PI * x) ** 2 * np.sin(2 * PI * y),
+                -np.sin(t) * np.sin(2 * PI * x) * np.sin(PI * y) ** 2)
+
+    def pressure(t, x, y):
+        return (-(np.sin(t) / 4.0) * (2 + np.cos(PI * x)) * (2 + np.cos(PI * y))
+                + (PI**2 / 2.0) * np.cos(t) * (np.cos(PI * x) + np.cos(PI * y)
+                                               + np.cos(PI * x) * np.cos(PI * y)))
+
+    def grid_forcing(t, xu, yu, xv, yv):
+        # sin(t) A + cos(t) B + cos(t)^2 C, the parts probed at t = pi/2, 0, pi
+        def parts(x, y, comp):
+            a = prob.forcing(PI / 2, x, y)[comp]
+            f0 = prob.forcing(0.0, x, y)[comp]
+            fpi = prob.forcing(PI, x, y)[comp]
+            return a, 0.5 * (f0 - fpi), 0.5 * (f0 + fpi)
+        (A1, B1, C1), (A2, B2, C2) = parts(xu, yu, 0), parts(xv, yv, 1)
+        ct, st = np.cos(t), np.sin(t)
+        return (st * A1 + ct * B1 + ct * ct * C1, st * A2 + ct * B2 + ct * ct * C2)
+
+    return velocity, velocity_dt, pressure, grid_forcing
+
+
+def taylor_oracle(prob):
+    Re = prob.Re
+
+    def velocity(t, x, y):
+        E = np.exp(-2 * PI**2 * t / Re)
+        return -E * np.sin(PI * x) * np.cos(PI * y), E * np.cos(PI * x) * np.sin(PI * y)
+
+    def velocity_dt(t, x, y):
+        u, v = velocity(t, x, y)
+        return (-2 * PI**2 / Re) * u, (-2 * PI**2 / Re) * v
+
+    def pressure(t, x, y):
+        return 0.25 * np.exp(-4 * PI**2 * t / Re) * (np.cos(2 * PI * x) + np.cos(2 * PI * y))
+
+    return velocity, velocity_dt, pressure, None
+
+
+ORACLES = {"forced": (lambda: forced_flow(7.0), forced_oracle),
+           "taylor": (lambda: green_taylor(7.0), taylor_oracle)}
+
+
+def assert_bytes_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def check_against_oracle(prob, oracle, t, x, y):
+    velocity, velocity_dt, pressure, _ = oracle
+    for got, want in ((prob.exact_velocity(t, x, y), velocity(t, x, y)),
+                      (prob.boundary.velocity(t, x, y), velocity(t, x, y)),
+                      (prob.boundary.velocity_dt(t, x, y), velocity_dt(t, x, y)),
+                      ((prob.exact_pressure(t, x, y),), (pressure(t, x, y),))):
+        for g, w in zip(got, want):
+            assert_bytes_equal(g, w)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_closed_forms_are_bitwise_the_formulas(name):
+    make, make_oracle = ORACLES[name]
+    prob = make()
+    oracle = make_oracle(prob)
+    spec = GridSpec(12, nu=0.1)
+    wx, wy, _ = spec.wall_points
+    point_sets = [(wx, wy), spec.u_points(), spec.v_points(), spec.cell_centers(), (0.3, 0.8)]
+    # repeated calls at several t, the point sets interleaved, and fresh
+    # arrays of the same values, as a new grid of every trial builds them
+    for rnd in range(3):
+        for t in (0.0, 0.37, 1.9):
+            for x, y in point_sets[rnd:] + point_sets[:rnd]:
+                check_against_oracle(prob, oracle, t, x, y)
+        fresh = GridSpec(12, nu=0.1)
+        point_sets[:4] = [fresh.wall_points[:2], fresh.u_points(), fresh.v_points(),
+                          fresh.cell_centers()]
+    grid_forcing = oracle[3]
+    if grid_forcing is not None:
+        (xu, yu), (xv, yv) = spec.u_points(), spec.v_points()
+        for rnd in range(2):
+            g = prob.forcing_factory(xu, yu, xv, yv)
+            for t in (0.0, 0.37, 1.9, 0.37):
+                for got, want in zip(g(t), grid_forcing(t, xu, yu, xv, yv)):
+                    assert_bytes_equal(got, want)
+            xu, yu = xu.copy(), yu.copy()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_closed_forms_follow_points_changed_in_place(name):
+    make, make_oracle = ORACLES[name]
+    prob = make()
+    oracle = make_oracle(prob)
+    x, y = GridSpec(10, nu=0.1).u_points()
+    check_against_oracle(prob, oracle, 0.4, x, y)
+    x += 0.01
+    y[3, 4] = 0.123
+    check_against_oracle(prob, oracle, 0.4, x, y)
+    if oracle[3] is not None:
+        (xv, yv) = GridSpec(10, nu=0.1).v_points()
+        prob.forcing_factory(x, y, xv, yv)
+        xv *= 0.5
+        for got, want in zip(prob.forcing_factory(x, y, xv, yv)(0.4),
+                             oracle[3](0.4, x, y, xv, yv)):
+            assert_bytes_equal(got, want)
+    # a read-only array made writable and changed is not taken by identity
+    wx, wy, _ = GridSpec(10, nu=0.1).wall_points
+    wx, wy = wx.copy(), wy.copy()
+    wx.flags.writeable = wy.flags.writeable = False
+    check_against_oracle(prob, oracle, 0.4, wx, wy)
+    wx.flags.writeable = True
+    wx[:] = wx[::-1]
+    check_against_oracle(prob, oracle, 0.4, wx, wy)
+
+
+class _TrigCounter:
+    """Stands in for numpy in ``problems``, counting full-grid trigonometry."""
+
+    def __init__(self):
+        self.grid_calls = 0
+
+    def __getattr__(self, name):
+        real = getattr(np, name)
+        if name not in ("sin", "cos", "exp"):
+            return real
+
+        def counted(a, *args, **kwargs):
+            self.grid_calls += np.ndim(a) == 2
+            return real(a, *args, **kwargs)
+        return counted
+
+
+def test_memo_keeps_a_bounded_number_of_point_sets(monkeypatch):
+    counter = _TrigCounter()
+    monkeypatch.setattr(problems, "np", counter)
+    prob = forced_flow(7.0)
+    oracle = forced_oracle(prob)
+    rng = np.random.RandomState(43)
+    sets = [(rng.rand(2, 3), rng.rand(2, 3)) for _ in range(MEMO_POINT_SETS + 1)]
+
+    def trig_calls(x, y):
+        before = counter.grid_calls
+        for got, want in zip(prob.exact_velocity(0.6, x, y), oracle[0](0.6, x, y)):
+            assert_bytes_equal(got, want)
+        return counter.grid_calls - before
+
+    assert all(trig_calls(*pts) > 0 for pts in sets[:-1])
+    assert all(trig_calls(*pts) == 0 for pts in sets[:-1])     # all kept
+    assert trig_calls(*sets[0]) == 0
+    assert trig_calls(*sets[-1]) > 0        # one more evicts the least recently used
+    assert trig_calls(*sets[0]) == 0
+    assert trig_calls(*sets[1]) > 0
+
+
+@pytest.mark.parametrize("name", ["forced", "taylor"])
+def test_one_problem_serves_a_study_bitwise(name, monkeypatch):
+    def cfg(N):
+        return RunConfig(problem=name, re=20.0, nx=N, t_end=4e-3, dt=1e-3,
+                         integrator="rock2", coupling="dae", pressure="ap1")
+
+    counter = _TrigCounter()
+    monkeypatch.setattr(problems, "np", counter)
+    prob = make_problem(name, 20.0)
+    shared, calls = [], []
+    for N in (16, 32, 16):
+        before = counter.grid_calls
+        shared.append(run_simulation(cfg(N), problem=prob))
+        calls.append(counter.grid_calls - before)
+    assert calls[0] > 0 and calls[1] > 0
+    assert calls[2] == 0                # the second N=16 run reuses every factor
+    monkeypatch.undo()
+    for rep in shared:
+        fresh = run_simulation(rep.config)
+        for field in ("u", "v", "p"):
+            assert_bytes_equal(getattr(rep, field), getattr(fresh, field))
