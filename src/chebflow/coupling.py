@@ -103,9 +103,10 @@ class FlowSystem:
     """Grid, boundary data, forcing and the shared Poisson solver.
 
     The pointwise ``forcing(t, x, y)`` becomes one grid evaluator ``g(t)``
-    at the stored u and v points, built by ``forcing_factory`` when given;
-    ``rhs_config`` hands it to every momentum RHS, stages and pressure
-    recoveries alike.
+    at the stored u and v points, laid out like ``spatial.stacked``: built
+    by ``forcing_factory(xu, yu, xv, yv, spatial.stacked)`` when given, else
+    by sampling ``forcing``.  ``rhs_config`` hands it to every momentum RHS,
+    stages and pressure recoveries alike.
     The boundary data are sampled through ``walls(t)``, which keeps the
     last sample: a projected stage's divergence and the next stage's
     momentum RHS share one boundary evaluation at their common time.
@@ -128,10 +129,11 @@ class FlowSystem:
         if self.forcing is not None:
             (xu, yu), (xv, yv) = self.spec.u_points(), self.spec.v_points()
             if self.forcing_factory is not None:
-                self._forcing_eval = self.forcing_factory(xu, yu, xv, yv)
+                self._forcing_eval = self.forcing_factory(xu, yu, xv, yv, spatial.stacked)
             else:
                 forcing = self.forcing
-                self._forcing_eval = lambda t: (forcing(t, xu, yu)[0], forcing(t, xv, yv)[1])
+                self._forcing_eval = lambda t: spatial.stacked(forcing(t, xu, yu)[0],
+                                                               forcing(t, xv, yv)[1])
         self._last_walls = None
         self._work = None
 
@@ -166,15 +168,19 @@ class FlowSystem:
         """Momentum RHS as a callable on flattened state vectors, with the
         pressure gradient of ``p`` when given.
 
-        Every call returns a new array: the integrators keep earlier
-        evaluations (f_0, f_{s-2}) across later ones.
+        The gradient is laid out once, here, for every call of the closure
+        (a projection step freezes p for all its stages), into an array of
+        the closure's own: closures built with other pressures do not
+        disturb it.  Every call returns a new array: the integrators keep
+        earlier evaluations (f_0, f_{s-2}) across later ones.
         """
         N = self.spec.N
+        grad_p = None if p is None else spatial.stacked_pressure_gradient(p, self.spec)
 
         def f(t, w):
             out = np.empty(w.size)
-            momentum_rhs(VelocityField.from_flat(w, N), p, self.bc, self.spec, t, cfg,
-                         walls=self.walls(t), out=VelocityField.from_flat(out, N),
+            momentum_rhs(VelocityField.views(w, N), grad_p, self.bc, self.spec, t, cfg,
+                         walls=self.walls(t), out=VelocityField.views(out, N),
                          work=self.work)
             return out
 
@@ -182,7 +188,7 @@ class FlowSystem:
 
     def divergence_of(self, w: np.ndarray, t: float, out=None) -> CellField:
         """Divergence of the flat state ``w`` at t, into ``out`` when given."""
-        return divergence(VelocityField.from_flat(w, self.spec.N), self.bc, self.spec, t,
+        return divergence(VelocityField.views(w, self.spec.N), self.bc, self.spec, t,
                           walls=self.walls(t), out=out, work=self.work)
 
 
@@ -213,7 +219,7 @@ def _project_once(system: FlowSystem, w_star: np.ndarray, t: float,
     if h is not None:
         div.values /= h
     phi = system.poisson.solve(div)
-    gradient_to_faces(phi, system.spec, out=VelocityField.from_flat(work.grad, system.spec.N))
+    gradient_to_faces(phi, system.spec, out=VelocityField.views(work.grad, system.spec.N))
     if h is not None:
         work.grad *= h
     return w_star - work.grad, phi
@@ -245,7 +251,7 @@ def pm1_step(state: CouplingState, system: FlowSystem, stepper: Stepper,
         w_star, err = stepper.advance(f, w0, t, dt, hook=None, err_norm=err_norm)
     w_new, phi1 = _project_once(system, w_star, t + dt)
     p_new = CellField(p_n.values + (2.0 / dt) * phi1.values).zero_mean()
-    new = CouplingState(VelocityField.from_flat(w_new, system.spec.N), p_new, t + dt)
+    new = CouplingState(VelocityField.views(w_new, system.spec.N), p_new, t + dt)
     return new, err
 
 
@@ -278,7 +284,7 @@ def pm1v_step(state: CouplingState, system: FlowSystem, stepper: Stepper,
     w_new, err = stepper.advance(f, state.u.flatten(), state.t, dt, hook, err_norm)
     phi_last = log[-1][2]
     p_new = CellField(state.p.values + (2.0 / dt) * phi_last.values).zero_mean()
-    new = CouplingState(VelocityField.from_flat(w_new, system.spec.N), p_new,
+    new = CouplingState(VelocityField.views(w_new, system.spec.N), p_new,
                         state.t + dt, phi_log=log)
     return new, err
 
@@ -296,7 +302,7 @@ def dae_step(state: CouplingState, system: FlowSystem, stepper: Stepper,
     f = system.rhs_flat(system.rhs_config())
     w_new, err = stepper.advance(f, state.u.flatten(), state.t, dt, hook, err_norm)
     p_new = log[-1][2].zero_mean()
-    new = CouplingState(VelocityField.from_flat(w_new, system.spec.N), p_new,
+    new = CouplingState(VelocityField.views(w_new, system.spec.N), p_new,
                         state.t + dt, phi_log=log)
     return new, err
 
@@ -310,7 +316,8 @@ def _hidden_constraint(state: CouplingState, system: FlowSystem,
                        p: Optional[CellField], rate_bc: BoundaryData) -> CellField:
     """phi with lap phi = div F(u, t): F the momentum RHS with the pressure p
     (None: no pressure term), its boundary faces the wall rates ``rate_bc``."""
-    F = momentum_rhs(state.u, p, system.bc, system.spec, state.t, system.rhs_config(),
+    grad_p = None if p is None else spatial.stacked_pressure_gradient(p, system.spec)
+    F = momentum_rhs(state.u, grad_p, system.bc, system.spec, state.t, system.rhs_config(),
                      walls=system.walls(state.t), work=system.work)
     rhs = divergence(F, rate_bc, system.spec, state.t, work=system.work)
     return system.poisson.solve(rhs)

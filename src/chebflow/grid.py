@@ -128,10 +128,20 @@ class VelocityField:
 
     @classmethod
     def from_flat(cls, w: np.ndarray, N: int) -> "VelocityField":
+        vel = cls.views(w, N)
+        vel.__post_init__()
+        return vel
+
+    @classmethod
+    def views(cls, w: np.ndarray, N: int) -> "VelocityField":
+        """u and v as views of the flat float vector ``w`` of length 2 (N-1) N,
+        not checked: for vectors the solver built itself.  Input from
+        outside goes through ``from_flat``, which checks it."""
+        vel = cls.__new__(cls)
         nu = (N - 1) * N
-        u = w[:nu].reshape((N - 1, N), order="F")
-        v = w[nu:].reshape((N, N - 1), order="F")
-        return cls(u, v)
+        vel.u = w[:nu].reshape((N - 1, N), order="F")
+        vel.v = w[nu:].reshape((N, N - 1), order="F")
+        return vel
 
     def __add__(self, other):
         return VelocityField(self.u + other.u, self.v + other.v)

@@ -83,10 +83,14 @@ def _point_memo(parts: Callable) -> Callable:
 class ProblemSpec:
     """A benchmark problem: boundary data, forcing, optional exact fields.
 
-    ``forcing_factory(xu, yu, xv, yv)``, when present, returns a grid
-    evaluator ``g(t) -> (f1 at (xu, yu), f2 at (xv, yv))`` of ``forcing``
-    with cached spatial parts, equal to it up to rounding; a ``FlowSystem``
-    then evaluates only ``g``, in every stage and pressure recovery.
+    ``forcing_factory(xu, yu, xv, yv, layout)``, when present, returns a
+    grid evaluator ``g(t)`` of ``forcing`` with cached spatial parts, equal
+    to it up to rounding; a ``FlowSystem`` then evaluates only ``g``, in
+    every stage and pressure recovery.  ``layout(fu, fv)`` places a field
+    at the u points (xu, yu) and one at the v points (xv, yv) in one new
+    array (the system passes ``spatial.stacked``); ``g(t)`` returns the
+    forcing's two components in that layout, in a buffer ``g`` owns and
+    overwrites: the result is valid only until the next call of ``g``.
     """
 
     name: str
@@ -96,7 +100,7 @@ class ProblemSpec:
     exact_velocity: Optional[Callable] = None   # (t, x, y) -> (u, v)
     exact_pressure: Optional[Callable] = None   # (t, x, y) -> p
     advection: bool = True
-    forcing_factory: Optional[Callable] = None  # (xu, yu, xv, yv) -> g(t)
+    forcing_factory: Optional[Callable] = None  # (xu, yu, xv, yv, layout) -> g(t)
 
     def initial_velocity(self, t0: float = 0.0) -> Callable:
         if self.exact_velocity is not None:
@@ -184,13 +188,19 @@ def forced_flow(Re: float, advection: bool = True) -> ProblemSpec:
             return a, 0.5 * (f0 - fpi), 0.5 * (f0 + fpi)
         return parts(xu, yu, 0) + parts(xv, yv, 1)
 
-    def forcing_factory(xu, yu, xv, yv):
+    def forcing_factory(xu, yu, xv, yv, layout):
         A1, B1, C1, A2, B2, C2 = forcing_parts(xu, yu, xv, yv)
+        A, B, C = layout(A1, A2), layout(B1, B2), layout(C1, C2)
+        out, tmp = np.empty_like(A), np.empty_like(A)
 
         def g(t):
+            # (st A + ct B) + (ct ct) C, both components in one pass
             ct, st = np.cos(t), np.sin(t)
-            return (st * A1 + ct * B1 + ct * ct * C1,
-                    st * A2 + ct * B2 + ct * ct * C2)
+            np.multiply(st, A, out=out)
+            np.multiply(ct, B, out=tmp)
+            np.add(out, tmp, out=out)
+            np.multiply(ct * ct, C, out=tmp)
+            return np.add(out, tmp, out=out)
 
         return g
 

@@ -10,10 +10,21 @@ from the boundary, so one-sided schemes are used there:
 with ``f(x-h/2)`` the Dirichlet wall value.  Both are second order (exact
 for quadratics resp. cubics).  The transverse velocity needed by the
 advection terms is the arithmetic mean of the four surrounding faces.
+
+The momentum RHS computes u's equation and v's, transposed, together in
+one stacked span (see :class:`StencilWork`).  Its once-per-step inputs come
+laid out like that span: the pressure gradient from
+:func:`stacked_pressure_gradient` and the forcing from a grid evaluator
+that returns one span-shaped array per t (:func:`stacked` is the layout).
+Every division by a grid quantity goes through :func:`divide_by`, which
+multiplies by 1/d when d is a power of two: 1/d is then exact, so the
+product and the quotient round the same real number once and have the same
+bits.  Other spacings (N = 5, 6, 7, 48, ...) keep true division.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -26,21 +37,78 @@ from .grid import BoundaryData, CellField, GridSpec, VelocityField
 @dataclass
 class MomentumRhsConfig:
     """Term selection for the momentum right-hand side; the pressure gradient
-    is not selected here but comes with the pressure ``momentum_rhs`` gets.
+    is not selected here but comes with the span ``momentum_rhs`` gets.
 
-    ``forcing``, when given, is a grid evaluator ``g(t) -> (f1, f2)``, f1 at
-    the stored u unknowns and f2 at the stored v unknowns (``FlowSystem``
-    builds it).  ``pm3_derivative`` activates the PM3 boundary fix: the
-    tangential wall value used inside the one-sided second-derivative
-    stencil is replaced by the ghost value ``interior - (dx/2) * (exact
-    wall-normal derivative)``, the one-sided imposition of the exact
-    Neumann data over the actual wall-to-unknown distance dx/2.
+    ``forcing``, when given, is a grid evaluator ``g(t)`` returning one
+    array laid out like :func:`stacked`: the u component at the stored u
+    unknowns, the v component at the stored v unknowns (``FlowSystem``
+    builds it).  The array may be a buffer ``g`` owns and overwrites, valid
+    only until its next call.  ``pm3_derivative`` activates the PM3
+    boundary fix: the tangential wall value used inside the one-sided
+    second-derivative stencil is replaced by the ghost value ``interior -
+    (dx/2) * (exact wall-normal derivative)``, the one-sided imposition of
+    the exact Neumann data over the actual wall-to-unknown distance dx/2.
     """
 
     include_advection: bool = True
     forcing: Optional[Callable] = None
     pm3_derivative: Optional[Callable] = None
     include_diffusion: bool = True
+
+
+def divide_by(a, d: float, out=None):
+    """``a / d`` into ``out``, as the multiply ``a * (1/d)`` when 1/d is exact.
+
+    That is when d is a power of two whose reciprocal is a normal or
+    subnormal float.  Both operations then round the same real quotient
+    once, so they give the same bits, also for zeros, subnormals, overflow,
+    infinities and NaN; a multiply is the cheaper one.
+    """
+    if abs(math.frexp(d)[0]) == 0.5:
+        r = 1.0 / d
+        if abs(math.frexp(r)[0]) == 0.5:
+            return np.multiply(a, r, out=out)
+    return np.divide(a, d, out=out)
+
+
+def _span(N: int):
+    """Block side m, block size n and end ``hi`` of the stacked span [1, hi)."""
+    m = N + 1
+    return m, m * m, m * m + N * N + N - 1
+
+
+def stacked(fu, fv) -> np.ndarray:
+    """``fu`` (N-1, N) at the u unknowns and ``fv`` (N, N-1) at the v
+    unknowns of the stacked span (``StencilWork.R``), zeros elsewhere.
+
+    This is the layout of a ``MomentumRhsConfig.forcing`` result; returns a
+    new array.
+    """
+    N = np.shape(fu)[1]
+    m, n, hi = _span(N)
+    flat = np.zeros(2 * n)
+    blocks = flat.reshape((m, m, 2), order="F")
+    blocks[1:N, :N, 0] = fu
+    blocks[1:N, :N, 1] = np.transpose(fv)
+    return flat[1:hi]
+
+
+def stacked_pressure_gradient(p: CellField, spec: GridSpec) -> np.ndarray:
+    """(p[1:] - p[:-1]) / dx at the u unknowns and (p[:, 1:] - p[:, :-1]) / dx
+    at the v unknowns, laid out like :func:`stacked`: the span
+    ``momentum_rhs`` subtracts.  Returns a new array.
+
+    Both differences are one subtraction of the span holding p and p^T
+    from itself shifted by one entry.
+    """
+    N = spec.N
+    m, n, hi = _span(N)
+    c = np.zeros(2 * n)
+    blocks = c.reshape((m, m, 2), order="F")
+    blocks[:N, :N, 0] = p.values
+    blocks[:N, :N, 1] = p.values.T
+    grad = np.subtract(c[1:hi], c[:hi - 1])
+    return divide_by(grad, spec.dx, out=grad)
 
 
 def wall_velocities(bc: BoundaryData, spec: GridSpec, t: float):
@@ -86,12 +154,11 @@ class StencilWork:
         self.vf = np.empty((N, N + 1), order="F")
         self.div = np.empty((N, N), order="F")
         self.grad = np.empty(2 * (N - 1) * N)
-        m = N + 1
-        n, hi = m * m, m * m + N * N + N - 1
+        m, n, hi = _span(N)
         self.x, self.a, self.b, self.c, self.r = (np.zeros(2 * n) for _ in range(5))
         x, a, b, c, r = self.x, self.a, self.b, self.c, self.r
         self.X, self.A, self.B, self.C, self.R = (f[1:hi] for f in (x, a, b, c, r))
-        self.Xn, self.Xp, self.Cp = x[2:hi + 1], x[:hi - 1], c[:hi - 1]
+        self.Xn, self.Xp = x[2:hi + 1], x[:hi - 1]
         self.Xt, self.Bt = x[1 + m:hi - m], b[1 + m:hi - m]
         self.Xtn, self.Xtp = x[1 + 2 * m:hi], x[1:hi - 2 * m]
         L = 2 * n - m - 1
@@ -99,7 +166,6 @@ class StencilWork:
         xb, ab, cb, rb = (f.reshape((m, m, 2), order="F") for f in (x, a, c, r))
         self.x_u, self.x_vt = xb[1:N, :N, 0], xb[1:N, :N, 1]
         self.r_u, self.r_vt = rb[1:N, :N, 0], rb[1:N, :N, 1]
-        self.c_p, self.c_pt = cb[:N, :N, 0], cb[:N, :N, 1]
         self.swap = (cb[1:N, :N], ab[:N, :N - 1, ::-1].transpose(1, 0, 2))
         self.tw, self.t1, self.t2 = (np.empty((N - 1, 2, 2), order="F") for _ in range(3))
         tw = self.tw
@@ -151,7 +217,7 @@ def divergence(vel: VelocityField, bc: BoundaryData, spec: GridSpec, t: float,
     np.subtract(uf[1:, :], uf[:-1, :], out=out)
     out += vf[:, 1:]
     out -= vf[:, :-1]
-    out /= spec.dx
+    divide_by(out, spec.dx, out=out)
     return CellField(out)
 
 
@@ -165,19 +231,20 @@ def gradient_to_faces(phi: CellField, spec: GridSpec, out=None) -> VelocityField
     if out is None:
         out = _faces(phi.N)
     np.subtract(g[1:, :], g[:-1, :], out=out.u)
-    out.u /= spec.dx
+    divide_by(out.u, spec.dx, out=out.u)
     np.subtract(g[:, 1:], g[:, :-1], out=out.v)
-    out.v /= spec.dx
+    divide_by(out.v, spec.dx, out=out.v)
     return out
 
 
-def momentum_rhs(vel: VelocityField, p: Optional[CellField], bc: BoundaryData,
+def momentum_rhs(vel: VelocityField, grad_p: Optional[np.ndarray], bc: BoundaryData,
                  spec: GridSpec, t: float, cfg: MomentumRhsConfig,
                  walls=None, out=None, work=None) -> VelocityField:
     """Momentum right-hand side -(u.grad)u - grad p + nu lap u + forcing.
 
     Each term but the pressure gradient is included according to ``cfg``;
-    the pressure gradient is subtracted exactly when ``p`` is given.
+    the pressure gradient is subtracted exactly when ``grad_p``, the span
+    ``stacked_pressure_gradient(p, spec)``, is given.
     Boundary values are evaluated at time t; ``walls``, when given, is
     ``wall_velocities(bc, spec, t)`` sampled earlier.  ``out``, a
     :class:`VelocityField` (such as views of a flat vector), receives the
@@ -208,11 +275,11 @@ def momentum_rhs(vel: VelocityField, p: Optional[CellField], bc: BoundaryData,
         np.multiply(X, 2.0, out=A)
         np.subtract(Xn, A, out=A)
         A += Xp
-        A /= dx2
+        divide_by(A, dx2, out=A)
         np.multiply(Xt, 2.0, out=Bt)
         np.subtract(Xtn, Bt, out=Bt)
         Bt += Xtp
-        Bt /= dx2
+        divide_by(Bt, dx2, out=Bt)
         tw = work.tw
         if cfg.pm3_derivative is not None:
             # ghosts u[:, 0] - dx/2 g and u[:, -1] + dx/2 g; the tangential
@@ -231,7 +298,7 @@ def momentum_rhs(vel: VelocityField, p: Optional[CellField], bc: BoundaryData,
         np.multiply(W1, 10.0, out=t2)
         t1 += t2
         t1 -= W2
-        np.divide(t1, 5.0 * dx2, out=Bw)
+        divide_by(t1, 5.0 * dx2, out=Bw)
         A += B
         np.multiply(A, nu, out=R)
     else:
@@ -248,33 +315,25 @@ def momentum_rhs(vel: VelocityField, p: Optional[CellField], bc: BoundaryData,
         dst[...] = src
         C *= 0.25
         np.subtract(Xn, Xp, out=A)
-        A /= 2.0 * dx
+        divide_by(A, 2.0 * dx, out=A)
         np.subtract(Xtn, Xtp, out=Bt)
-        Bt /= 2.0 * dx
+        divide_by(Bt, 2.0 * dx, out=Bt)
         # dudy[:, 0] = (u[:, 1] + 3 u[:, 0] - 4 uw_s) / (3 dx), dudy[:, -1] its negative mirror
         np.multiply(W0, 3.0, out=t1)
         np.add(W1, t1, out=t1)
         np.multiply(work.tw, 4.0, out=t2)
         t1 -= t2
-        t1 /= 3.0 * dx
+        divide_by(t1, 3.0 * dx, out=t1)
         np.multiply(t1, sign, out=Bw)
         A *= X
         C *= B
         A += C
         R -= A
 
-    if p is not None:
-        # (p[1:] - p[:-1]) / dx, from p and p^T in the blocks of c
-        work.c_p[...] = p.values
-        work.c_pt[...] = p.values.T
-        np.subtract(C, work.Cp, out=A)
-        A /= dx
-        R -= A
-
+    if grad_p is not None:
+        R -= grad_p
     if cfg.forcing is not None:
-        f1, f2 = cfg.forcing(t)
-        work.r_u += f1
-        work.r_vt += np.transpose(f2)
+        R += cfg.forcing(t)
     out.u[...] = work.r_u
     out.v[...] = work.r_vt.T
     return out

@@ -55,3 +55,53 @@ def test_bench_record_refuses_mixed_environments(tmp_path):
     assert bench_record.main(["4", "--tree", tree,
                               "--out", os.path.join(tree, "B.json")]) == 2
     assert not os.path.exists(os.path.join(tree, "B.json"))
+
+
+def _record(tmp_path, name, walls, setups):
+    tree = str(tmp_path / name)
+    for seed, (wall, setup) in enumerate(zip(walls, setups), start=1):
+        _run_file(tree, "w1", seed, wall)
+        path = os.path.join(tree, ".perfbench_out", f"w1-seed{seed}-trace0.json")
+        with open(path) as fh:
+            record = json.load(fh)
+        record["metrics"]["setup_s"]["value"] = setup
+        with open(path, "w") as fh:
+            json.dump(record, fh)
+    out = os.path.join(tree, "BENCH.json")
+    assert bench_record.main(["1", "--tree", tree, "--out", out]) == 0
+    return out
+
+
+def test_bench_record_diff_pairs_runs_by_seed(tmp_path, capsys):
+    old = _record(tmp_path, "old", [1.0, 1.1, 1.2, 1.3, 1.0, 1.1, 1.2, 1.3, 1.0, 1.1],
+                  [0.01] * 10)
+    # wall_ref_s: nine wins and one loss, the medians 0.525 s apart against
+    # an IQR of 0.225 s; setup_s: one win, eight ties, one loss
+    new = _record(tmp_path, "new", [0.5, 0.6, 0.55, 0.65, 0.5, 0.6, 0.55, 0.65, 0.5, 1.2],
+                  [0.009] + [0.01] * 8 + [0.02])
+    with open(old) as fh_old, open(new) as fh_new:
+        rows = {r["metric"]: r for r in bench_record.diff_rows(json.load(fh_old),
+                                                               json.load(fh_new))}
+    assert set(rows) == {"wall_ref_s", "setup_s", "wall_s", "cal_s"}
+    wall = rows["wall_ref_s"]
+    assert wall["wtl"] == (9, 0, 1) and wall["met"]
+    assert wall["old_iqr"] == pytest.approx(0.225)
+    assert wall["change"] == pytest.approx((0.575 - 1.1) / 1.1)
+    assert rows["setup_s"]["wtl"] == (1, 8, 1) and not rows["setup_s"]["met"]
+    assert rows["cal_s"]["wtl"] == (0, 10, 0) and not rows["cal_s"]["met"]
+    capsys.readouterr()
+    assert bench_record.main(["--diff", old, new]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("| workload | metric | parent | change |")
+    assert ("| w1 | wall_ref_s | 1.1 [1, 1.225] | 0.575 [0.5, 0.65] | -47.7 % | 9/0/1 "
+            "| 0.225 | met |") in lines
+
+
+def test_bench_record_diff_needs_more_than_the_parent_iqr(tmp_path):
+    # ten wins, but the medians differ by less than the parent's spread
+    old = _record(tmp_path, "old", [1.0, 2.0, 3.0, 4.0], [0.01] * 4)
+    new = _record(tmp_path, "new", [0.9, 1.9, 2.9, 3.9], [0.01] * 4)
+    with open(old) as fh_old, open(new) as fh_new:
+        rows = {r["metric"]: r for r in bench_record.diff_rows(json.load(fh_old),
+                                                               json.load(fh_new))}
+    assert rows["wall_ref_s"]["wtl"] == (4, 0, 0) and not rows["wall_ref_s"]["met"]

@@ -108,6 +108,20 @@ def test_flattening_order():
     assert np.array_equal(back.u, u) and np.array_equal(back.v, v)
 
 
+def test_flat_views_share_memory_with_the_flat_vector():
+    N = 5
+    w = np.arange(2 * (N - 1) * N, dtype=float)
+    for vel in (VelocityField.from_flat(w, N), VelocityField.views(w, N)):
+        assert vel.u.shape == (N - 1, N) and vel.v.shape == (N, N - 1)
+        assert np.shares_memory(vel.u, w) and np.shares_memory(vel.v, w)
+        assert vel.flatten().tobytes() == w.tobytes()
+        vel.u[1, 2] = -1.0              # writes reach the vector
+        assert w[1 + 2 * (N - 1)] == -1.0
+        w[1 + 2 * (N - 1)] = 1 + 2 * (N - 1)
+    # outside input goes through the checks: an integer vector becomes float
+    assert VelocityField.from_flat(np.arange(2 * (N - 1) * N), N).u.dtype == float
+
+
 def test_field_dump_round_trip(tmp_path):
     spec = GridSpec(8, nu=0.1)
     rng = np.random.RandomState(2)

@@ -7,7 +7,7 @@ from chebflow.bench import RunConfig, run_simulation
 from chebflow.grid import GridSpec, inf_norm, sample_velocity
 from chebflow.problems import (MEMO_POINT_SETS, forced_flow, green_taylor,
                                lid_driven_cavity, make_problem)
-from chebflow.spatial import divergence
+from chebflow.spatial import divergence, stacked
 
 
 def fd_momentum_residual(prob, t, pts, h=1e-3, ht=1e-6):
@@ -205,10 +205,9 @@ def test_closed_forms_are_bitwise_the_formulas(name):
     if grid_forcing is not None:
         (xu, yu), (xv, yv) = spec.u_points(), spec.v_points()
         for rnd in range(2):
-            g = prob.forcing_factory(xu, yu, xv, yv)
+            g = prob.forcing_factory(xu, yu, xv, yv, stacked)
             for t in (0.0, 0.37, 1.9, 0.37):
-                for got, want in zip(g(t), grid_forcing(t, xu, yu, xv, yv)):
-                    assert_bytes_equal(got, want)
+                assert_bytes_equal(g(t), stacked(*grid_forcing(t, xu, yu, xv, yv)))
             xu, yu = xu.copy(), yu.copy()
 
 
@@ -224,11 +223,10 @@ def test_closed_forms_follow_points_changed_in_place(name):
     check_against_oracle(prob, oracle, 0.4, x, y)
     if oracle[3] is not None:
         (xv, yv) = GridSpec(10, nu=0.1).v_points()
-        prob.forcing_factory(x, y, xv, yv)
+        prob.forcing_factory(x, y, xv, yv, stacked)
         xv *= 0.5
-        for got, want in zip(prob.forcing_factory(x, y, xv, yv)(0.4),
-                             oracle[3](0.4, x, y, xv, yv)):
-            assert_bytes_equal(got, want)
+        assert_bytes_equal(prob.forcing_factory(x, y, xv, yv, stacked)(0.4),
+                           stacked(*oracle[3](0.4, x, y, xv, yv)))
     # a read-only array made writable and changed is not taken by identity
     wx, wy, _ = GridSpec(10, nu=0.1).wall_points
     wx, wy = wx.copy(), wy.copy()

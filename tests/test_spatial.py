@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from conftest import neumann_laplacian_matrix
 
+from chebflow import spatial
 from chebflow.grid import BoundaryData, CellField, GridSpec, VelocityField, inf_norm, sample_velocity
 from chebflow.poisson import PoissonSolver
 from chebflow.problems import forced_flow, green_taylor, lid_driven_cavity
-from chebflow.spatial import (MomentumRhsConfig, divergence, gradient_to_faces,
-                              momentum_rhs, spectral_radius_estimate)
+from chebflow.spatial import (MomentumRhsConfig, divergence, divide_by, gradient_to_faces,
+                              momentum_rhs, spectral_radius_estimate,
+                              stacked_pressure_gradient)
 from chebflow.spatial import wall_velocities
 
 
@@ -80,7 +82,7 @@ def test_momentum_rhs_zero_state():
     vel = VelocityField.zeros(8)
     p = CellField.zeros(8)
     cfg = MomentumRhsConfig()
-    rhs = momentum_rhs(vel, p, zero_bc(), spec, 0.0, cfg)
+    rhs = momentum_rhs(vel, stacked_pressure_gradient(p, spec), zero_bc(), spec, 0.0, cfg)
     assert inf_norm(rhs) == 0.0
 
 
@@ -90,7 +92,7 @@ def test_momentum_rhs_subtracts_the_pressure_gradient_exactly_when_given_one():
     cfg = MomentumRhsConfig()
     assert inf_norm(momentum_rhs(vel, None, zero_bc(), spec, 0.0, cfg)) == 0.0
     p = CellField(np.random.RandomState(5).randn(8, 8))
-    rhs = momentum_rhs(vel, p, zero_bc(), spec, 0.0, cfg)
+    rhs = momentum_rhs(vel, stacked_pressure_gradient(p, spec), zero_bc(), spec, 0.0, cfg)
     grad = gradient_to_faces(p, spec)
     assert np.array_equal(rhs.u, -grad.u) and np.array_equal(rhs.v, -grad.v)
 
@@ -200,3 +202,38 @@ def test_wall_velocities_are_read_only():
     for name, values in walls.items():
         with pytest.raises(ValueError):
             values[0] = 1.0
+
+
+class _DivideCounter:
+    """Stands in for numpy in ``spatial``, counting true divisions."""
+
+    def __init__(self):
+        self.divides = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def divide(self, *args, **kwargs):
+        self.divides += 1
+        return np.divide(*args, **kwargs)
+
+
+@pytest.mark.parametrize("d", [2.0**-7, 2.0**-14, 2.0**-6, 1.0 / 3.0, 1.0 / 48.0,
+                               -(2.0**-7), 2.0**-1070])
+def test_divide_by_is_bitwise_division(d, monkeypatch):
+    tiny = np.finfo(float).smallest_subnormal
+    big = np.finfo(float).max
+    a = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, 1e-310, -2.5e-320, 1e-300,
+                  big, -big, big / 200.0, 1.5e306, np.inf, -np.inf, np.nan, -np.nan,
+                  1.0, -0.1, np.pi, 7.0 / 3.0])
+    counter = _DivideCounter()
+    monkeypatch.setattr(spatial, "np", counter)
+    with np.errstate(over="ignore"):
+        want = a / d
+        got = divide_by(a, d)
+        out = a.copy()
+        assert divide_by(out, d, out=out) is out
+    assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+    assert out.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+    # a multiply exactly when 1/d is exact: 2^1070 overflows
+    assert counter.divides == (0 if abs(d) in (2.0**-7, 2.0**-14, 2.0**-6) else 2)

@@ -11,7 +11,8 @@ from chebflow.grid import CellField, GridSpec, VelocityField, sample_velocity
 from chebflow.poisson import PoissonSolver
 from chebflow.problems import forced_flow, green_taylor, lid_driven_cavity
 from chebflow.spatial import (MomentumRhsConfig, StencilWork, divergence,
-                              gradient_to_faces, momentum_rhs)
+                              gradient_to_faces, momentum_rhs, stacked,
+                              stacked_pressure_gradient)
 
 SIZES = [5, 16, 48, 64]
 # the stacked momentum RHS builds its wall-column views with explicit
@@ -26,18 +27,39 @@ def random_state(N, seed=3):
     return w, VelocityField.from_flat(w, N), CellField(rng.randn(N, N))
 
 
+def unstacked(span, N):
+    """The u and v entries of an array laid out like ``stacked``, as copies."""
+    m = N + 1
+    flat = np.zeros(2 * m * m)
+    flat[1:1 + span.size] = span
+    blocks = flat.reshape((m, m, 2), order="F")
+    u, vt = blocks[1:N, :N, 0].copy(), blocks[1:N, :N, 1].copy()
+    assert stacked(u, vt.T).tobytes() == span.tobytes()      # nothing else is set
+    return u, vt.T.copy()
+
+
 def grid_forcing(prob, spec):
-    return prob.forcing_factory(*spec.u_points(), *spec.v_points())
+    """The factory's evaluator in the stacked layout, and the same values as
+    the (f1, f2) pair the oracle adds."""
+    g = prob.forcing_factory(*spec.u_points(), *spec.v_points(), stacked)
+    return g, lambda t: unstacked(g(t), spec.N)
 
 
 def all_configs(prob, spec):
-    g = grid_forcing(prob, spec)
+    """Every term selection, as a config for the solver and one for the oracle."""
+    g, pair = grid_forcing(prob, spec)
     for advection, diffusion, forcing, pm3 in itertools.product((False, True), repeat=4):
-        yield MomentumRhsConfig(
+        yield tuple(MomentumRhsConfig(
             include_advection=advection,
-            forcing=g if forcing else None,
+            forcing=evaluator if forcing else None,
             pm3_derivative=prob.boundary.tangential_normal_derivative if pm3 else None,
-            include_diffusion=diffusion)
+            include_diffusion=diffusion) for evaluator in (g, pair))
+
+
+def pressure_gradients(p, spec):
+    """(None, None) and (the stacked gradient of p, p): the solver's pressure
+    argument and the oracle's."""
+    return (None, None), (stacked_pressure_gradient(p, spec), p)
 
 
 def same_bits(a: VelocityField, b: VelocityField):
@@ -53,12 +75,13 @@ def test_momentum_rhs_bitwise_equal_to_expression_form(N):
     work = StencilWork(N)            # one scratch set reused across all terms
     flat = np.empty(2 * (N - 1) * N)
     # the pressure gradient is subtracted exactly when a pressure is given
-    for cfg, pressure in itertools.product(all_configs(prob, spec), (None, p)):
-        want = oracle.momentum_rhs(vel, pressure, prob.boundary, spec, 0.37, cfg)
-        got = momentum_rhs(vel, pressure, prob.boundary, spec, 0.37, cfg)
+    for (cfg, cfg_oracle), (grad_p, pressure) in itertools.product(
+            all_configs(prob, spec), pressure_gradients(p, spec)):
+        want = oracle.momentum_rhs(vel, pressure, prob.boundary, spec, 0.37, cfg_oracle)
+        got = momentum_rhs(vel, grad_p, prob.boundary, spec, 0.37, cfg)
         assert same_bits(got, want), cfg
         out = VelocityField.from_flat(flat, N)
-        got = momentum_rhs(vel, pressure, prob.boundary, spec, 0.37, cfg, out=out, work=work)
+        got = momentum_rhs(vel, grad_p, prob.boundary, spec, 0.37, cfg, out=out, work=work)
         assert got is out and same_bits(out, want), cfg
     assert w.tobytes() == w_before and p.values.tobytes() == p_before
 
@@ -92,17 +115,21 @@ def forced_system(N):
 def test_rhs_flat_bitwise_equal_to_expression_form(N):
     prob, system = forced_system(N)
     w, vel, p = random_state(N)
+    p2 = CellField(np.random.RandomState(5).randn(N, N))
     # without a factory, the system samples the pointwise forcing
     (xu, yu), (xv, yv) = system.spec.u_points(), system.spec.v_points()
     pointwise = FlowSystem(system.spec, prob.boundary, prob.forcing, prob.advection)
-    for system, g in ((system, grid_forcing(prob, system.spec)),
+    for system, g in ((system, grid_forcing(prob, system.spec)[1]),
                       (pointwise, lambda t: (prob.forcing(t, xu, yu)[0],
                                              prob.forcing(t, xv, yv)[1]))):
-        for pressure in (None, p):
+        # every closure is built before the first is called: each keeps the
+        # gradient of its own pressure
+        pressures = (None, p, p2)
+        closures = [system.rhs_flat(system.rhs_config(), q) for q in pressures]
+        for pressure, f in zip(pressures, closures):
             want = oracle.momentum_rhs(vel, pressure, prob.boundary, system.spec, 0.37,
                                        MomentumRhsConfig(True, g))
-            got = system.rhs_flat(system.rhs_config(), pressure)(0.37, w)
-            assert got.tobytes() == want.flatten().tobytes()
+            assert f(0.37, w).tobytes() == want.flatten().tobytes()
 
 
 @pytest.mark.parametrize("make", [green_taylor, lid_driven_cavity])
@@ -116,7 +143,9 @@ def test_momentum_rhs_bitwise_equal_to_expression_form_with_other_walls(make):
         for pm3 in (None, derivative) if derivative is not None else (None,):
             cfg = MomentumRhsConfig(pm3_derivative=pm3)
             want = oracle.momentum_rhs(vel, p, prob.boundary, spec, 2.5, cfg)
-            assert same_bits(momentum_rhs(vel, p, prob.boundary, spec, 2.5, cfg), want)
+            got = momentum_rhs(vel, stacked_pressure_gradient(p, spec), prob.boundary, spec,
+                               2.5, cfg)
+            assert same_bits(got, want)
 
 
 def test_flow_system_has_no_stacked_buffers_before_its_first_rhs_call():

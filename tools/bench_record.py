@@ -1,6 +1,7 @@
 """Fold a tree's untraced benchmark runs into one ``BENCH_<k>.json`` record.
 
     python tools/bench_record.py K [--tree DIR] [--out FILE]
+    python tools/bench_record.py --diff OLD NEW
 
 Reads every ``DIR/.perfbench_out/*-trace0.json`` (the result files of
 ``perfbench/run.py --trace 0``, one per workload and seed) and writes, per
@@ -14,6 +15,14 @@ files, which names the measured code whether or not it was committed.
 DIR defaults to the checkout holding this script, FILE to ``BENCH_<K>.json``
 in the current directory.  Runs whose environment differs from the first
 one's are refused, as they do not measure one setting.
+
+``--diff OLD NEW`` reads two records (the parent's and the change's) and
+prints the paired table of a performance claim, one row per workload and
+metric both hold: each side's median and [q1, q3], the change of the
+median in %, the change's wins, ties and losses over the runs paired by
+seed (lower is better for every metric), the parent's IQR, and whether the
+claim rule holds: the change wins at least nine tenths of the pairs (a tie
+is no win) and its median is lower by more than the parent's IQR.
 """
 
 import argparse
@@ -81,12 +90,74 @@ def fold(records):
     return env, workloads
 
 
+def paired(old_runs, new_runs, metric):
+    """The change's wins, ties and losses on ``metric``, runs paired by seed."""
+    old = {run["seed"]: run.get(metric) for run in old_runs}
+    wins = ties = losses = 0
+    for run in new_runs:
+        a, b = old.get(run["seed"]), run.get(metric)
+        if a is None or b is None:
+            continue
+        wins, ties, losses = wins + (b < a), ties + (b == a), losses + (b > a)
+    return wins, ties, losses
+
+
+def diff_rows(old, new):
+    """One row per workload and metric of both records; see the module docstring."""
+    rows = []
+    for name in sorted(set(old["workloads"]) & set(new["workloads"])):
+        ow, nw = old["workloads"][name], new["workloads"][name]
+        for metric, a in ow["metrics"].items():
+            b = nw["metrics"].get(metric)
+            if b is None or a["median"] is None or b["median"] is None:
+                continue
+            wins, ties, losses = paired(ow["runs"], nw["runs"], metric)
+            pairs = wins + ties + losses
+            rows.append({
+                "workload": name, "metric": metric, "old": a, "new": b,
+                "change": (b["median"] - a["median"]) / a["median"] if a["median"] else None,
+                "wtl": (wins, ties, losses), "old_iqr": a["iqr"],
+                "met": pairs > 0 and wins >= 0.9 * pairs
+                and a["median"] - b["median"] > a["iqr"]})
+    return rows
+
+
+def _spread_text(m):
+    return f"{m['median']:.4g} [{m['q1']:.4g}, {m['q3']:.4g}]"
+
+
+def print_diff(old, new, out=None):
+    """The paired table of ``diff_rows`` as Markdown, with notes on what differs."""
+    for key in ("env", "commit", "src_sha256"):
+        if old.get(key) != new.get(key):
+            print(f"note: {key} differs: {old.get(key)} -> {new.get(key)}", file=out)
+    print("| workload | metric | parent | change | change % | w/t/l | parent IQR | rule |",
+          file=out)
+    print("|---|---|---|---|---|---|---|---|", file=out)
+    for r in diff_rows(old, new):
+        change = "n/a" if r["change"] is None else f"{100 * r['change']:+.1f} %"
+        print(f"| {r['workload']} | {r['metric']} | {_spread_text(r['old'])} | "
+              f"{_spread_text(r['new'])} | {change} | {'/'.join(map(str, r['wtl']))} | "
+              f"{r['old_iqr']:.4g} | {'met' if r['met'] else 'not met'} |", file=out)
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("k", type=int, help="the record's number, as in BENCH_<k>.json")
+    ap.add_argument("k", type=int, nargs="?", help="the record's number, as in BENCH_<k>.json")
     ap.add_argument("--tree", default=ROOT, help="checkout whose .perfbench_out to read")
     ap.add_argument("--out", help="output file (default BENCH_<k>.json)")
+    ap.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"),
+                    help="print the paired table of two records instead")
     args = ap.parse_args(argv)
+    if args.diff:
+        records = []
+        for path in args.diff:
+            with open(path) as fh:
+                records.append(json.load(fh))
+        print_diff(*records)
+        return 0
+    if args.k is None:
+        ap.error("give K or --diff OLD NEW")
     paths = sorted(glob.glob(os.path.join(args.tree, ".perfbench_out", "*-trace0.json")))
     if not paths:
         print(f"bench_record: no untraced run files under {args.tree}/.perfbench_out",
