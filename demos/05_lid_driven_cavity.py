@@ -8,7 +8,6 @@ the quantities usually compared against published benchmark tables (the
 import numpy as np
 
 from chebflow.bench import RunConfig, centerline_profiles, run_simulation
-from chebflow.problems import lid_driven_cavity
 
 cfg = RunConfig(problem="cavity", re=100.0, nx=32, adaptive=True,
                 atol=1e-3, rtol=1e-3, dt=1e-3, t_end=10.0,
@@ -18,8 +17,7 @@ print(f"reached t={rep.t_final:g} in {rep.steps_accepted} steps "
       f"({rep.steps_rejected} rejected, {rep.avg_stages:.1f} stages/step, "
       f"{rep.wall_time:.1f}s)")
 
-bc = lid_driven_cavity(100.0).boundary.velocity
-(yk, u_prof), (xk, v_prof) = centerline_profiles(rep, bc)
+(yk, u_prof), (xk, v_prof) = centerline_profiles(rep)
 print(f"u on the vertical centerline: min {u_prof.min():+.4f}, "
       f"lid value {u_prof[-1]:+.4f}")
 print(f"v on the horizontal centerline: min {v_prof.min():+.4f}, "

@@ -168,9 +168,7 @@ def run_simulation(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
     cfg.validate()
     prob = problem if problem is not None else make_problem(cfg.problem, cfg.re, cfg.advection)
     spec = GridSpec(cfg.nx, nu=1.0 / cfg.re)
-    system = FlowSystem(spec, prob.boundary, prob.forcing, prob.advection,
-                        poisson=PoissonSolver(cfg.nx, cfg.dct_algorithm),
-                        forcing_factory=prob.forcing_factory)
+    system = FlowSystem(spec, prob, PoissonSolver(cfg.nx, cfg.dct_algorithm))
     rho = _spectral_radius(cfg)
 
     u0 = sample_velocity(spec, prob.initial_velocity(0.0), 0.0)
@@ -423,7 +421,6 @@ def convergence_study(cfg: RunConfig, axis: str = "time",
                                            restrict_field(ref.v, "v", r),
                                            restrict_field(ref.p, "p", r),
                                            restrict_field(ref.pressures["p1"], "p", r))))
-        rows.sort(key=lambda r: -r[0])
     else:
         raise ValueError("axis must be 'time' or 'space'")
     xs = [r[0] for r in rows]
@@ -612,18 +609,17 @@ def reynolds_sweep(cfg: RunConfig, re_values: Sequence[float]):
 # cavity centerline comparison
 # ---------------------------------------------------------------------------
 
-def centerline_profiles(report: RunReport, bc_velocity=None):
+def centerline_profiles(report: RunReport):
     """u on the vertical and v on the horizontal centerline, wall values included.
 
-    The wall values come from ``bc_velocity(t, x, y)``, by default the
-    boundary velocity of the problem the report's config names.
+    The wall values are the boundary velocity of the problem the report's
+    config names.
     """
     N = report.spec.N
     if N % 2:
         raise ValueError("centerline extraction needs even N")
-    if bc_velocity is None:
-        cfg = report.config
-        bc_velocity = make_problem(cfg.problem, cfg.re, cfg.advection).boundary.velocity
+    cfg = report.config
+    bc_velocity = make_problem(cfg.problem, cfg.re, cfg.advection).boundary.velocity
     dx = report.spec.dx
     yk = np.concatenate([[0.0], (np.arange(1, N + 1) - 0.5) * dx, [1.0]])
     u_line = report.u[N // 2 - 1, :]
@@ -638,7 +634,7 @@ def centerline_profiles(report: RunReport, bc_velocity=None):
     return (yk, u_prof), (xk, v_prof)
 
 
-def ghia_compare(report: RunReport, reference_csv: str, bc_velocity=None):
+def ghia_compare(report: RunReport, reference_csv: str):
     """RMS/max deviation of centerline profiles from reference data.
 
     The reference file is a CSV with header ``profile,coord,value``; rows
@@ -663,7 +659,7 @@ def ghia_compare(report: RunReport, reference_csv: str, bc_velocity=None):
                 raise ValueError(f"{reference_csv}, line {lineno}: profile must be "
                                  f"'u' or 'v', got {parts[0]!r}")
             ref[parts[0]].append((float(parts[1]), float(parts[2])))
-    (yk, u_prof), (xk, v_prof) = centerline_profiles(report, bc_velocity)
+    (yk, u_prof), (xk, v_prof) = centerline_profiles(report)
     out = {}
     for name, (coords, prof) in (("u", (yk, u_prof)), ("v", (xk, v_prof))):
         data = sorted(ref[name])

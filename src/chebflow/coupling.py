@@ -29,15 +29,16 @@ stages).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .grid import BoundaryData, CellField, GridSpec, VelocityField
+from .grid import CellField, GridSpec, VelocityField
 from .integrators import (Rock2Tableau, StageHook, method_spec,
                           pirock_step, rk4_step, rkc_step, rock2_step)
 from . import spatial
 from .poisson import PoissonSolver
+from .problems import ProblemSpec
 from .spatial import MomentumRhsConfig, divergence, gradient_to_faces, momentum_rhs
 
 _DEGENERATE_NODE_TOL = 1e-12
@@ -100,13 +101,15 @@ class Stepper:
 
 @dataclass
 class FlowSystem:
-    """Grid, boundary data, forcing and the shared Poisson solver.
+    """A problem on a grid, with the shared Poisson solver.
 
-    The pointwise ``forcing(t, x, y)`` becomes one grid evaluator ``g(t)``
-    at the stored u and v points, laid out like ``spatial.stacked``: built
-    by ``forcing_factory(xu, yu, xv, yv, spatial.stacked)`` when given, else
-    by sampling ``forcing``.  ``rhs_config`` hands it to every momentum RHS,
-    stages and pressure recoveries alike.
+    The grid (``spec``) carries the viscosity; ``problem`` gives the rest:
+    the boundary data (``problem.boundary``), whether the momentum RHS
+    carries advection (``problem.advection``) and the forcing.  The forcing
+    enters as one grid evaluator
+    ``g = problem.forcing_factory(xu, yu, xv, yv, spatial.stacked)`` at the
+    stored u and v points, built here once; ``rhs_config`` hands it to
+    every momentum RHS, stages and pressure recoveries alike.
     The boundary data are sampled through ``walls(t)``, which keeps the
     last sample: a projected stage's divergence and the next stage's
     momentum RHS share one boundary evaluation at their common time.
@@ -116,24 +119,15 @@ class FlowSystem:
     """
 
     spec: GridSpec
-    bc: BoundaryData
-    forcing: Optional[Callable] = None
-    advection: bool = True
+    problem: ProblemSpec
     poisson: Optional[PoissonSolver] = None
-    forcing_factory: Optional[Callable] = None
 
     def __post_init__(self):
         if self.poisson is None:
             self.poisson = PoissonSolver(self.spec.N)
-        self._forcing_eval = None
-        if self.forcing is not None:
-            (xu, yu), (xv, yv) = self.spec.u_points(), self.spec.v_points()
-            if self.forcing_factory is not None:
-                self._forcing_eval = self.forcing_factory(xu, yu, xv, yv, spatial.stacked)
-            else:
-                forcing = self.forcing
-                self._forcing_eval = lambda t: spatial.stacked(forcing(t, xu, yu)[0],
-                                                               forcing(t, xv, yv)[1])
+        make = self.problem.forcing_factory
+        self._forcing_eval = (None if make is None else
+                              make(*self.spec.u_points(), *self.spec.v_points(), spatial.stacked))
         self._last_walls = None
         self._work = None
 
@@ -148,19 +142,19 @@ class FlowSystem:
 
         Time-independent boundary data keep their first sample for every t.
         """
-        last = self._last_walls
-        if (last is None or last[1] is not self.bc
-                or (last[0] != t and not self.bc.time_independent)):
-            walls = spatial.wall_velocities(self.bc, self.spec, t)
-            last = self._last_walls = (t, self.bc, walls)
+        bc, last = self.problem.boundary, self._last_walls
+        if (last is None or last[1] is not bc
+                or (last[0] != t and not bc.time_independent)):
+            walls = spatial.wall_velocities(bc, self.spec, t)
+            last = self._last_walls = (t, bc, walls)
         return last[2]
 
     def rhs_config(self, pm3: bool = False, advection: Optional[bool] = None,
                    diffusion: bool = True, forcing: bool = True) -> MomentumRhsConfig:
         return MomentumRhsConfig(
-            include_advection=self.advection if advection is None else advection,
+            include_advection=self.problem.advection if advection is None else advection,
             forcing=self._forcing_eval if forcing else None,
-            pm3_derivative=self.bc.tangential_normal_derivative if pm3 else None,
+            pm3_derivative=self.problem.boundary.tangential_normal_derivative if pm3 else None,
             include_diffusion=diffusion,
         )
 
@@ -179,8 +173,8 @@ class FlowSystem:
 
         def f(t, w):
             out = np.empty(w.size)
-            momentum_rhs(VelocityField.views(w, N), grad_p, self.bc, self.spec, t, cfg,
-                         walls=self.walls(t), out=VelocityField.views(out, N),
+            momentum_rhs(VelocityField.views(w, N), grad_p, self.problem.boundary, self.spec,
+                         t, cfg, walls=self.walls(t), out=VelocityField.views(out, N),
                          work=self.work)
             return out
 
@@ -188,8 +182,8 @@ class FlowSystem:
 
     def divergence_of(self, w: np.ndarray, t: float, out=None) -> CellField:
         """Divergence of the flat state ``w`` at t, into ``out`` when given."""
-        return divergence(VelocityField.views(w, self.spec.N), self.bc, self.spec, t,
-                          walls=self.walls(t), out=out, work=self.work)
+        return divergence(VelocityField.views(w, self.spec.N), self.problem.boundary,
+                          self.spec, t, walls=self.walls(t), out=out, work=self.work)
 
 
 @dataclass
@@ -233,7 +227,7 @@ def pm1_step(state: CouplingState, system: FlowSystem, stepper: Stepper,
     error norm is supplied (the projection itself is error-free for the
     divergence-free part).
     """
-    if pm3 and system.bc.tangential_normal_derivative is None:
+    if pm3 and system.problem.boundary.tangential_normal_derivative is None:
         raise ValueError("PM3 requires exact boundary derivatives")
     p_n = state.p
     w0 = state.u.flatten()
@@ -313,31 +307,31 @@ def dae_step(state: CouplingState, system: FlowSystem, stepper: Stepper,
 # ---------------------------------------------------------------------------
 
 def _hidden_constraint(state: CouplingState, system: FlowSystem,
-                       p: Optional[CellField], rate_bc: BoundaryData) -> CellField:
+                       p: Optional[CellField], recovery: str) -> CellField:
     """phi with lap phi = div F(u, t): F the momentum RHS with the pressure p
-    (None: no pressure term), its boundary faces the wall rates ``rate_bc``."""
+    (None: no pressure term), its boundary faces the walls' time derivative;
+    boundary data without one raise ``ValueError`` naming the ``recovery``."""
+    bc = system.problem.boundary
+    if bc.velocity_dt is None:
+        raise ValueError(f"{recovery} requires boundary time derivative")
     grad_p = None if p is None else spatial.stacked_pressure_gradient(p, system.spec)
-    F = momentum_rhs(state.u, grad_p, system.bc, system.spec, state.t, system.rhs_config(),
+    F = momentum_rhs(state.u, grad_p, bc, system.spec, state.t, system.rhs_config(),
                      walls=system.walls(state.t), work=system.work)
-    rhs = divergence(F, rate_bc, system.spec, state.t, work=system.work)
+    rhs = divergence(F, bc.as_rate(), system.spec, state.t, work=system.work)
     return system.poisson.solve(rhs)
 
 
 def pm1_second_order_pressure(state: CouplingState, system: FlowSystem,
                               stepper: Stepper, dt: float) -> CellField:
     """Second projection on the acceleration: p + phi2 with lap phi2 = div F."""
-    rate_bc = (system.bc.as_rate() if system.bc.velocity_dt is not None
-               else BoundaryData(velocity=lambda t, x, y: (np.zeros_like(x), np.zeros_like(y))))
-    phi2 = _hidden_constraint(state, system, state.p, rate_bc)
+    phi2 = _hidden_constraint(state, system, state.p, "p2")
     return CellField(state.p.values + phi2.values).zero_mean()
 
 
 def ap1_pressure(state: CouplingState, system: FlowSystem,
                  stepper: Stepper, dt: float) -> CellField:
     """Solve the hidden constraint lap p = div F(u, t) - r1'(t) for the pressure."""
-    if system.bc.velocity_dt is None:
-        raise ValueError("AP1 requires boundary time derivative")
-    return _hidden_constraint(state, system, None, system.bc.as_rate()).zero_mean()
+    return _hidden_constraint(state, system, None, "AP1").zero_mean()
 
 
 def reconstruct_pressure(inner, last) -> CellField:

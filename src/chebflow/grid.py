@@ -127,16 +127,11 @@ class VelocityField:
         return np.concatenate([self.u.ravel(order="F"), self.v.ravel(order="F")])
 
     @classmethod
-    def from_flat(cls, w: np.ndarray, N: int) -> "VelocityField":
-        vel = cls.views(w, N)
-        vel.__post_init__()
-        return vel
-
-    @classmethod
     def views(cls, w: np.ndarray, N: int) -> "VelocityField":
-        """u and v as views of the flat float vector ``w`` of length 2 (N-1) N,
-        not checked: for vectors the solver built itself.  Input from
-        outside goes through ``from_flat``, which checks it."""
+        """u and v as views of the flat float vector ``w`` of length 2 (N-1) N.
+
+        Neither the dtype nor the length is checked: ``w`` is a state vector
+        the solver built.  ``VelocityField(u, v)`` checks its arrays."""
         vel = cls.__new__(cls)
         nu = (N - 1) * N
         vel.u = w[:nu].reshape((N - 1, N), order="F")
@@ -194,10 +189,10 @@ class BoundaryData:
     input point, and a pure function of t: the solver evaluates it in one
     call on all wall points (the walls concatenated into one array, see
     ``GridSpec.wall_points``) and a ``FlowSystem`` reuses the values for
-    every evaluation at the same t.  ``velocity_dt``
-    is its analytic time derivative (needed by the AP1 pressure recovery);
-    ``tangential_normal_derivative(t, x, y) -> (du/dn of the tangential
-    component)`` supplies exact wall-normal derivatives for the PM3 boundary
+    every evaluation at the same t.  ``velocity_dt`` is its analytic time
+    derivative, which both hidden-constraint pressure recoveries (p2 and
+    AP1) need; ``tangential_normal_derivative(t, x, y) -> (du/dn of the
+    tangential component)`` supplies exact wall-normal derivatives for the PM3 boundary
     fix.  The derivative is taken along the +x axis on the walls x in {0, 1}
     (tangential component v) and along +y on the walls y in {0, 1}
     (tangential component u).  ``time_independent`` declares that the

@@ -81,16 +81,19 @@ def _point_memo(parts: Callable) -> Callable:
 
 @dataclass
 class ProblemSpec:
-    """A benchmark problem: boundary data, forcing, optional exact fields.
+    """A benchmark problem: boundary data, forcing, advection, optional exact fields.
 
-    ``forcing_factory(xu, yu, xv, yv, layout)``, when present, returns a
-    grid evaluator ``g(t)`` of ``forcing`` with cached spatial parts, equal
-    to it up to rounding; a ``FlowSystem`` then evaluates only ``g``, in
-    every stage and pressure recovery.  ``layout(fu, fv)`` places a field
-    at the u points (xu, yu) and one at the v points (xv, yv) in one new
-    array (the system passes ``spatial.stacked``); ``g(t)`` returns the
-    forcing's two components in that layout, in a buffer ``g`` owns and
-    overwrites: the result is valid only until the next call of ``g``.
+    A ``FlowSystem`` reads all of its inputs from here.
+    ``forcing(t, x, y) -> (f1, f2)`` is the closed form, which the solver
+    never calls; ``forcing_factory(xu, yu, xv, yv, layout)`` returns its
+    grid evaluator ``g(t)`` with cached spatial parts, equal to it up to
+    rounding, which a ``FlowSystem`` evaluates in every stage and pressure
+    recovery.  A forcing without a factory raises ``ValueError``, as the
+    solver would run unforced.  ``layout(fu, fv)`` places a field at the u
+    points (xu, yu) and one at the v points (xv, yv) in one new array (the
+    system passes ``spatial.stacked``); ``g(t)`` returns the forcing's two
+    components in that layout, in a buffer ``g`` owns and overwrites: the
+    result is valid only until the next call of ``g``.
     """
 
     name: str
@@ -101,6 +104,11 @@ class ProblemSpec:
     exact_pressure: Optional[Callable] = None   # (t, x, y) -> p
     advection: bool = True
     forcing_factory: Optional[Callable] = None  # (xu, yu, xv, yv, layout) -> g(t)
+
+    def __post_init__(self):
+        if self.forcing is not None and self.forcing_factory is None:
+            raise ValueError(f"problem {self.name!r}: a forcing needs a forcing_factory, "
+                             "its grid evaluator")
 
     def initial_velocity(self, t0: float = 0.0) -> Callable:
         if self.exact_velocity is not None:

@@ -212,9 +212,9 @@ def test_ghia_compare(tmp_path):
     rep = run_simulation(small_cfg(problem="cavity", re=100.0, nx=16,
                                    t_end=0.05, pressure="p1", coupling="dae",
                                    integrator="rock2"))
-    from chebflow.problems import lid_driven_cavity
-    bcv = lid_driven_cavity(100.0).boundary.velocity
-    (yk, u_prof), (xk, v_prof) = centerline_profiles(rep, bcv)
+    (yk, u_prof), (xk, v_prof) = centerline_profiles(rep)
+    # the profiles end at the report's problem's walls: the cavity's lid moves at u = 1
+    assert u_prof[-1] == 1.0
     path = os.path.join(tmp_path, "ref.csv")
     with open(path, "w") as fh:
         fh.write("profile,coord,value\n")
@@ -222,30 +222,16 @@ def test_ghia_compare(tmp_path):
             fh.write(f"u,{c:.17g},{v:.17g}\n")
         for c, v in zip(xk, v_prof):
             fh.write(f"v,{c:.17g},{v:.17g}\n")
-    res = ghia_compare(rep, path, bc_velocity=bcv)
+    res = ghia_compare(rep, path)
     assert res["u"]["rms"] < 1e-13 and res["v"]["rms"] < 1e-13
     # constant shift moves the RMS by exactly that constant
     with open(path, "w") as fh:
         fh.write("profile,coord,value\n")
         for c, v in zip(yk, u_prof):
             fh.write(f"u,{c:.17g},{v + 0.01:.17g}\n")
-    res = ghia_compare(rep, path, bc_velocity=bcv)
+    res = ghia_compare(rep, path)
     assert abs(res["u"]["rms"] - 0.01) < 1e-12
     assert ghia_compare(rep, os.path.join(tmp_path, "missing.csv")) is None
-
-
-def test_centerline_walls_default_to_the_reports_problem():
-    # without walls named, the profiles end at the cavity's own walls: the
-    # lid moves at u = 1
-    from chebflow.problems import lid_driven_cavity
-    rep = run_simulation(small_cfg(problem="cavity", re=100.0, nx=16, t_end=0.05,
-                                   pressure="p1"))
-    (yk, u_prof), (xk, v_prof) = centerline_profiles(rep)
-    (yk2, u_prof2), (xk2, v_prof2) = centerline_profiles(
-        rep, lid_driven_cavity(100.0).boundary.velocity)
-    for a, b in ((yk, yk2), (u_prof, u_prof2), (xk, xk2), (v_prof, v_prof2)):
-        assert np.array_equal(a, b)
-    assert u_prof[-1] == 1.0
 
 
 def test_unstable_run_is_flagged(tmp_path):

@@ -12,16 +12,17 @@ from chebflow.grid import (BoundaryData, CellField, GridSpec, VelocityField,
                            inf_norm, sample_pressure, sample_velocity)
 from chebflow.integrators import butcher_tableau, rkc_tableau, rock2_tableau
 from chebflow.poisson import PoissonSolver
-from chebflow.problems import forced_flow, green_taylor
+from chebflow.problems import ProblemSpec, forced_flow, green_taylor
 from chebflow.spatial import divergence, gradient_to_faces, momentum_rhs
 
 
-def make_system(prob, N, algorithm="naive", advection=None):
-    spec = GridSpec(N, nu=1.0 / prob.Re)
-    return FlowSystem(spec, prob.boundary, prob.forcing,
-                      prob.advection if advection is None else advection,
-                      poisson=PoissonSolver(N, algorithm),
-                      forcing_factory=prob.forcing_factory)
+def make_system(prob, N, algorithm="naive"):
+    return FlowSystem(GridSpec(N, nu=1.0 / prob.Re), prob, PoissonSolver(N, algorithm))
+
+
+def walls_only(bc, advection=True):
+    """An unforced problem with the boundary data ``bc``."""
+    return ProblemSpec("walls", 10.0, bc, advection=advection)
 
 
 def initial_state(prob, system):
@@ -85,8 +86,9 @@ def test_pm1_second_order_pressure_consistent_state():
     system = make_system(prob, 16)
     state = initial_state(prob, system)
     cfg = system.rhs_config()
-    F = momentum_rhs(state.u, None, system.bc, system.spec, 0.0, cfg)
-    rhs = divergence(F, system.bc.as_rate(), system.spec, 0.0)
+    bc = system.problem.boundary
+    F = momentum_rhs(state.u, None, bc, system.spec, 0.0, cfg)
+    rhs = divergence(F, bc.as_rate(), system.spec, 0.0)
     p_consistent = system.poisson.solve(rhs)
     state.p = p_consistent
     p2 = pm1_second_order_pressure(state, system, None, None)
@@ -107,9 +109,10 @@ def test_pm1_second_order_pressure_perturbation_reversal():
 
 
 def test_pm1_second_order_pressure_zero_state():
-    bc = BoundaryData(velocity=lambda t, x, y: (np.zeros_like(x + y), np.zeros_like(x + y)))
+    zero2 = lambda t, x, y: (np.zeros_like(x + y), np.zeros_like(x + y))
+    bc = BoundaryData(velocity=zero2, velocity_dt=zero2)
     spec = GridSpec(8, nu=0.1)
-    system = FlowSystem(spec, bc, None, True, poisson=PoissonSolver(8, "naive"))
+    system = FlowSystem(spec, walls_only(bc), PoissonSolver(8, "naive"))
     state = CouplingState(VelocityField.zeros(8), CellField.zeros(8), 0.0)
     assert inf_norm(pm1_second_order_pressure(state, system, None, None)) < 1e-14
 
@@ -118,7 +121,7 @@ def test_default_poisson_solver_takes_any_grid_size():
     # N = 48 is not a power of two, which the recursive DCT algorithms need
     prob = green_taylor(100.0)
     spec = GridSpec(48, nu=0.01)
-    system = FlowSystem(spec, prob.boundary, prob.forcing, prob.advection)
+    system = FlowSystem(spec, prob)
     new, _ = pm1_step(initial_state(prob, system), system, Stepper("rock2", 3), 1e-3)
     assert inf_norm(system.divergence_of(new.u.flatten(), new.t)) < 1e-10
 
@@ -143,7 +146,7 @@ def test_pm1v_reduces_to_plain_step_when_stages_stay_divergence_free():
     # zero rhs, divergence-free initial state: projections are no-ops
     bc = BoundaryData(velocity=lambda t, x, y: (np.zeros_like(x + y), np.zeros_like(x + y)))
     spec = GridSpec(8, nu=0.1)
-    system = FlowSystem(spec, bc, None, False, poisson=PoissonSolver(8, "naive"))
+    system = FlowSystem(spec, walls_only(bc, advection=False), PoissonSolver(8, "naive"))
     state = CouplingState(VelocityField.zeros(8), CellField.zeros(8), 0.0)
     stepper = Stepper("rkc", 4)
     hooked, _ = pm1v_step(state, system, stepper, 0.05)
@@ -249,13 +252,23 @@ def test_ap1_zero_state_and_missing_rate():
     bc = BoundaryData(velocity=lambda t, x, y: (np.zeros_like(x + y), np.zeros_like(x + y)),
                       velocity_dt=lambda t, x, y: (np.zeros_like(x + y), np.zeros_like(x + y)))
     spec = GridSpec(8, nu=0.1)
-    system = FlowSystem(spec, bc, None, True, poisson=PoissonSolver(8, "naive"))
+    system = FlowSystem(spec, walls_only(bc), PoissonSolver(8, "naive"))
     state = CouplingState(VelocityField.zeros(8), CellField.zeros(8), 0.0)
     assert inf_norm(ap1_pressure(state, system, None, None)) < 1e-13
     bare = BoundaryData(velocity=bc.velocity)
-    system2 = FlowSystem(spec, bare, None, True, poisson=system.poisson)
+    system2 = FlowSystem(spec, walls_only(bare), system.poisson)
     with pytest.raises(ValueError, match="AP1 requires boundary time derivative"):
         ap1_pressure(state, system2, None, None)
+
+
+def test_p2_needs_the_wall_rate():
+    # the Green-Taylor walls move, so resting wall rates would be wrong
+    prob = green_taylor(100.0)
+    prob = dataclasses.replace(prob, boundary=dataclasses.replace(prob.boundary,
+                                                                  velocity_dt=None))
+    system = make_system(prob, 8)
+    with pytest.raises(ValueError, match="^p2 requires boundary time derivative"):
+        pm1_second_order_pressure(initial_state(prob, system), system, None, None)
 
 
 def test_ap1_stationary_boundaries_equal_mf_solve():
@@ -266,7 +279,7 @@ def test_ap1_stationary_boundaries_equal_mf_solve():
     state = CouplingState(u, CellField.zeros(16), t)
     p = ap1_pressure(state, system, None, None)
     cfg = system.rhs_config()
-    F = momentum_rhs(u, None, system.bc, system.spec, t, cfg)
+    F = momentum_rhs(u, None, prob.boundary, system.spec, t, cfg)
     zero_rate = BoundaryData(velocity=lambda t, x, y: (np.zeros_like(x + y),
                                                        np.zeros_like(x + y)))
     rhs = divergence(F, zero_rate, system.spec, t)
@@ -425,8 +438,8 @@ def test_pm3_requires_derivative_hook():
     bare = BoundaryData(velocity=prob.boundary.velocity,
                         velocity_dt=prob.boundary.velocity_dt)
     spec = GridSpec(16, nu=0.01)
-    system = FlowSystem(spec, bare, prob.forcing, True,
-                        poisson=PoissonSolver(16, "naive"))
+    system = FlowSystem(spec, dataclasses.replace(prob, boundary=bare),
+                        PoissonSolver(16, "naive"))
     state = initial_state(prob, system)
     with pytest.raises(ValueError, match="PM3 requires exact boundary derivatives"):
         pm3_step(state, system, Stepper("rock2", 4), 1e-3)
@@ -440,7 +453,7 @@ def test_pm3_coincides_with_pm1_for_zero_derivative():
     bc = BoundaryData(velocity=zero2, velocity_dt=zero2,
                       tangential_normal_derivative=lambda t, x, y: np.zeros_like(x + y))
     spec = GridSpec(16, nu=0.05)
-    system = FlowSystem(spec, bc, None, True, poisson=PoissonSolver(16, "naive"))
+    system = FlowSystem(spec, walls_only(bc), PoissonSolver(16, "naive"))
     state = CouplingState(VelocityField.zeros(16), CellField.zeros(16), 0.0)
     stepper = Stepper("rock2", 5)
     a, _ = pm1_step(state, system, stepper, 1e-3)
@@ -485,7 +498,7 @@ def test_time_independent_walls_are_sampled_once():
     dae_step(state, system, Stepper("rock2", 3), 1e-3)
     assert times == [0.0]
     # new boundary data are sampled anew
-    system.bc = dataclasses.replace(bc)
+    system.problem = dataclasses.replace(system.problem, boundary=dataclasses.replace(bc))
     assert system.walls(0.5) is not first and times == [0.0, 0.5]
 
 

@@ -104,22 +104,22 @@ def test_flattening_order():
     expected = [u[i, j] for j in range(N) for i in range(N - 1)]
     expected += [v[i, j] for j in range(N - 1) for i in range(N)]
     assert np.array_equal(w, np.array(expected))
-    back = VelocityField.from_flat(w, N)
+    back = VelocityField.views(w, N)
     assert np.array_equal(back.u, u) and np.array_equal(back.v, v)
 
 
 def test_flat_views_share_memory_with_the_flat_vector():
     N = 5
     w = np.arange(2 * (N - 1) * N, dtype=float)
-    for vel in (VelocityField.from_flat(w, N), VelocityField.views(w, N)):
-        assert vel.u.shape == (N - 1, N) and vel.v.shape == (N, N - 1)
-        assert np.shares_memory(vel.u, w) and np.shares_memory(vel.v, w)
-        assert vel.flatten().tobytes() == w.tobytes()
-        vel.u[1, 2] = -1.0              # writes reach the vector
-        assert w[1 + 2 * (N - 1)] == -1.0
-        w[1 + 2 * (N - 1)] = 1 + 2 * (N - 1)
-    # outside input goes through the checks: an integer vector becomes float
-    assert VelocityField.from_flat(np.arange(2 * (N - 1) * N), N).u.dtype == float
+    vel = VelocityField.views(w, N)
+    assert vel.u.shape == (N - 1, N) and vel.v.shape == (N, N - 1)
+    assert np.shares_memory(vel.u, w) and np.shares_memory(vel.v, w)
+    assert vel.flatten().tobytes() == w.tobytes()
+    vel.u[1, 2] = -1.0              # writes reach the vector
+    assert w[1 + 2 * (N - 1)] == -1.0
+    # the checked constructor is for outside input: integer arrays become float
+    u, v = np.arange((N - 1) * N).reshape(N - 1, N), np.arange(N * (N - 1)).reshape(N, N - 1)
+    assert VelocityField(u, v).u.dtype == float
 
 
 def test_field_dump_round_trip(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import wall_flux
@@ -5,7 +7,7 @@ from conftest import wall_flux
 from chebflow import problems
 from chebflow.bench import RunConfig, run_simulation
 from chebflow.grid import GridSpec, inf_norm, sample_velocity
-from chebflow.problems import (MEMO_POINT_SETS, forced_flow, green_taylor,
+from chebflow.problems import (MEMO_POINT_SETS, ProblemSpec, forced_flow, green_taylor,
                                lid_driven_cavity, make_problem)
 from chebflow.spatial import divergence, stacked
 
@@ -111,6 +113,17 @@ def test_make_problem_dispatch():
         make_problem("channel", 1.0)
     with pytest.raises(ValueError):
         forced_flow(-1.0)
+
+
+def test_a_forcing_needs_its_factory():
+    # the factory is the only way a forcing enters the solver: without it
+    # a custom problem would run unforced
+    prob = forced_flow(100.0)
+    with pytest.raises(ValueError, match="'custom': a forcing needs a forcing_factory"):
+        ProblemSpec("custom", 100.0, prob.boundary, forcing=prob.forcing)
+    with pytest.raises(ValueError, match="a forcing needs a forcing_factory"):
+        dataclasses.replace(prob, forcing_factory=None)
+    assert dataclasses.replace(prob, forcing=None, forcing_factory=None).forcing is None
 
 
 # -- the memoized closed forms against the written-out formulas ---------------

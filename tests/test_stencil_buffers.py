@@ -24,7 +24,7 @@ def random_state(N, seed=3):
     """A rough velocity (as views of a flat state) and pressure."""
     rng = np.random.RandomState(seed)
     w = rng.randn(2 * (N - 1) * N)
-    return w, VelocityField.from_flat(w, N), CellField(rng.randn(N, N))
+    return w, VelocityField.views(w, N), CellField(rng.randn(N, N))
 
 
 def unstacked(span, N):
@@ -80,7 +80,7 @@ def test_momentum_rhs_bitwise_equal_to_expression_form(N):
         want = oracle.momentum_rhs(vel, pressure, prob.boundary, spec, 0.37, cfg_oracle)
         got = momentum_rhs(vel, grad_p, prob.boundary, spec, 0.37, cfg)
         assert same_bits(got, want), cfg
-        out = VelocityField.from_flat(flat, N)
+        out = VelocityField.views(flat, N)
         got = momentum_rhs(vel, grad_p, prob.boundary, spec, 0.37, cfg, out=out, work=work)
         assert got is out and same_bits(out, want), cfg
     assert w.tobytes() == w_before and p.values.tobytes() == p_before
@@ -99,16 +99,13 @@ def test_divergence_and_gradient_bitwise_equal_to_expression_form(N):
         assert got.values is out and out.tobytes() == want.tobytes()
     want = oracle.gradient_to_faces(phi, spec)
     assert same_bits(gradient_to_faces(phi, spec), want)
-    out = VelocityField.from_flat(np.empty(2 * (N - 1) * N), N)
+    out = VelocityField.views(np.empty(2 * (N - 1) * N), N)
     assert same_bits(gradient_to_faces(phi, spec, out=out), want)
 
 
-def forced_system(N):
-    prob = forced_flow(100.0)
-    spec = GridSpec(N, nu=1.0 / prob.Re)
-    return prob, FlowSystem(spec, prob.boundary, prob.forcing, prob.advection,
-                            poisson=PoissonSolver(N, "naive"),
-                            forcing_factory=prob.forcing_factory)
+def forced_system(N, advection=True):
+    prob = forced_flow(100.0, advection=advection)
+    return prob, FlowSystem(GridSpec(N, nu=1.0 / prob.Re), prob, PoissonSolver(N, "naive"))
 
 
 @pytest.mark.parametrize("N", RHS_SIZES)
@@ -116,20 +113,30 @@ def test_rhs_flat_bitwise_equal_to_expression_form(N):
     prob, system = forced_system(N)
     w, vel, p = random_state(N)
     p2 = CellField(np.random.RandomState(5).randn(N, N))
-    # without a factory, the system samples the pointwise forcing
-    (xu, yu), (xv, yv) = system.spec.u_points(), system.spec.v_points()
-    pointwise = FlowSystem(system.spec, prob.boundary, prob.forcing, prob.advection)
-    for system, g in ((system, grid_forcing(prob, system.spec)[1]),
-                      (pointwise, lambda t: (prob.forcing(t, xu, yu)[0],
-                                             prob.forcing(t, xv, yv)[1]))):
-        # every closure is built before the first is called: each keeps the
-        # gradient of its own pressure
-        pressures = (None, p, p2)
-        closures = [system.rhs_flat(system.rhs_config(), q) for q in pressures]
-        for pressure, f in zip(pressures, closures):
-            want = oracle.momentum_rhs(vel, pressure, prob.boundary, system.spec, 0.37,
-                                       MomentumRhsConfig(True, g))
-            assert f(0.37, w).tobytes() == want.flatten().tobytes()
+    g = grid_forcing(prob, system.spec)[1]
+    # every closure is built before the first is called: each keeps the
+    # gradient of its own pressure
+    pressures = (None, p, p2)
+    closures = [system.rhs_flat(system.rhs_config(), q) for q in pressures]
+    for pressure, f in zip(pressures, closures):
+        want = oracle.momentum_rhs(vel, pressure, prob.boundary, system.spec, 0.37,
+                                   MomentumRhsConfig(True, g))
+        assert f(0.37, w).tobytes() == want.flatten().tobytes()
+
+
+def test_flow_system_takes_advection_from_its_problem():
+    # the Stokes variant's forcing drops the advection term, and so does the
+    # system's momentum RHS: the flag and the forcing come from one problem
+    N = 16
+    prob, system = forced_system(N, advection=False)
+    assert system.rhs_config().include_advection is False
+    w, vel, p = random_state(N)
+    g = grid_forcing(prob, system.spec)[1]
+    for pressure in (None, p):
+        want = oracle.momentum_rhs(vel, pressure, prob.boundary, system.spec, 0.37,
+                                   MomentumRhsConfig(False, g))
+        got = system.rhs_flat(system.rhs_config(), pressure)(0.37, w)
+        assert got.tobytes() == want.flatten().tobytes()
 
 
 @pytest.mark.parametrize("make", [green_taylor, lid_driven_cavity])
@@ -196,7 +203,8 @@ def test_projection_bitwise_equal_to_expression_form(N, h):
     w, vel, _ = random_state(N)
     # the transform's matrix product sums in an order set by memory layout,
     # and the solver's divergence has the Fortran order of the flat state
-    div = CellField(np.asfortranarray(oracle.divergence(vel, system.bc, system.spec, 0.2).values))
+    bc = system.problem.boundary
+    div = CellField(np.asfortranarray(oracle.divergence(vel, bc, system.spec, 0.2).values))
     if h is None:
         phi = system.poisson.solve(div)
         want = w - oracle.gradient_to_faces(phi, system.spec).flatten()
