@@ -213,8 +213,6 @@ def test_ghia_compare(tmp_path):
                                    t_end=0.05, pressure="p1", coupling="dae",
                                    integrator="rock2"))
     (yk, u_prof), (xk, v_prof) = centerline_profiles(rep)
-    # the profiles end at the report's problem's walls: the cavity's lid moves at u = 1
-    assert u_prof[-1] == 1.0
     path = os.path.join(tmp_path, "ref.csv")
     with open(path, "w") as fh:
         fh.write("profile,coord,value\n")
@@ -232,6 +230,24 @@ def test_ghia_compare(tmp_path):
     res = ghia_compare(rep, path)
     assert abs(res["u"]["rms"] - 0.01) < 1e-12
     assert ghia_compare(rep, os.path.join(tmp_path, "missing.csv")) is None
+
+
+def test_centerline_walls_default_to_the_reports_problem():
+    # the profiles end at the walls of the problem the report's config names:
+    # the cavity's lid moves at u = 1, its other walls rest
+    from chebflow.problems import lid_driven_cavity
+    rep = run_simulation(small_cfg(problem="cavity", re=100.0, nx=16, t_end=0.05,
+                                   pressure="p1"))
+    (yk, u_prof), (xk, v_prof) = centerline_profiles(rep)
+    bcv = lid_driven_cavity(100.0).boundary.velocity
+    t, N = rep.t_final, rep.spec.N
+    assert u_prof[0] == float(np.asarray(bcv(t, 0.5, 0.0)[0]))
+    assert u_prof[-1] == float(np.asarray(bcv(t, 0.5, 1.0)[0])) == 1.0
+    assert v_prof[0] == float(np.asarray(bcv(t, 0.0, 0.5)[1])) == 0.0
+    assert v_prof[-1] == float(np.asarray(bcv(t, 1.0, 0.5)[1])) == 0.0
+    assert np.array_equal(u_prof[1:-1], rep.u[N // 2 - 1, :])
+    assert np.array_equal(v_prof[1:-1], rep.v[:, N // 2 - 1])
+    assert yk[0] == xk[0] == 0.0 and yk[-1] == xk[-1] == 1.0
 
 
 def test_unstable_run_is_flagged(tmp_path):
