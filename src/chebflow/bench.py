@@ -57,9 +57,10 @@ HEADERS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """One simulation configuration.  Fully deterministic given its fields."""
+    """One simulation configuration.  Fully deterministic given its fields,
+    which are frozen: a variant is a new config (``dataclasses.replace``)."""
 
     problem: str = "forced"
     re: float = 100.0

@@ -29,11 +29,12 @@ stages).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .grid import CellField, GridSpec, VelocityField
+from .grid import BoundaryData, CellField, GridSpec, VelocityField
 from .integrators import (Rock2Tableau, StageHook, method_spec,
                           pirock_step, rk4_step, rkc_step, rock2_step)
 from . import spatial
@@ -99,7 +100,7 @@ class Stepper:
         raise ValueError("pirock steps through pm1_step's operator split")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowSystem:
     """A problem on a grid, with the shared Poisson solver.
 
@@ -109,7 +110,9 @@ class FlowSystem:
     enters as one grid evaluator
     ``g = problem.forcing_factory(xu, yu, xv, yv, spatial.stacked)`` at the
     stored u and v points, built here once; ``rhs_config`` hands it to
-    every momentum RHS, stages and pressure recoveries alike.
+    every momentum RHS, stages and pressure recoveries alike.  The system is
+    frozen, so it keeps the problem its forcing evaluator was built from:
+    a system for another problem is a new system.
     The boundary data are sampled through ``walls(t)``, which keeps the
     last sample: a projected stage's divergence and the next stage's
     momentum RHS share one boundary evaluation at their common time.
@@ -124,30 +127,26 @@ class FlowSystem:
 
     def __post_init__(self):
         if self.poisson is None:
-            self.poisson = PoissonSolver(self.spec.N)
+            object.__setattr__(self, "poisson", PoissonSolver(self.spec.N))
         make = self.problem.forcing_factory
-        self._forcing_eval = (None if make is None else
-                              make(*self.spec.u_points(), *self.spec.v_points(), spatial.stacked))
-        self._last_walls = None
-        self._work = None
+        object.__setattr__(self, "_forcing_eval", None if make is None else
+                           make(*self.spec.u_points(), *self.spec.v_points(), spatial.stacked))
+        object.__setattr__(self, "_last_walls", None)
 
-    @property
+    @cached_property
     def work(self) -> spatial.StencilWork:
-        if self._work is None:
-            self._work = spatial.StencilWork(self.spec.N)
-        return self._work
+        return spatial.StencilWork(self.spec.N)
 
     def walls(self, t: float):
         """``spatial.wall_velocities`` at time t, reused while t repeats.
 
         Time-independent boundary data keep their first sample for every t.
         """
-        bc, last = self.problem.boundary, self._last_walls
-        if (last is None or last[1] is not bc
-                or (last[0] != t and not bc.time_independent)):
-            walls = spatial.wall_velocities(bc, self.spec, t)
-            last = self._last_walls = (t, bc, walls)
-        return last[2]
+        last = self._last_walls
+        if last is None or (last[0] != t and not self.problem.boundary.time_independent):
+            last = (t, spatial.wall_velocities(self.problem.boundary, self.spec, t))
+            object.__setattr__(self, "_last_walls", last)
+        return last[1]
 
     def rhs_config(self, pm3: bool = False, advection: Optional[bool] = None,
                    diffusion: bool = True, forcing: bool = True) -> MomentumRhsConfig:
@@ -317,7 +316,8 @@ def _hidden_constraint(state: CouplingState, system: FlowSystem,
     grad_p = None if p is None else spatial.stacked_pressure_gradient(p, system.spec)
     F = momentum_rhs(state.u, grad_p, bc, system.spec, state.t, system.rhs_config(),
                      walls=system.walls(state.t), work=system.work)
-    rhs = divergence(F, bc.as_rate(), system.spec, state.t, work=system.work)
+    rhs = divergence(F, BoundaryData(velocity=bc.velocity_dt), system.spec, state.t,
+                     work=system.work)
     return system.poisson.solve(rhs)
 
 

@@ -179,7 +179,7 @@ class CellField:
         return CellField(self.values - self.values.mean())
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundaryData:
     """Dirichlet boundary velocity and optional extra data.
 
@@ -197,19 +197,14 @@ class BoundaryData:
     (tangential component v) and along +y on the walls y in {0, 1}
     (tangential component u).  ``time_independent`` declares that the
     velocity does not depend on t: a ``FlowSystem`` then samples it once and
-    keeps that sample for every t.
+    keeps that sample for every t.  The data are frozen, and so is a
+    ``FlowSystem``'s problem, so the system keys its samples on t alone.
     """
 
     velocity: Callable
     velocity_dt: Optional[Callable] = None
     tangential_normal_derivative: Optional[Callable] = None
     time_independent: bool = False
-
-    def as_rate(self) -> "BoundaryData":
-        """Boundary data whose velocity is the time derivative of this one."""
-        if self.velocity_dt is None:
-            raise ValueError("boundary time derivative not available")
-        return BoundaryData(velocity=self.velocity_dt)
 
 
 def sample_velocity(spec: GridSpec, f: Callable, t: float) -> VelocityField:

@@ -42,7 +42,7 @@ class IntegrationDiverged(RuntimeError):
         self.stage = stage
 
 
-@dataclass
+@dataclass(frozen=True)
 class StageHook:
     """Per-stage processing for the incompressibility couplings.
 

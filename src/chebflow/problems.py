@@ -79,11 +79,13 @@ def _point_memo(parts: Callable) -> Callable:
     return lookup
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemSpec:
     """A benchmark problem: boundary data, forcing, advection, optional exact fields.
 
-    A ``FlowSystem`` reads all of its inputs from here.
+    A ``FlowSystem`` reads all of its inputs from here.  The spec is frozen:
+    a variant (the Stokes one, wrapped callbacks) is a new spec, from the
+    problem's constructor (``advection=False``) or ``dataclasses.replace``.
     ``forcing(t, x, y) -> (f1, f2)`` is the closed form, which the solver
     never calls; ``forcing_factory(xu, yu, xv, yv, layout)`` returns its
     grid evaluator ``g(t)`` with cached spatial parts, equal to it up to
@@ -219,7 +221,7 @@ def forced_flow(Re: float, advection: bool = True) -> ProblemSpec:
                        advection=advection, forcing_factory=forcing_factory)
 
 
-def green_taylor(Re: float) -> ProblemSpec:
+def green_taylor(Re: float, advection: bool = True) -> ProblemSpec:
     """Decaying vortex; exact solution of the unforced equations."""
     if Re <= 0:
         raise ValueError("Reynolds number must be positive")
@@ -256,10 +258,11 @@ def green_taylor(Re: float) -> ProblemSpec:
     bc = BoundaryData(velocity=velocity, velocity_dt=velocity_dt,
                       tangential_normal_derivative=tangential_normal_derivative)
     return ProblemSpec(name="taylor", Re=Re, boundary=bc, forcing=None,
-                       exact_velocity=velocity, exact_pressure=pressure)
+                       exact_velocity=velocity, exact_pressure=pressure,
+                       advection=advection)
 
 
-def lid_driven_cavity(Re: float) -> ProblemSpec:
+def lid_driven_cavity(Re: float, advection: bool = True) -> ProblemSpec:
     """Sliding lid at y = 1 with unit velocity, resting walls elsewhere."""
     if Re <= 0:
         raise ValueError("Reynolds number must be positive")
@@ -276,7 +279,7 @@ def lid_driven_cavity(Re: float) -> ProblemSpec:
         return z, z
 
     bc = BoundaryData(velocity=velocity, velocity_dt=velocity_dt, time_independent=True)
-    return ProblemSpec(name="cavity", Re=Re, boundary=bc)
+    return ProblemSpec(name="cavity", Re=Re, boundary=bc, advection=advection)
 
 
 PROBLEMS = {"forced": forced_flow, "taylor": green_taylor, "cavity": lid_driven_cavity}
@@ -285,8 +288,4 @@ PROBLEMS = {"forced": forced_flow, "taylor": green_taylor, "cavity": lid_driven_
 def make_problem(name: str, Re: float, advection: bool = True) -> ProblemSpec:
     if name not in PROBLEMS:
         raise ValueError(f"unknown problem {name!r} (choose from {sorted(PROBLEMS)})")
-    if name == "forced":
-        return forced_flow(Re, advection=advection)
-    prob = PROBLEMS[name](Re)
-    prob.advection = advection
-    return prob
+    return PROBLEMS[name](Re, advection=advection)

@@ -34,7 +34,7 @@ from numpy.lib.stride_tricks import as_strided
 from .grid import BoundaryData, CellField, GridSpec, VelocityField
 
 
-@dataclass
+@dataclass(frozen=True)
 class MomentumRhsConfig:
     """Term selection for the momentum right-hand side; the pressure gradient
     is not selected here but comes with the span ``momentum_rhs`` gets.

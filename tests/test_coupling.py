@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from chebflow.bench import RunConfig
 from chebflow.coupling import (COUPLINGS, Ap2wCoefficients, CouplingState, FlowSystem,
                                Stepper, ap1_pressure, ap2_pressure,
                                ap2w_coefficients, ap2w_pressure, dae_step,
@@ -10,7 +11,7 @@ from chebflow.coupling import (COUPLINGS, Ap2wCoefficients, CouplingState, FlowS
                                pm3_step, reconstruct_pressure)
 from chebflow.grid import (BoundaryData, CellField, GridSpec, VelocityField,
                            inf_norm, sample_pressure, sample_velocity)
-from chebflow.integrators import butcher_tableau, rkc_tableau, rock2_tableau
+from chebflow.integrators import StageHook, butcher_tableau, rkc_tableau, rock2_tableau
 from chebflow.poisson import PoissonSolver
 from chebflow.problems import ProblemSpec, forced_flow, green_taylor
 from chebflow.spatial import divergence, gradient_to_faces, momentum_rhs
@@ -88,7 +89,7 @@ def test_pm1_second_order_pressure_consistent_state():
     cfg = system.rhs_config()
     bc = system.problem.boundary
     F = momentum_rhs(state.u, None, bc, system.spec, 0.0, cfg)
-    rhs = divergence(F, bc.as_rate(), system.spec, 0.0)
+    rhs = divergence(F, BoundaryData(velocity=bc.velocity_dt), system.spec, 0.0)
     p_consistent = system.poisson.solve(rhs)
     state.p = p_consistent
     p2 = pm1_second_order_pressure(state, system, None, None)
@@ -497,9 +498,30 @@ def test_time_independent_walls_are_sampled_once():
     state = initial_state(prob, system)
     dae_step(state, system, Stepper("rock2", 3), 1e-3)
     assert times == [0.0]
-    # new boundary data are sampled anew
-    system.problem = dataclasses.replace(system.problem, boundary=dataclasses.replace(bc))
-    assert system.walls(0.5) is not first and times == [0.0, 0.5]
+    # the cache keys on t alone: the problem it samples cannot be swapped
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        system.problem = dataclasses.replace(system.problem, boundary=dataclasses.replace(bc))
+
+
+FROZEN_INPUTS = {
+    "RunConfig": lambda: RunConfig(),
+    "ProblemSpec": lambda: forced_flow(10.0),
+    "BoundaryData": lambda: forced_flow(10.0).boundary,
+    "FlowSystem": lambda: make_system(forced_flow(10.0), 8),
+    "MomentumRhsConfig": lambda: make_system(forced_flow(10.0), 8).rhs_config(),
+    "StageHook": lambda: StageHook(True, lambda i, ci, ti, y: y),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_INPUTS))
+def test_run_inputs_are_frozen(name):
+    # only run state mutates: a run's inputs cannot change under the values
+    # built from them (a system's forcing evaluator, its wall samples)
+    obj = FROZEN_INPUTS[name]()
+    assert type(obj).__name__ == name
+    for f in dataclasses.fields(obj):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, f.name, getattr(obj, f.name))
 
 
 def test_flow_system_with_a_factory_never_calls_the_pointwise_forcing():

@@ -137,20 +137,17 @@ def test_field_dump_round_trip(tmp_path):
 
 def test_boundary_rate_wrapper():
     prob = green_taylor(10.0)
-    rate = prob.boundary.as_rate()
+    rate = BoundaryData(velocity=prob.boundary.velocity_dt)
     u1, _ = rate.velocity(0.3, 0.2, 0.0)
     u2, _ = prob.boundary.velocity_dt(0.3, 0.2, 0.0)
     assert u1 == u2
-    bare = BoundaryData(velocity=lambda t, x, y: (x, y))
-    with pytest.raises(ValueError):
-        bare.as_rate()
 
 
 def test_time_independence_flag():
     cavity = lid_driven_cavity(100.0).boundary
     assert cavity.time_independent
     # the rate of steady walls is zero, but it is still a separate callback
-    assert not cavity.as_rate().time_independent
+    assert not BoundaryData(velocity=cavity.velocity_dt).time_independent
     assert not forced_flow(100.0).boundary.time_independent
     assert not green_taylor(100.0).boundary.time_independent
     assert not BoundaryData(velocity=lambda t, x, y: (x, y)).time_independent

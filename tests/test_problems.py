@@ -115,6 +115,15 @@ def test_make_problem_dispatch():
         forced_flow(-1.0)
 
 
+@pytest.mark.parametrize("name", sorted(problems.PROBLEMS))
+def test_every_problem_takes_its_advection_flag(name):
+    # the flag is a constructor argument like any other: no problem is
+    # built and then changed
+    assert problems.PROBLEMS[name](20.0, advection=False).advection is False
+    assert make_problem(name, 20.0, advection=False).advection is False
+    assert make_problem(name, 20.0).advection is True
+
+
 def test_a_forcing_needs_its_factory():
     # the factory is the only way a forcing enters the solver: without it
     # a custom problem would run unforced

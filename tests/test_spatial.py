@@ -179,7 +179,7 @@ def per_segment_walls(bc, spec, t):
 def test_wall_velocities_bitwise_equal_to_per_segment_sampling(make, N):
     spec = GridSpec(N, nu=0.01)
     bc = make(100.0).boundary
-    for boundary in (bc, bc.as_rate()):
+    for boundary in (bc, BoundaryData(velocity=bc.velocity_dt)):
         for t in (0.0, 0.3671, 2.5):
             got = wall_velocities(boundary, spec, t)
             want = per_segment_walls(boundary, spec, t)

@@ -3,9 +3,10 @@
 The matrix covers every integrator, coupling, pressure recovery, ``cp``
 value and DCT algorithm that ``RunConfig`` accepts (fixed step, on the
 forced flow, the Green-Taylor vortex and the cavity in turn, N = 12-32),
-plus adaptive runs of the step controller.  Each line is the digest of one
-run's final u, v, p, every recovered pressure and its step/stage counters;
-the last line is the digest of all of them.  Two source trees compute
+plus adaptive runs of the step controller and one fixed-step run of each
+problem's Stokes variant (``advection=False``, named ``-stokes``).  Each
+line is the digest of one run's final u, v, p, every recovered pressure and
+its step/stage counters; the last line is the digest of all of them.  Two source trees compute
 bitwise identical results exactly when their totals agree.  BLAS runs on
 one thread, as the bits of a matrix product can depend on the split.
 Each (integrator, coupling, pressure) choice holds two slots, for cp=0 and
@@ -44,6 +45,8 @@ DCT_SIZES = (("naive", 12), ("iterative", 24), ("recursive", 16), ("hybrid", 32)
 ADAPTIVE = (("taylor", "rock2", "dae", "ap1"), ("forced", "rock2", "pm1", "p2"),
             ("cavity", "rkc", "pm1", "p1"), ("forced", "rock2", "pm1v", "p1"),
             ("cavity", "rock2", "dae", "p1"))
+STOKES = (("forced", "rock2", "pm1", "p2"), ("taylor", "rock2", "dae", "ap1"),
+          ("cavity", "rkc", "pm1v", "p1"))
 
 
 def _valid(cfg):
@@ -55,7 +58,8 @@ def _valid(cfg):
 
 
 def configs(bench):
-    """(name, RunConfig) for every valid fixed-step choice, then the adaptive runs."""
+    """(name, RunConfig) for every valid fixed-step choice, then the adaptive
+    runs, then the Stokes runs."""
     runs, slot = [], 0
     for integrator in bench.INTEGRATORS:
         for coupling in bench.COUPLINGS:
@@ -81,8 +85,15 @@ def configs(bench):
                                     adaptive=True, atol=1e-5, rtol=1e-5,
                                     integrator=integrator, coupling=coupling,
                                     pressure=pressure, dct_algorithm=algorithm))
+    for k, (problem, integrator, coupling, pressure) in enumerate(STOKES):
+        algorithm, nx = DCT_SIZES[k % len(DCT_SIZES)]
+        runs.append(bench.RunConfig(problem=problem, nx=nx, dt=1e-2, t_end=0.3,
+                                    advection=False, integrator=integrator,
+                                    coupling=coupling, pressure=pressure,
+                                    dct_algorithm=algorithm))
     return [(f"{c.problem}-N{c.nx}-{c.integrator}-{c.coupling}-{c.pressure}-cp{c.cp}"
-             f"-{c.dct_algorithm}{'-adaptive' if c.adaptive else ''}", c) for c in runs]
+             f"-{c.dct_algorithm}{'-adaptive' if c.adaptive else ''}"
+             f"{'' if c.advection else '-stokes'}", c) for c in runs]
 
 
 def run_record(bench, cfg):
