@@ -13,13 +13,18 @@ Face-normal velocities on the boundary are never stored; they are Dirichlet
 data supplied by a :class:`BoundaryData`.  The flattened state vector used by
 the time integrators lists all u entries with the y-index outermost, then all
 v entries in the same order (Fortran order of the arrays above).
+
+The coordinates of those points are built once per N (``grid_points``) and
+shared, read-only, by every ``GridSpec`` of that N; the problems memoize
+their spatial factors per point set (see ``problems``).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Optional
+from types import MappingProxyType
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -44,55 +49,87 @@ class GridSpec:
         object.__setattr__(self, "dx", 1.0 / self.N)
 
     # staggered point coordinates ------------------------------------------
+    # Each returns the arrays of ``grid_points(N)``: built once per N, shared
+    # by every GridSpec of that N, and read-only.
 
     def u_points(self):
         """Coordinates (x, y) of the stored u unknowns, shapes (N-1, N)."""
-        x = np.arange(1, self.N) * self.dx
-        y = (np.arange(1, self.N + 1) - 0.5) * self.dx
-        return np.meshgrid(x, y, indexing="ij")
+        return grid_points(self.N).u
 
     def v_points(self):
         """Coordinates (x, y) of the stored v unknowns, shapes (N, N-1)."""
-        x = (np.arange(1, self.N + 1) - 0.5) * self.dx
-        y = np.arange(1, self.N) * self.dx
-        return np.meshgrid(x, y, indexing="ij")
+        return grid_points(self.N).v
 
     def cell_centers(self):
         """Coordinates (x, y) of the cell centers, shapes (N, N)."""
-        c = (np.arange(1, self.N + 1) - 0.5) * self.dx
-        return np.meshgrid(c, c, indexing="ij")
+        return grid_points(self.N).cell
 
-    @cached_property
+    @property
     def wall_points(self):
         """Every boundary point the stencils sample, as one (x, y) pair.
 
-        Returns ``(x, y, segments)``: read-only coordinate arrays holding
-        eight wall segments one after the other, and a dict mapping each
+        Returns ``(x, y, segments)``: coordinate arrays holding eight wall
+        segments one after the other, and a read-only mapping of each
         segment name to its slice of them.  ``u_left``/``u_right`` lie on
         x = 0, 1 and ``v_bottom``/``v_top`` on y = 0, 1, at the N
         face-centered positions (the normal velocity there closes the
         divergence); ``u_bottom``/``u_top`` lie on y = 0, 1 and
         ``v_left``/``v_right`` on x = 0, 1, at the N-1 interior node
         positions (the tangential velocity there enters the one-sided
-        stencils).  Built on first use and kept with the grid.
+        stencils).
         """
-        half = (np.arange(1, self.N + 1) - 0.5) * self.dx
-        node = np.arange(1, self.N) * self.dx
-        zeros_h, ones_h = np.zeros_like(half), np.ones_like(half)
-        zeros_n, ones_n = np.zeros_like(node), np.ones_like(node)
-        parts = (("u_left", zeros_h, half), ("u_right", ones_h, half),
-                 ("v_bottom", half, zeros_h), ("v_top", half, ones_h),
-                 ("u_bottom", node, zeros_n), ("u_top", node, ones_n),
-                 ("v_left", zeros_n, node), ("v_right", ones_n, node))
-        segments, start = {}, 0
-        for name, xs, _ in parts:
-            segments[name] = slice(start, start + xs.size)
-            start += xs.size
-        x = np.concatenate([xs for _, xs, _ in parts])
-        y = np.concatenate([ys for _, _, ys in parts])
-        x.flags.writeable = False
-        y.flags.writeable = False
-        return x, y, segments
+        return grid_points(self.N).wall
+
+
+# Grids whose point sets ``grid_points`` keeps: a study that alternates two
+# resolutions, or a convergence study's ladder, reuses them.
+POINT_GRIDS = 4
+
+
+class GridPoints(NamedTuple):
+    """The point sets of one N x N grid; see ``grid_points``."""
+
+    u: tuple
+    v: tuple
+    cell: tuple
+    wall: tuple
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=POINT_GRIDS)
+def grid_points(N: int) -> GridPoints:
+    """The u, v, cell-centre and wall coordinates of the N x N grid.
+
+    Built once per N and kept for the ``POINT_GRIDS`` most recently used N.
+    Every array owns its data and is read-only, so the shared arrays cannot
+    change behind a caller's back (writing into one raises), and the
+    problems' memos recognise them by identity (see ``problems``).  Like the
+    ROCK2 table, the cache holds only constants derived from its argument.
+    """
+    dx = 1.0 / N
+    half = (np.arange(1, N + 1) - 0.5) * dx
+    node = np.arange(1, N) * dx
+    zeros_h, ones_h = np.zeros_like(half), np.ones_like(half)
+    zeros_n, ones_n = np.zeros_like(node), np.ones_like(node)
+    parts = (("u_left", zeros_h, half), ("u_right", ones_h, half),
+             ("v_bottom", half, zeros_h), ("v_top", half, ones_h),
+             ("u_bottom", node, zeros_n), ("u_top", node, ones_n),
+             ("v_left", zeros_n, node), ("v_right", ones_n, node))
+    segments, start = {}, 0
+    for name, xs, _ in parts:
+        segments[name] = slice(start, start + xs.size)
+        start += xs.size
+    wall = _read_only(np.concatenate([xs for _, xs, _ in parts]),
+                      np.concatenate([ys for _, _, ys in parts]))
+    return GridPoints(u=_read_only(*np.meshgrid(node, half, indexing="ij")),
+                      v=_read_only(*np.meshgrid(half, node, indexing="ij")),
+                      cell=_read_only(*np.meshgrid(half, half, indexing="ij")),
+                      wall=wall + (MappingProxyType(segments),))
 
 
 @dataclass

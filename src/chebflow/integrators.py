@@ -57,7 +57,7 @@ class StageHook:
 
 
 def _check_finite(y, stage):
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise IntegrationDiverged(stage)
 
 

@@ -18,16 +18,21 @@ staggered grid: lid faces carry u = 1, side walls 0).
 
 The closed forms separate in t and (x, y), and a study evaluates them on
 the same few point sets over and over: the wall points at every stage, the
-u, v and cell-centre points at each trial's set-up.  So each problem keeps
-its spatial factors (sin^2(pi x), the forcing's probed parts, ...) in small
-memos of its own, one per closed form, and an evaluation at a new t costs
-one multiply per factor.  A memo is keyed by the exact value of the points
-(dtype, shape, strides and bytes), so a trial's freshly built ``GridSpec``
-finds the arrays of the previous trial's; it matches the read-only arrays
-of ``GridSpec.wall_points`` by identity, without reading their bytes.  It
-keeps the ``MEMO_POINT_SETS`` most recently used point sets.  Every output
-is computed in the same order as the written formula, so it is bitwise
-what the formula gives.
+u, v and cell-centre points at each trial's set-up.  What is built once per
+N and what once per problem:
+
+- the point sets themselves belong to the grid: ``grid.grid_points(N)``
+  builds them once per N, as read-only arrays that every ``GridSpec`` of
+  that N returns, so every trial of a study passes the same objects;
+- each problem keeps its spatial factors (sin^2(pi x), the forcing's
+  probed parts, ...) in small memos of its own, one per closed form, so an
+  evaluation at a new t costs one multiply per factor.
+
+A memo matches read-only arrays that own their data (the grid's) by
+identity, without reading their bytes, and any other points by their exact
+value (dtype, shape, strides and bytes).  It keeps the ``MEMO_POINT_SETS``
+most recently used point sets.  Every output is computed in the same order
+as the written formula, so it is bitwise what the formula gives.
 """
 
 from __future__ import annotations
@@ -154,30 +159,41 @@ def forced_flow(Re: float, advection: bool = True) -> ProblemSpec:
         cx2, cy2, cxy = pressure_parts(x, y)
         return -(np.sin(t) / 4.0) * cx2 * cy2 + (pi**2 / 2.0) * np.cos(t) * cxy
 
-    def forcing(t, x, y):
+    def trig(x, y):
+        """The eight spatial sines and cosines the forcing is written in."""
+        return (np.sin(pi * x), np.cos(pi * x), np.sin(pi * y), np.cos(pi * y),
+                np.sin(2 * pi * x), np.cos(2 * pi * x), np.sin(2 * pi * y), np.cos(2 * pi * y))
+
+    def forcing_component(t, comp, sines):
+        """Component ``comp`` of the forcing at t, from ``trig``'s arrays.
+
+        Component 0 is f1 (w = u, p_w = p_x), component 1 is f2 (w = v,
+        p_w = p_y); each is computed on its own, in the order of the
+        written formula."""
+        sx, cx, sy, cy, s2x, c2x, s2y, c2y = sines
         ct, st = np.cos(t), np.sin(t)
-        sx, cx = np.sin(pi * x), np.cos(pi * x)
-        sy, cy = np.sin(pi * y), np.cos(pi * y)
-        s2x, c2x = np.sin(2 * pi * x), np.cos(2 * pi * x)
-        s2y, c2y = np.sin(2 * pi * y), np.cos(2 * pi * y)
-        u = -ct * sx**2 * s2y
-        v = ct * s2x * sy**2
-        u_t = st * sx**2 * s2y
-        v_t = -st * s2x * sy**2
-        u_x = -ct * pi * s2x * s2y
-        u_y = -ct * 2 * pi * sx**2 * c2y
-        v_x = ct * 2 * pi * c2x * sy**2
-        v_y = ct * pi * s2x * s2y
-        lap_u = 2 * pi**2 * ct * s2y * (2 * sx**2 - c2x)
-        lap_v = 2 * pi**2 * ct * s2x * (c2y - 2 * sy**2)
-        p_x = (pi * st / 4.0) * sx * (2 + cy) - (pi**3 / 2.0) * ct * sx * (1 + cy)
-        p_y = (pi * st / 4.0) * sy * (2 + cx) - (pi**3 / 2.0) * ct * sy * (1 + cx)
-        f1 = u_t + p_x - nu * lap_u
-        f2 = v_t + p_y - nu * lap_v
+        if comp == 0:
+            w_t = st * sx**2 * s2y
+            w_x = -ct * pi * s2x * s2y
+            w_y = -ct * 2 * pi * sx**2 * c2y
+            lap_w = 2 * pi**2 * ct * s2y * (2 * sx**2 - c2x)
+            p_w = (pi * st / 4.0) * sx * (2 + cy) - (pi**3 / 2.0) * ct * sx * (1 + cy)
+        else:
+            w_t = -st * s2x * sy**2
+            w_x = ct * 2 * pi * c2x * sy**2
+            w_y = ct * pi * s2x * s2y
+            lap_w = 2 * pi**2 * ct * s2x * (c2y - 2 * sy**2)
+            p_w = (pi * st / 4.0) * sy * (2 + cx) - (pi**3 / 2.0) * ct * sy * (1 + cx)
+        f = w_t + p_w - nu * lap_w
         if advection:
-            f1 = f1 + u * u_x + v * u_y
-            f2 = f2 + u * v_x + v * v_y
-        return f1, f2
+            u = -ct * sx**2 * s2y
+            v = ct * s2x * sy**2
+            f = f + u * w_x + v * w_y
+        return f
+
+    def forcing(t, x, y):
+        sines = trig(x, y)
+        return forcing_component(t, 0, sines), forcing_component(t, 1, sines)
 
     def tangential_normal_derivative(t, x, y):
         x = np.asarray(x, dtype=float)
@@ -190,11 +206,12 @@ def forced_flow(Re: float, advection: bool = True) -> ProblemSpec:
     @_point_memo
     def forcing_parts(xu, yu, xv, yv):
         # the forcing is sin(t) A + cos(t) B + cos(t)^2 C pointwise, so the
-        # three spatial fields can be extracted by probing t = pi/2, 0, pi
+        # three spatial fields can be extracted by probing t = pi/2, 0, pi;
+        # one trig pass per point set serves the three probes of the one
+        # component kept there (f1 at the u points, f2 at the v points)
         def parts(x, y, comp):
-            a = forcing(np.pi / 2, x, y)[comp]
-            f0 = forcing(0.0, x, y)[comp]
-            fpi = forcing(np.pi, x, y)[comp]
+            sines = trig(x, y)
+            a, f0, fpi = (forcing_component(t, comp, sines) for t in (np.pi / 2, 0.0, np.pi))
             return a, 0.5 * (f0 - fpi), 0.5 * (f0 + fpi)
         return parts(xu, yu, 0) + parts(xv, yv, 1)
 
@@ -222,7 +239,11 @@ def forced_flow(Re: float, advection: bool = True) -> ProblemSpec:
 
 
 def green_taylor(Re: float, advection: bool = True) -> ProblemSpec:
-    """Decaying vortex; exact solution of the unforced equations."""
+    """Decaying vortex; exact solution of the unforced equations.
+
+    With ``advection=False`` the same velocity solves the Stokes equations
+    with a constant pressure, reported as 0.
+    """
     if Re <= 0:
         raise ValueError("Reynolds number must be positive")
     pi = np.pi
@@ -251,6 +272,10 @@ def green_taylor(Re: float, advection: bool = True) -> ProblemSpec:
     def pressure(t, x, y):
         return 0.25 * np.exp(-4 * pi**2 * t / Re) * pressure_parts(x, y)
 
+    def stokes_pressure(t, x, y):
+        # without advection the velocity alone solves u_t = nu lap u: grad p = 0
+        return np.zeros(np.broadcast(x, y).shape)
+
     def tangential_normal_derivative(t, x, y):
         # du/dy and dv/dx both vanish on the respective walls
         return np.zeros_like(np.asarray(x, dtype=float))
@@ -258,7 +283,8 @@ def green_taylor(Re: float, advection: bool = True) -> ProblemSpec:
     bc = BoundaryData(velocity=velocity, velocity_dt=velocity_dt,
                       tangential_normal_derivative=tangential_normal_derivative)
     return ProblemSpec(name="taylor", Re=Re, boundary=bc, forcing=None,
-                       exact_velocity=velocity, exact_pressure=pressure,
+                       exact_velocity=velocity,
+                       exact_pressure=pressure if advection else stokes_pressure,
                        advection=advection)
 
 

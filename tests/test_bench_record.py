@@ -90,11 +90,12 @@ def test_bench_record_diff_pairs_runs_by_seed(tmp_path, capsys):
     assert rows["setup_s"]["wtl"] == (1, 8, 1) and not rows["setup_s"]["met"]
     assert rows["cal_s"]["wtl"] == (0, 10, 0) and not rows["cal_s"]["met"]
     capsys.readouterr()
-    assert bench_record.main(["--diff", old, new]) == 0
+    benchmark = _benchmark(tmp_path)
+    assert bench_record.main(["--diff", old, new, "--benchmark", benchmark]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("| workload | metric | parent | change |")
     assert ("| w1 | wall_ref_s | 1.1 [1, 1.225] | 0.575 [0.5, 0.65] | -47.7 % | 9/0/1 "
-            "| 0.225 | met |") in lines
+            "| 0.225 | met | within (21 %) |") in lines
 
 
 def test_bench_record_diff_needs_more_than_the_parent_iqr(tmp_path):
@@ -105,3 +106,46 @@ def test_bench_record_diff_needs_more_than_the_parent_iqr(tmp_path):
         rows = {r["metric"]: r for r in bench_record.diff_rows(json.load(fh_old),
                                                                json.load(fh_new))}
     assert rows["wall_ref_s"]["wtl"] == (4, 0, 0) and not rows["wall_ref_s"]["met"]
+
+
+def _benchmark(tmp_path):
+    path = str(tmp_path / "BENCHMARK.json")
+    with open(path, "w") as fh:
+        json.dump({"end_to_end": [
+            {"name": "wall_ref_s", "unit": "s", "better": "lower", "bound": 0.21},
+            {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}]}, fh)
+    return path
+
+
+def test_bench_record_diff_reads_the_bounds(tmp_path):
+    benchmark = _benchmark(tmp_path)
+    with open(benchmark) as fh:
+        declared = fh.read()
+    bounds = bench_record.load_bounds(benchmark)
+    # setup_s worse by 30 % against a 25 % bound, with no spread in the
+    # parent; wall_ref_s 5 % worse, inside its 21 %
+    old = _record(tmp_path, "old", [1.0] * 4, [0.01] * 4)
+    new = _record(tmp_path, "new", [1.05] * 4, [0.013] * 4)
+    with open(old) as fh_old, open(new) as fh_new:
+        rows = {r["metric"]: r for r in bench_record.diff_rows(json.load(fh_old),
+                                                               json.load(fh_new), bounds)}
+    assert rows["wall_ref_s"]["verdict"] == "within" and rows["wall_ref_s"]["bound"] == 0.21
+    assert rows["setup_s"]["verdict"] == "beyond"
+    assert rows["wall_s"]["verdict"] is None and rows["cal_s"]["bound"] is None
+    # a parent whose IQR is larger than the bound cannot tell either way,
+    # even when the change's median reads better
+    old = _record(tmp_path, "wide", [1.0, 2.0, 3.0, 4.0], [0.01] * 4)
+    new = _record(tmp_path, "narrow", [0.9, 1.9, 2.9, 3.9], [0.01] * 4)
+    with open(old) as fh_old, open(new) as fh_new:
+        rows = {r["metric"]: r for r in bench_record.diff_rows(json.load(fh_old),
+                                                               json.load(fh_new), bounds)}
+    assert rows["wall_ref_s"]["verdict"] == "unresolved"
+    assert rows["setup_s"]["verdict"] == "within"
+    # ... unless every run of the change reads better than every parent run
+    new = _record(tmp_path, "below", [0.5, 0.6, 0.7, 0.8], [0.01] * 4)
+    with open(old) as fh_old, open(new) as fh_new:
+        rows = {r["metric"]: r for r in bench_record.diff_rows(json.load(fh_old),
+                                                               json.load(fh_new), bounds)}
+    assert rows["wall_ref_s"]["verdict"] == "within"
+    with open(benchmark) as fh:
+        assert fh.read() == declared

@@ -19,6 +19,33 @@ def test_grid_spec_invariants():
         GridSpec(8, nu=0.0)
 
 
+def test_grids_of_one_size_share_read_only_points():
+    a, b = GridSpec(12, nu=0.1), GridSpec(12, nu=3.0)
+    dx = 1.0 / 12
+    node, half = np.arange(1, 12) * dx, (np.arange(1, 13) - 0.5) * dx
+    formulas = {"u_points": np.meshgrid(node, half, indexing="ij"),
+                "v_points": np.meshgrid(half, node, indexing="ij"),
+                "cell_centers": np.meshgrid(half, half, indexing="ij")}
+    for name, want in formulas.items():
+        got = getattr(a, name)()
+        assert all(g is h for g, h in zip(got, getattr(b, name)()))
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes() and g.shape == w.shape
+            assert not g.flags.writeable and g.base is None
+            with pytest.raises(ValueError, match="read-only"):
+                g[0, 0] = 0.5
+    wx, wy, segments = a.wall_points
+    assert b.wall_points[0] is wx and b.wall_points[1] is wy
+    assert not wx.flags.writeable and not wy.flags.writeable
+    assert wx[segments["u_right"]].tolist() == [1.0] * 12
+    assert wy[segments["u_right"]].tobytes() == half.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        wx[:] = 0.0
+    with pytest.raises(TypeError):
+        segments["u_right"] = slice(0, 1)
+    assert GridSpec(16, nu=0.1).u_points()[0].shape == (15, 16)
+
+
 def test_velocity_field_shapes():
     VelocityField(np.zeros((7, 8)), np.zeros((8, 7)))
     with pytest.raises(ValueError):

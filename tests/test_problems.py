@@ -196,6 +196,12 @@ def assert_bytes_equal(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+def read_only_copy(a):
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
 def check_against_oracle(prob, oracle, t, x, y):
     velocity, velocity_dt, pressure, _ = oracle
     for got, want in ((prob.exact_velocity(t, x, y), velocity(t, x, y)),
@@ -215,14 +221,13 @@ def test_closed_forms_are_bitwise_the_formulas(name):
     wx, wy, _ = spec.wall_points
     point_sets = [(wx, wy), spec.u_points(), spec.v_points(), spec.cell_centers(), (0.3, 0.8)]
     # repeated calls at several t, the point sets interleaved, and fresh
-    # arrays of the same values, as a new grid of every trial builds them
+    # read-only arrays of the same values (a grid's own arrays are shared
+    # by every grid of its N, so they are copied here)
     for rnd in range(3):
         for t in (0.0, 0.37, 1.9):
             for x, y in point_sets[rnd:] + point_sets[:rnd]:
                 check_against_oracle(prob, oracle, t, x, y)
-        fresh = GridSpec(12, nu=0.1)
-        point_sets[:4] = [fresh.wall_points[:2], fresh.u_points(), fresh.v_points(),
-                          fresh.cell_centers()]
+        point_sets[:4] = [tuple(read_only_copy(a) for a in pts) for pts in point_sets[:4]]
     grid_forcing = oracle[3]
     if grid_forcing is not None:
         (xu, yu), (xv, yv) = spec.u_points(), spec.v_points()
@@ -238,13 +243,14 @@ def test_closed_forms_follow_points_changed_in_place(name):
     make, make_oracle = ORACLES[name]
     prob = make()
     oracle = make_oracle(prob)
-    x, y = GridSpec(10, nu=0.1).u_points()
+    # writable copies: the grid's own point arrays are read-only
+    x, y = (a.copy() for a in GridSpec(10, nu=0.1).u_points())
     check_against_oracle(prob, oracle, 0.4, x, y)
     x += 0.01
     y[3, 4] = 0.123
     check_against_oracle(prob, oracle, 0.4, x, y)
     if oracle[3] is not None:
-        (xv, yv) = GridSpec(10, nu=0.1).v_points()
+        xv, yv = (a.copy() for a in GridSpec(10, nu=0.1).v_points())
         prob.forcing_factory(x, y, xv, yv, stacked)
         xv *= 0.5
         assert_bytes_equal(prob.forcing_factory(x, y, xv, yv, stacked)(0.4),
@@ -257,6 +263,40 @@ def test_closed_forms_follow_points_changed_in_place(name):
     wx.flags.writeable = True
     wx[:] = wx[::-1]
     check_against_oracle(prob, oracle, 0.4, wx, wy)
+
+
+@pytest.mark.parametrize("advection", [True, False])
+def test_forcing_parts_are_the_forcing_probes_bitwise(advection):
+    # the factory hands its spatial parts A, B, C to the layout; each is
+    # the probe of the closed form (t = pi/2, 0, pi) of its component
+    prob = forced_flow(7.0, advection=advection)
+    spec = GridSpec(12, nu=0.1)
+    (xu, yu), (xv, yv) = spec.u_points(), spec.v_points()
+    laid_out = []
+
+    def layout(fu, fv):
+        laid_out.append((fu, fv))
+        return stacked(fu, fv)
+
+    prob.forcing_factory(xu, yu, xv, yv, layout)
+    for parts, (x, y), comp in zip(zip(*laid_out), ((xu, yu), (xv, yv)), (0, 1)):
+        a, f0, fpi = (prob.forcing(t, x, y)[comp] for t in (PI / 2, 0.0, PI))
+        for got, want in zip(parts, (a, 0.5 * (f0 - fpi), 0.5 * (f0 + fpi))):
+            assert_bytes_equal(got, want)
+
+
+@pytest.mark.parametrize("coupling", ["pm1", "dae"])
+def test_stokes_taylor_pressure_is_constant(coupling):
+    # without advection the vortex solves u_t = nu lap u, so grad p = 0; a
+    # run that starts from and is measured against that pressure finds it
+    prob = green_taylor(100.0, advection=False)
+    assert_bytes_equal(prob.exact_pressure(0.3, np.ones((2, 3)), np.ones((2, 3))),
+                       np.zeros((2, 3)))
+    rep = run_simulation(RunConfig(problem="taylor", re=100.0, nx=32, t_end=0.1, dt=1e-3,
+                                   integrator="rock2", coupling=coupling, pressure="p1",
+                                   advection=False))
+    assert not rep.unstable and rep.err_u < 2e-5
+    assert rep.err_p < 1e-2
 
 
 class _TrigCounter:

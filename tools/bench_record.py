@@ -1,7 +1,7 @@
 """Fold a tree's untraced benchmark runs into one ``BENCH_<k>.json`` record.
 
     python tools/bench_record.py K [--tree DIR] [--out FILE]
-    python tools/bench_record.py --diff OLD NEW
+    python tools/bench_record.py --diff OLD NEW [--benchmark FILE]
 
 Reads every ``DIR/.perfbench_out/*-trace0.json`` (the result files of
 ``perfbench/run.py --trace 0``, one per workload and seed) and writes, per
@@ -22,7 +22,15 @@ metric both hold: each side's median and [q1, q3], the change of the
 median in %, the change's wins, ties and losses over the runs paired by
 seed (lower is better for every metric), the parent's IQR, and whether the
 claim rule holds: the change wins at least nine tenths of the pairs (a tie
-is no win) and its median is lower by more than the parent's IQR.
+is no win) and its median is lower by more than the parent's IQR.  The
+last column reads each metric's ``bound`` from the benchmark declaration
+(``--benchmark``, by default the ``BENCHMARK.json`` of this checkout, which
+is only read): ``within`` when the change's median is worse than the
+parent's by no more than the bound (a fraction of the parent's median, in
+the metric's ``better`` direction), ``beyond`` when it is worse by more,
+and ``unresolved`` when the parent's IQR over its median exceeds the bound,
+so the runs spread too widely to tell (unless every run of the change reads
+better than every run of the parent).  Metrics without a bound read ``-``.
 """
 
 import argparse
@@ -102,8 +110,32 @@ def paired(old_runs, new_runs, metric):
     return wins, ties, losses
 
 
-def diff_rows(old, new):
-    """One row per workload and metric of both records; see the module docstring."""
+def load_bounds(path):
+    """The end-to-end metrics of a benchmark declaration, by name."""
+    with open(path) as fh:
+        return {m["name"]: m for m in json.load(fh)["end_to_end"]}
+
+
+def bound_verdict(ow, nw, name, metric):
+    """``within``, ``beyond`` or ``unresolved`` against ``metric``'s bound.
+
+    ``ow``/``nw`` are the two records' workloads and ``name`` the metric's."""
+    a, b = ow["metrics"][name], nw["metrics"][name]
+    sign = -1 if metric["better"] == "higher" else 1
+    if not a["median"] or a["iqr"] / abs(a["median"]) > metric["bound"]:
+        # too wide to tell, unless every run of the change reads better
+        old = [sign * run[name] for run in ow["runs"] if run.get(name) is not None]
+        new = [sign * run[name] for run in nw["runs"] if run.get(name) is not None]
+        return "within" if old and new and max(new) < min(old) else "unresolved"
+    worse = sign * (b["median"] - a["median"]) / abs(a["median"])
+    return "within" if worse <= metric["bound"] else "beyond"
+
+
+def diff_rows(old, new, bounds=None):
+    """One row per workload and metric of both records; see the module docstring.
+
+    ``bounds`` maps metric names to their declarations (``load_bounds``)."""
+    bounds = bounds or {}
     rows = []
     for name in sorted(set(old["workloads"]) & set(new["workloads"])):
         ow, nw = old["workloads"][name], new["workloads"][name]
@@ -118,7 +150,10 @@ def diff_rows(old, new):
                 "change": (b["median"] - a["median"]) / a["median"] if a["median"] else None,
                 "wtl": (wins, ties, losses), "old_iqr": a["iqr"],
                 "met": pairs > 0 and wins >= 0.9 * pairs
-                and a["median"] - b["median"] > a["iqr"]})
+                and a["median"] - b["median"] > a["iqr"],
+                "bound": bounds[metric]["bound"] if metric in bounds else None,
+                "verdict": (bound_verdict(ow, nw, metric, bounds[metric])
+                            if metric in bounds else None)})
     return rows
 
 
@@ -126,19 +161,20 @@ def _spread_text(m):
     return f"{m['median']:.4g} [{m['q1']:.4g}, {m['q3']:.4g}]"
 
 
-def print_diff(old, new, out=None):
+def print_diff(old, new, bounds=None, out=None):
     """The paired table of ``diff_rows`` as Markdown, with notes on what differs."""
     for key in ("env", "commit", "src_sha256"):
         if old.get(key) != new.get(key):
             print(f"note: {key} differs: {old.get(key)} -> {new.get(key)}", file=out)
-    print("| workload | metric | parent | change | change % | w/t/l | parent IQR | rule |",
-          file=out)
-    print("|---|---|---|---|---|---|---|---|", file=out)
-    for r in diff_rows(old, new):
+    print("| workload | metric | parent | change | change % | w/t/l | parent IQR | rule "
+          "| bound |", file=out)
+    print("|---|---|---|---|---|---|---|---|---|", file=out)
+    for r in diff_rows(old, new, bounds):
         change = "n/a" if r["change"] is None else f"{100 * r['change']:+.1f} %"
+        bound = "-" if r["bound"] is None else f"{r['verdict']} ({100 * r['bound']:g} %)"
         print(f"| {r['workload']} | {r['metric']} | {_spread_text(r['old'])} | "
               f"{_spread_text(r['new'])} | {change} | {'/'.join(map(str, r['wtl']))} | "
-              f"{r['old_iqr']:.4g} | {'met' if r['met'] else 'not met'} |", file=out)
+              f"{r['old_iqr']:.4g} | {'met' if r['met'] else 'not met'} | {bound} |", file=out)
 
 
 def main(argv=None):
@@ -148,13 +184,15 @@ def main(argv=None):
     ap.add_argument("--out", help="output file (default BENCH_<k>.json)")
     ap.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"),
                     help="print the paired table of two records instead")
+    ap.add_argument("--benchmark", default=os.path.join(ROOT, "BENCHMARK.json"),
+                    help="benchmark declaration whose bounds --diff reads")
     args = ap.parse_args(argv)
     if args.diff:
         records = []
         for path in args.diff:
             with open(path) as fh:
                 records.append(json.load(fh))
-        print_diff(*records)
+        print_diff(*records, bounds=load_bounds(args.benchmark))
         return 0
     if args.k is None:
         ap.error("give K or --diff OLD NEW")
