@@ -82,8 +82,8 @@ class GridSpec:
 
 
 # Grids whose point sets ``grid_points`` keeps: a study that alternates two
-# resolutions, or a convergence study's ladder, reuses them.
-POINT_GRIDS = 4
+# resolutions reuses both (the problems' memos keep the factors of as many).
+POINT_GRIDS = 2
 
 
 class GridPoints(NamedTuple):

@@ -28,11 +28,12 @@ N and what once per problem:
   probed parts, ...) in small memos of its own, one per closed form, so an
   evaluation at a new t costs one multiply per factor.
 
-A memo matches read-only arrays that own their data (the grid's) by
-identity, without reading their bytes, and any other points by their exact
-value (dtype, shape, strides and bytes).  It keeps the ``MEMO_POINT_SETS``
-most recently used point sets.  Every output is computed in the same order
-as the written formula, so it is bitwise what the formula gives.
+A memo holds only read-only arrays that own their data (the grid's) and
+finds them by identity, without reading their values; it keeps the
+``MEMO_POINT_SETS`` most recently used point sets.  Any other points
+(writable arrays, scalars) are evaluated afresh on every call.  Every
+output is computed in the same order as the written formula, so it is
+bitwise what the formula gives.
 """
 
 from __future__ import annotations
@@ -43,11 +44,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import BoundaryData
+from .grid import POINT_GRIDS, BoundaryData
 
-# Point sets each memo keeps: the wall, u and v points of two grids, so a
-# study that alternates two resolutions keeps both.
-MEMO_POINT_SETS = 8
+# Point sets each memo keeps: the wall, u, v and cell-centre points of each
+# grid whose point sets ``grid.grid_points`` keeps.
+MEMO_POINT_SETS = 4 * POINT_GRIDS
 
 
 def _frozen(a) -> bool:
@@ -56,27 +57,22 @@ def _frozen(a) -> bool:
 
 
 def _point_memo(parts: Callable) -> Callable:
-    """``parts(*points)``, computed once per distinct point set.
+    """``parts(*points)``, computed once per set of frozen point arrays.
 
     The returned lookup takes the same arrays (or scalars) and returns the
-    memoized result; see the module docstring for the key and the bound.
+    memoized result; see the module docstring for what it keeps.
     """
-    entries = {}    # key -> (points kept for identity lookups or None, parts)
+    entries = {}    # ids of the points -> (the points, parts)
     lock = threading.Lock()
 
     def lookup(*points):
+        if not all(map(_frozen, points)):
+            return parts(*points)
+        key = tuple(map(id, points))    # unique while the entry holds the points
         with lock:
-            for key, (held, value) in reversed(entries.items()):
-                if held is not None and all(p is h and not p.flags.writeable
-                                            for p, h in zip(points, held)):
-                    break
-            else:
-                arrays = [np.asarray(p) for p in points]
-                key = tuple((a.dtype.str, a.shape, a.strides, a.tobytes()) for a in arrays)
-                held = points if all(map(_frozen, points)) else None
-                value = entries[key][1] if key in entries else parts(*points)
-            entries.pop(key, None)
-            entries[key] = (held, value)        # most recently used last
+            held = entries.pop(key, None)
+            value = parts(*points) if held is None else held[1]
+            entries[key] = (points, value)      # most recently used last
             if len(entries) > MEMO_POINT_SETS:
                 del entries[next(iter(entries))]
             return value

@@ -187,6 +187,7 @@ def taylor_oracle(prob):
 
 
 ORACLES = {"forced": (lambda: forced_flow(7.0), forced_oracle),
+           "forced-stokes": (lambda: forced_flow(7.0, advection=False), forced_oracle),
            "taylor": (lambda: green_taylor(7.0), taylor_oracle)}
 
 
@@ -265,26 +266,6 @@ def test_closed_forms_follow_points_changed_in_place(name):
     check_against_oracle(prob, oracle, 0.4, wx, wy)
 
 
-@pytest.mark.parametrize("advection", [True, False])
-def test_forcing_parts_are_the_forcing_probes_bitwise(advection):
-    # the factory hands its spatial parts A, B, C to the layout; each is
-    # the probe of the closed form (t = pi/2, 0, pi) of its component
-    prob = forced_flow(7.0, advection=advection)
-    spec = GridSpec(12, nu=0.1)
-    (xu, yu), (xv, yv) = spec.u_points(), spec.v_points()
-    laid_out = []
-
-    def layout(fu, fv):
-        laid_out.append((fu, fv))
-        return stacked(fu, fv)
-
-    prob.forcing_factory(xu, yu, xv, yv, layout)
-    for parts, (x, y), comp in zip(zip(*laid_out), ((xu, yu), (xv, yv)), (0, 1)):
-        a, f0, fpi = (prob.forcing(t, x, y)[comp] for t in (PI / 2, 0.0, PI))
-        for got, want in zip(parts, (a, 0.5 * (f0 - fpi), 0.5 * (f0 + fpi))):
-            assert_bytes_equal(got, want)
-
-
 @pytest.mark.parametrize("coupling", ["pm1", "dae"])
 def test_stokes_taylor_pressure_is_constant(coupling):
     # without advection the vortex solves u_t = nu lap u, so grad p = 0; a
@@ -322,7 +303,9 @@ def test_memo_keeps_a_bounded_number_of_point_sets(monkeypatch):
     prob = forced_flow(7.0)
     oracle = forced_oracle(prob)
     rng = np.random.RandomState(43)
-    sets = [(rng.rand(2, 3), rng.rand(2, 3)) for _ in range(MEMO_POINT_SETS + 1)]
+    # the memo keeps read-only arrays that own their data, as the grid's are
+    sets = [tuple(read_only_copy(rng.rand(2, 3)) for _ in "xy")
+            for _ in range(MEMO_POINT_SETS + 1)]
 
     def trig_calls(x, y):
         before = counter.grid_calls
@@ -336,6 +319,8 @@ def test_memo_keeps_a_bounded_number_of_point_sets(monkeypatch):
     assert trig_calls(*sets[-1]) > 0        # one more evicts the least recently used
     assert trig_calls(*sets[0]) == 0
     assert trig_calls(*sets[1]) > 0
+    writable = (rng.rand(2, 3), rng.rand(2, 3))     # not kept: computed on every call
+    assert trig_calls(*writable) > 0 and trig_calls(*writable) > 0
 
 
 @pytest.mark.parametrize("name", ["forced", "taylor"])

@@ -1,7 +1,7 @@
 """Fold a tree's untraced benchmark runs into one ``BENCH_<k>.json`` record.
 
     python tools/bench_record.py K [--tree DIR] [--out FILE]
-    python tools/bench_record.py --diff OLD NEW [--benchmark FILE]
+    python tools/bench_record.py --diff OLD NEW
 
 Reads every ``DIR/.perfbench_out/*-trace0.json`` (the result files of
 ``perfbench/run.py --trace 0``, one per workload and seed) and writes, per
@@ -23,14 +23,14 @@ median in %, the change's wins, ties and losses over the runs paired by
 seed (lower is better for every metric), the parent's IQR, and whether the
 claim rule holds: the change wins at least nine tenths of the pairs (a tie
 is no win) and its median is lower by more than the parent's IQR.  The
-last column reads each metric's ``bound`` from the benchmark declaration
-(``--benchmark``, by default the ``BENCHMARK.json`` of this checkout, which
-is only read): ``within`` when the change's median is worse than the
-parent's by no more than the bound (a fraction of the parent's median, in
-the metric's ``better`` direction), ``beyond`` when it is worse by more,
-and ``unresolved`` when the parent's IQR over its median exceeds the bound,
-so the runs spread too widely to tell (unless every run of the change reads
-better than every run of the parent).  Metrics without a bound read ``-``.
+last column reads each metric's ``bound`` from this checkout's
+``BENCHMARK.json``, which it only reads: ``within`` when the change's
+median is worse than the parent's by no more than the bound (a fraction of
+the parent's median, in the metric's ``better`` direction), ``beyond`` when
+it is worse by more, and ``unresolved`` when the parent's IQR over its
+median exceeds the bound, so the runs spread too widely to tell (unless
+every run of the change reads better than every run of the parent).
+Metrics without a bound read ``-``.
 """
 
 import argparse
@@ -184,15 +184,13 @@ def main(argv=None):
     ap.add_argument("--out", help="output file (default BENCH_<k>.json)")
     ap.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"),
                     help="print the paired table of two records instead")
-    ap.add_argument("--benchmark", default=os.path.join(ROOT, "BENCHMARK.json"),
-                    help="benchmark declaration whose bounds --diff reads")
     args = ap.parse_args(argv)
     if args.diff:
         records = []
         for path in args.diff:
             with open(path) as fh:
                 records.append(json.load(fh))
-        print_diff(*records, bounds=load_bounds(args.benchmark))
+        print_diff(*records, bounds=load_bounds(os.path.join(ROOT, "BENCHMARK.json")))
         return 0
     if args.k is None:
         ap.error("give K or --diff OLD NEW")
