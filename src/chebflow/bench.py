@@ -18,6 +18,7 @@ Runs are fully deterministic; the only non-reproducible column is wall time.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -34,7 +35,7 @@ from .dct import ALGORITHMS, DEFAULT_ALGORITHM, check_size
 from .integrators import (METHODS, IntegrationDiverged, StepController, growth_stages,
                           growth_step, method_spec, nearest_stage_counts, propose_dt,
                           select_stages)
-from .poisson import PoissonSolver
+from .poisson import shared_solver
 from . import coupling, spatial
 from .problems import PROBLEMS, ProblemSpec, make_problem
 from .spatial import spectral_radius_estimate
@@ -92,6 +93,9 @@ class RunConfig:
         if self.nx < 4:
             raise ValueError(f"nx must be at least 4 cells per side, got {self.nx}")
         check_size(self.nx, self.dct_algorithm)
+        for name in ("re", "t_end", "atol", "rtol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.re > 0:
             raise ValueError(f"Reynolds number must be positive, got {self.re}")
         if not self.t_end >= 0:
@@ -169,7 +173,7 @@ def run_simulation(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
     cfg.validate()
     prob = problem if problem is not None else make_problem(cfg.problem, cfg.re, cfg.advection)
     spec = GridSpec(cfg.nx, nu=1.0 / cfg.re)
-    system = FlowSystem(spec, prob, PoissonSolver(cfg.nx, cfg.dct_algorithm))
+    system = FlowSystem(spec, prob, shared_solver(cfg.nx, cfg.dct_algorithm))
     rho = _spectral_radius(cfg)
 
     u0 = sample_velocity(spec, prob.initial_velocity(0.0), 0.0)
@@ -641,8 +645,10 @@ def ghia_compare(report: RunReport, reference_csv: str):
     The reference file is a CSV with header ``profile,coord,value``; rows
     with profile ``u`` give u(0.5, y) at coord = y, rows with ``v`` give
     v(x, 0.5) at coord = x.  A missing file gives None; another header or
-    profile label raises ValueError naming the file and line.  The wall
-    values are taken as in ``centerline_profiles``.
+    profile label, a data row without exactly three fields, or a coord or
+    value that is not a number raises ValueError naming the file and line;
+    blank lines are skipped.  The wall values are taken as in
+    ``centerline_profiles``.
     """
     if not os.path.exists(reference_csv):
         return None
@@ -653,13 +659,20 @@ def ghia_compare(report: RunReport, reference_csv: str):
             raise ValueError(f"{reference_csv}, line 1: header must be "
                              f"'profile,coord,value', got {header.strip()!r}")
         for lineno, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
-            if len(parts) != 3 or not parts[0]:
+            row = line.strip()
+            if not row:
                 continue
+            where = f"{reference_csv}, line {lineno}"
+            parts = row.split(",")
+            if len(parts) != 3:
+                raise ValueError(f"{where}: a row must have the 3 fields profile,coord,value, "
+                                 f"got {row!r}")
             if parts[0] not in ref:
-                raise ValueError(f"{reference_csv}, line {lineno}: profile must be "
-                                 f"'u' or 'v', got {parts[0]!r}")
-            ref[parts[0]].append((float(parts[1]), float(parts[2])))
+                raise ValueError(f"{where}: profile must be 'u' or 'v', got {parts[0]!r}")
+            try:
+                ref[parts[0]].append((float(parts[1]), float(parts[2])))
+            except ValueError:
+                raise ValueError(f"{where}: coord and value must be numbers, got {row!r}") from None
     (yk, u_prof), (xk, v_prof) = centerline_profiles(report)
     out = {}
     for name, (coords, prof) in (("u", (yk, u_prof)), ("v", (xk, v_prof))):

@@ -38,7 +38,7 @@ from .grid import BoundaryData, CellField, GridSpec, VelocityField
 from .integrators import (Rock2Tableau, StageHook, method_spec,
                           pirock_step, rk4_step, rkc_step, rock2_step)
 from . import spatial
-from .poisson import PoissonSolver
+from .poisson import PoissonSolver, shared_solver
 from .problems import ProblemSpec
 from .spatial import MomentumRhsConfig, divergence, gradient_to_faces, momentum_rhs
 
@@ -102,12 +102,14 @@ class Stepper:
 
 @dataclass(frozen=True)
 class FlowSystem:
-    """A problem on a grid, with the shared Poisson solver.
+    """A problem on a grid, with a Poisson solver.
 
-    The grid (``spec``) carries the viscosity; ``problem`` gives the rest:
-    the boundary data (``problem.boundary``), whether the momentum RHS
-    carries advection (``problem.advection``) and the forcing.  The forcing
-    enters as one grid evaluator
+    ``poisson`` defaults to ``poisson.shared_solver(N)``, the one solver of
+    the grid that every system of the process shares.  The grid (``spec``)
+    carries the viscosity; ``problem`` gives the rest: the boundary data
+    (``problem.boundary``), whether the momentum RHS carries advection
+    (``problem.advection``) and the forcing.  The forcing enters as one grid
+    evaluator
     ``g = problem.forcing_factory(xu, yu, xv, yv, spatial.stacked)`` at the
     stored u and v points, built here once; ``rhs_config`` hands it to
     every momentum RHS, stages and pressure recoveries alike.  The system is
@@ -127,7 +129,7 @@ class FlowSystem:
 
     def __post_init__(self):
         if self.poisson is None:
-            object.__setattr__(self, "poisson", PoissonSolver(self.spec.N))
+            object.__setattr__(self, "poisson", shared_solver(self.spec.N))
         make = self.problem.forcing_factory
         object.__setattr__(self, "_forcing_eval", None if make is None else
                            make(*self.spec.u_points(), *self.spec.v_points(), spatial.stacked))

@@ -83,9 +83,9 @@ class DctPlan:
         Size at which the hybrid algorithm switches to the iterative one.
 
     A plan builds each trigonometric table on first use, so a plan pays only
-    for the tables its algorithm reads.  Transform calls are pure; plans can
-    be shared between threads (a table two threads build at once is built
-    twice, with the same values).
+    for the tables its algorithm reads, and makes it read-only.  Transform
+    calls are pure; plans can be shared between threads (a table two
+    threads build at once is built twice, with the same values).
     """
 
     def __init__(self, N: int, algorithm: str = DEFAULT_ALGORITHM, cutoff: int = HYBRID_CUTOFF):
@@ -104,7 +104,10 @@ class DctPlan:
         """Table ``name`` for transforms of length n, built on first use."""
         tab = self._tables.setdefault(n, {})
         if name not in tab:
-            tab[name] = _TABLES[name](self, n)
+            built = _TABLES[name](self, n)
+            for a in built if isinstance(built, tuple) else (built,):
+                a.flags.writeable = False
+            tab[name] = built
         return tab[name]
 
 

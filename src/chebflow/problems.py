@@ -19,14 +19,22 @@ staggered grid: lid faces carry u = 1, side walls 0).
 The closed forms separate in t and (x, y), and a study evaluates them on
 the same few point sets over and over: the wall points at every stage, the
 u, v and cell-centre points at each trial's set-up.  What is built once per
-N and what once per problem:
+process, and keyed by what:
 
-- the point sets themselves belong to the grid: ``grid.grid_points(N)``
-  builds them once per N, as read-only arrays that every ``GridSpec`` of
-  that N returns, so every trial of a study passes the same objects;
+- the point sets belong to the grid: ``grid.grid_points(N)`` builds them
+  once per N, as read-only arrays that every ``GridSpec`` of that N
+  returns, so every trial of a study passes the same objects;
+- the problems: ``make_problem`` builds each ``(name, Re, advection)``
+  once, so every study of a process shares the problem's memos;
 - each problem keeps its spatial factors (sin^2(pi x), the forcing's
   probed parts, ...) in small memos of its own, one per closed form, so an
-  evaluation at a new t costs one multiply per factor.
+  evaluation at a new t costs one multiply per factor;
+- the Poisson solvers: ``poisson.shared_solver`` builds each
+  ``(N, algorithm)`` once (see ``poisson``).
+
+Sharing cannot change a result, because every cached value is derived from
+its key alone: a frozen ``ProblemSpec`` whose memos are transparent, and
+read-only arrays.
 
 A memo holds only read-only arrays that own their data (the grid's) and
 finds them by identity, without reading their values; it keeps the
@@ -38,6 +46,7 @@ bitwise what the formula gives.
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -306,8 +315,24 @@ def lid_driven_cavity(Re: float, advection: bool = True) -> ProblemSpec:
 
 PROBLEMS = {"forced": forced_flow, "taylor": green_taylor, "cavity": lid_driven_cavity}
 
+# Problems ``make_problem`` keeps: the three problems at one Re, or one
+# problem at a few Re (a Reynolds sweep).  At N=64 a forced flow's memos
+# hold at most about 0.6 MB per grid.
+SHARED_PROBLEMS = 4
+
 
 def make_problem(name: str, Re: float, advection: bool = True) -> ProblemSpec:
+    """The problem ``name`` at Reynolds number Re, shared within the process.
+
+    Equal arguments return one frozen instance, so every study and run of a
+    process that asks for it finds the factors its memos already hold.  The
+    constructors in ``PROBLEMS`` build a fresh spec on every call.
+    """
+    return _shared_problem(name, float(Re), advection)
+
+
+@functools.lru_cache(maxsize=SHARED_PROBLEMS)
+def _shared_problem(name: str, Re: float, advection: bool) -> ProblemSpec:
     if name not in PROBLEMS:
         raise ValueError(f"unknown problem {name!r} (choose from {sorted(PROBLEMS)})")
     return PROBLEMS[name](Re, advection=advection)

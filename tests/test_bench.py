@@ -500,6 +500,21 @@ def test_validation_rejects_invalid_values(kw, message):
         run_simulation(small_cfg(**kw))
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("name", ["re", "t_end", "atol", "rtol"])
+def test_validation_rejects_non_finite_values(name, value):
+    # an infinite t_end ran no step and reported the initial state; infinite
+    # tolerances accepted every step
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        run_simulation(small_cfg(adaptive=True, **{name: value}))
+
+
+def test_cli_run_rejects_an_infinite_horizon():
+    with pytest.raises(ValueError, match="^t_end must be finite, got inf$"):
+        cli_main(["run", "--problem", "taylor", "--nx", "8", "--dt", "0.001",
+                  "--t-end", "inf"])
+
+
 def test_cli_run_leaves_the_environment_unchanged(capsys):
     before = dict(os.environ)
     assert cli_main(["run", "--problem", "taylor", "--nx", "8", "--dt", "0.001",
@@ -672,7 +687,12 @@ def test_stability_studies_reject_a_method_without_growth_law():
 @pytest.mark.parametrize("content, message", [
     ("coord,profile,value\nu,0.5,0.0\n", r"ref\.csv, line 1: header must be"),
     ("profile,coord,value\nu,0.5,0.0\nw,0.5,0.0\n", r"ref\.csv, line 3: profile must be"),
-], ids=["header", "label"])
+    # blank lines are skipped, and counted
+    ("profile,coord,value\n\nu,0.5\n", r"ref\.csv, line 3: a row must have the 3 fields"),
+    ("profile,coord,value\nu,0.5,0.1,7\n", r"ref\.csv, line 2: a row must have the 3 fields"),
+    ("profile,coord,value\nu,0.5,0.0\nu,0.5,abc\n",
+     r"ref\.csv, line 3: coord and value must be numbers, got 'u,0\.5,abc'"),
+], ids=["header", "label", "two_fields", "four_fields", "not_a_number"])
 def test_ghia_compare_rejects_bad_reference(tmp_path, content, message):
     rep = run_simulation(small_cfg(problem="cavity", nx=16, t_end=0.002, pressure="p1"))
     path = os.path.join(tmp_path, "ref.csv")

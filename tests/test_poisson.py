@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from conftest import apply_neumann_laplacian, neumann_laplacian_matrix
 
-from chebflow.dct import dct2d, idct2d
+from chebflow import poisson
+from chebflow.dct import ALGORITHMS, DEFAULT_ALGORITHM, dct2d, idct2d
 from chebflow.grid import CellField
-from chebflow.poisson import PoissonSolver
+from chebflow.poisson import SHARED_SOLVERS, PoissonSolver, shared_solver
 
 
 def test_zero_and_constant_rhs():
@@ -107,3 +108,29 @@ def test_folded_solver_residual_and_constant_gauge():
         assert u.values.flags.f_contiguous
     const = solver.solve(CellField(np.full((N, N), 3.3)))
     assert np.max(np.abs(const.values)) < 1e-13
+
+
+@pytest.mark.parametrize("algorithm, N", [(alg, 16) for alg in ALGORITHMS] + [("naive", 128)],
+                         ids=[*ALGORITHMS, "naive-folded"])
+def test_shared_solver_is_one_read_only_solver_per_grid_and_algorithm(algorithm, N):
+    solver = shared_solver(N, algorithm)
+    assert shared_solver(N, algorithm) is solver
+    if algorithm == DEFAULT_ALGORITHM:
+        assert shared_solver(N) is solver
+    assert shared_solver(N, "iterative" if algorithm == "naive" else "naive") is not solver
+    assert (solver.N, solver.plan.algorithm) == (N, algorithm)
+    solver.solve(CellField(np.ones((N, N))))    # builds the tables a solve reads
+    tables = [a for tab in solver.plan._tables.values() for t in tab.values()
+              for a in (t if isinstance(t, tuple) else (t,))]
+    assert tables
+    for a in [solver.eigenvalues, solver._scale] + tables:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1.0
+
+
+def test_shared_solvers_keep_at_most_their_bound():
+    kept = shared_solver(8)
+    for N in range(10, 10 + 2 * SHARED_SOLVERS, 2):
+        shared_solver(N)
+    assert poisson._shared_solver.cache_info().currsize == SHARED_SOLVERS
+    assert shared_solver(8) is not kept      # the least recently used went

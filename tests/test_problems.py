@@ -7,8 +7,8 @@ from conftest import wall_flux
 from chebflow import problems
 from chebflow.bench import RunConfig, run_simulation
 from chebflow.grid import GridSpec, inf_norm, sample_velocity
-from chebflow.problems import (MEMO_POINT_SETS, ProblemSpec, forced_flow, green_taylor,
-                               lid_driven_cavity, make_problem)
+from chebflow.problems import (MEMO_POINT_SETS, SHARED_PROBLEMS, ProblemSpec, forced_flow,
+                               green_taylor, lid_driven_cavity, make_problem)
 from chebflow.spatial import divergence, stacked
 
 
@@ -41,25 +41,60 @@ def fd_momentum_residual(prob, t, pts, h=1e-3, ht=1e-6):
     return max(np.max(np.abs(r1)), np.max(np.abs(r2)))
 
 
-def test_forced_flow_forcing_residual():
+# The step of every centred difference in the residual oracle, and the
+# tolerance it allows.  A centred difference errs by H^2/6 times a third
+# derivative (H^2/12 times a fourth, for a second difference); the fields
+# vary on wavenumbers up to 2 pi, so each error stays below (2 pi)^4 H^2 per
+# unit of field amplitude.  The rounding of a second difference, about
+# eps / H^2 = 2e-8, lies well below.
+H = 1e-4
+TOL = (2 * np.pi) ** 4 * H**2
+
+
+def centred(f, t, x, y, dt=0.0, dx=0.0, dy=0.0):
+    """The centred difference of ``f(t, x, y)`` (a tuple) along (dt, dx, dy)."""
+    plus, minus = f(t + dt, x + dx, y + dy), f(t - dt, x - dx, y - dy)
+    return tuple((a - b) / (2 * (dt + dx + dy)) for a, b in zip(plus, minus))
+
+
+def max_diff(got, want):
+    return max(np.max(np.abs(np.asarray(g) - np.asarray(w))) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("advection", [True, False])
+@pytest.mark.parametrize("name", sorted(problems.PROBLEMS))
+def test_exact_solutions_solve_their_equations(name, advection):
+    # the closed forms against the equations they claim to solve; the
+    # cavity has no exact solution, so only its boundary data are checked
+    prob = problems.PROBLEMS[name](10.0, advection=advection)
+    bc = prob.boundary
     rng = np.random.RandomState(40)
-    pts = rng.uniform(0.05, 0.95, size=(100, 2))
-    for advection in (True, False):
-        prob = forced_flow(100.0, advection=advection)
-        for t in (0.0, 0.7, 1.0):
-            assert fd_momentum_residual(prob, t, pts) <= 1e-4
-
-
-def test_forced_flow_divergence_free():
-    rng = np.random.RandomState(41)
-    pts = rng.uniform(0.05, 0.95, size=(100, 2))
-    prob = forced_flow(100.0)
-    h = 1e-4
-    x, y = pts[:, 0], pts[:, 1]
-    for t in (0.0, 0.33):
-        u_x = (prob.exact_velocity(t, x + h, y)[0] - prob.exact_velocity(t, x - h, y)[0]) / (2 * h)
-        v_y = (prob.exact_velocity(t, x, y + h)[1] - prob.exact_velocity(t, x, y - h)[1]) / (2 * h)
-        assert np.max(np.abs(u_x + v_y)) <= 1e-6
+    x, y = rng.uniform(0.05, 0.95, size=(2, 50))
+    spec = GridSpec(8, nu=1.0 / prob.Re)
+    wx, wy, segments = spec.wall_points
+    for t in (0.0, 0.37, 1.3):
+        for px, py in ((x, y), (wx, wy)):
+            assert max_diff(bc.velocity_dt(t, px, py),
+                            centred(bc.velocity, t, px, py, dt=H)) <= TOL
+        if prob.exact_velocity is not None:
+            u_x = centred(prob.exact_velocity, t, x, y, dx=H)[0]
+            v_y = centred(prob.exact_velocity, t, x, y, dy=H)[1]
+            assert np.max(np.abs(u_x + v_y)) <= TOL
+            assert fd_momentum_residual(prob, t, np.column_stack([x, y]), h=H, ht=H) <= TOL
+        if bc.tangential_normal_derivative is not None:
+            # du/dy on the walls y = 0, 1 and dv/dx on the walls x = 0, 1
+            dn = bc.tangential_normal_derivative(t, wx, wy)
+            du_dy = centred(bc.velocity, t, wx, wy, dy=H)[0]
+            dv_dx = centred(bc.velocity, t, wx, wy, dx=H)[1]
+            for wall, want in (("u_bottom", du_dy), ("u_top", du_dy),
+                               ("v_left", dv_dx), ("v_right", dv_dx)):
+                sl = segments[wall]
+                assert np.max(np.abs(dn[sl] - want[sl])) <= TOL
+        if prob.forcing_factory is not None:
+            (xu, yu), (xv, yv) = spec.u_points(), spec.v_points()
+            g = prob.forcing_factory(xu, yu, xv, yv, stacked)
+            want = stacked(prob.forcing(t, xu, yu)[0], prob.forcing(t, xv, yv)[1])
+            assert np.max(np.abs(g(t) - want)) <= TOL
 
 
 def test_forced_flow_velocity_vanishes_at_pi_half():
@@ -331,7 +366,9 @@ def test_one_problem_serves_a_study_bitwise(name, monkeypatch):
 
     counter = _TrigCounter()
     monkeypatch.setattr(problems, "np", counter)
-    prob = make_problem(name, 20.0)
+    # from the constructor: make_problem's shared problem may hold factors
+    # from an earlier test
+    prob = problems.PROBLEMS[name](20.0)
     shared, calls = [], []
     for N in (16, 32, 16):
         before = counter.grid_calls
@@ -341,6 +378,40 @@ def test_one_problem_serves_a_study_bitwise(name, monkeypatch):
     assert calls[2] == 0                # the second N=16 run reuses every factor
     monkeypatch.undo()
     for rep in shared:
-        fresh = run_simulation(rep.config)
+        fresh = run_simulation(rep.config, problem=problems.PROBLEMS[name](20.0))
+        for field in ("u", "v", "p"):
+            assert_bytes_equal(getattr(rep, field), getattr(fresh, field))
+
+
+def test_make_problem_shares_one_problem_per_arguments():
+    prob = make_problem("forced", 20.0)
+    assert make_problem("forced", 20, advection=True) is prob
+    assert make_problem(name="forced", Re=20.0, advection=True) is prob
+    others = (make_problem("taylor", 20.0), make_problem("forced", 21.0),
+              make_problem("forced", 20.0, advection=False))
+    assert all(other is not prob for other in others)
+    # the constructors build a fresh spec on every call
+    assert forced_flow(20.0) is not forced_flow(20.0)
+    assert forced_flow(20.0) is not prob
+
+
+def test_make_problem_keeps_at_most_its_bound():
+    kept = make_problem("cavity", 1.0)
+    for k in range(SHARED_PROBLEMS):
+        make_problem("cavity", 2.0 + k)
+    assert problems._shared_problem.cache_info().currsize == SHARED_PROBLEMS
+    assert make_problem("cavity", 1.0) is not kept      # the least recently used went
+
+
+def test_runs_on_a_shared_problem_and_solver_are_bitwise_fresh_ones(monkeypatch):
+    from chebflow import bench
+    from chebflow.poisson import PoissonSolver
+    cfg = RunConfig(problem="forced", re=20.0, nx=16, t_end=4e-3, dt=1e-3,
+                    integrator="rock2", coupling="pm1", pressure="p2", cp=1)
+    # the second run finds the first's factors and solver tables
+    shared = [run_simulation(cfg) for _ in range(2)]
+    monkeypatch.setattr(bench, "shared_solver", PoissonSolver)
+    fresh = run_simulation(cfg, problem=forced_flow(20.0))
+    for rep in shared:
         for field in ("u", "v", "p"):
             assert_bytes_equal(getattr(rep, field), getattr(fresh, field))
