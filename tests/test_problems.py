@@ -12,7 +12,18 @@ from chebflow.problems import (MEMO_POINT_SETS, SHARED_PROBLEMS, ProblemSpec, fo
 from chebflow.spatial import divergence, stacked
 
 
-def fd_momentum_residual(prob, t, pts, h=1e-3, ht=1e-6):
+# The step of every centred difference in the residual oracle, and the
+# tolerance it allows.  A centred difference errs by H^2/6 times a third
+# derivative (H^2/12 times a fourth, for a second difference); the fields
+# vary on wavenumbers up to 2 pi, so each error stays below (2 pi)^4 H^2 per
+# unit of field amplitude.  The rounding of a second difference, about
+# eps / H^2 = 2e-8, lies well below.
+H = 1e-4
+TOL = (2 * np.pi) ** 4 * H**2
+
+
+def fd_momentum_residual(prob, t, pts):
+    h = ht = H
     nu = 1.0 / prob.Re
     x, y = pts[:, 0], pts[:, 1]
     vel, pres = prob.exact_velocity, prob.exact_pressure
@@ -41,24 +52,10 @@ def fd_momentum_residual(prob, t, pts, h=1e-3, ht=1e-6):
     return max(np.max(np.abs(r1)), np.max(np.abs(r2)))
 
 
-# The step of every centred difference in the residual oracle, and the
-# tolerance it allows.  A centred difference errs by H^2/6 times a third
-# derivative (H^2/12 times a fourth, for a second difference); the fields
-# vary on wavenumbers up to 2 pi, so each error stays below (2 pi)^4 H^2 per
-# unit of field amplitude.  The rounding of a second difference, about
-# eps / H^2 = 2e-8, lies well below.
-H = 1e-4
-TOL = (2 * np.pi) ** 4 * H**2
-
-
 def centred(f, t, x, y, dt=0.0, dx=0.0, dy=0.0):
     """The centred difference of ``f(t, x, y)`` (a tuple) along (dt, dx, dy)."""
     plus, minus = f(t + dt, x + dx, y + dy), f(t - dt, x - dx, y - dy)
     return tuple((a - b) / (2 * (dt + dx + dy)) for a, b in zip(plus, minus))
-
-
-def max_diff(got, want):
-    return max(np.max(np.abs(np.asarray(g) - np.asarray(w))) for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("advection", [True, False])
@@ -74,13 +71,14 @@ def test_exact_solutions_solve_their_equations(name, advection):
     wx, wy, segments = spec.wall_points
     for t in (0.0, 0.37, 1.3):
         for px, py in ((x, y), (wx, wy)):
-            assert max_diff(bc.velocity_dt(t, px, py),
-                            centred(bc.velocity, t, px, py, dt=H)) <= TOL
+            for got, want in zip(bc.velocity_dt(t, px, py),
+                                 centred(bc.velocity, t, px, py, dt=H)):
+                assert np.max(np.abs(got - want)) <= TOL
         if prob.exact_velocity is not None:
             u_x = centred(prob.exact_velocity, t, x, y, dx=H)[0]
             v_y = centred(prob.exact_velocity, t, x, y, dy=H)[1]
             assert np.max(np.abs(u_x + v_y)) <= TOL
-            assert fd_momentum_residual(prob, t, np.column_stack([x, y]), h=H, ht=H) <= TOL
+            assert fd_momentum_residual(prob, t, np.column_stack([x, y])) <= TOL
         if bc.tangential_normal_derivative is not None:
             # du/dy on the walls y = 0, 1 and dv/dx on the walls x = 0, 1
             dn = bc.tangential_normal_derivative(t, wx, wy)
