@@ -203,8 +203,6 @@ def run_simulation(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
 
     t0 = time.perf_counter()
     eps_t = 1e-12 * max(cfg.t_end, 1.0)
-    stepper = None
-    last_dt_step = None
     try:
         # a blow-up overflows before the fields are checked; the report carries it
         with np.errstate(over="ignore", invalid="ignore"):
@@ -226,14 +224,13 @@ def run_simulation(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
                     dt = dt_new
                 report.steps_accepted += 1
                 report.last_stages = s_used
-                last_dt_step = dt_step
                 state = new_state
                 if track_divergence:
                     div = system.divergence_of(state.u.flatten(), state.t)
                     norm_u = max(inf_norm(state.u), 0.0)
                     report.divergence_history.append(inf_norm(div) / (1.0 + norm_u))
                 if cfg.cp == 1:
-                    state.p = recover(state, system, stepper, dt_step)
+                    state.p = recover(state, system, stepper)
     except IntegrationDiverged as exc:
         report.unstable = True
         report.blow_up_time = state.t
@@ -242,9 +239,10 @@ def run_simulation(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
         if not np.all(np.isfinite(state.u.u)) or not np.all(np.isfinite(state.u.v)):
             report.unstable = True
             report.blow_up_time = state.t
-        elif cfg.cp == 0 and recover is not None and last_dt_step is not None:
+        elif cfg.cp == 0 and recover is not None and report.steps_accepted:
+            # the loop ends on an accepted step: its stepper built state.phi_log
             report.pressures["p1"] = state.p.values.copy()
-            state.p = recover(state, system, stepper, last_dt_step)
+            state.p = recover(state, system, stepper)
     report.wall_time = time.perf_counter() - t0
     report.t_final = state.t
     report.u, report.v, report.p = state.u.u, state.u.v, state.p.values
@@ -498,8 +496,10 @@ def max_stable_dt(cfg: RunConfig, s: int, rel_tol: float = 0.02,
     and is bisected again.  The returned step ran stable, and a step
     within ``rel_tol`` above it ran unstable or is the cap.  A trial
     whose step leaves fewer than ``MIN_TRIAL_STEPS`` full steps to ``t_end``
-    raises ValueError instead of running.
+    raises ValueError instead of running, as does ``rel_tol`` not in (0, inf).
     """
+    if not (math.isfinite(rel_tol) and rel_tol > 0):
+        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
     _trial(cfg, 1.0, s).validate()      # the trials pick their own steps
     growth = _growth(cfg)
     prob = problem if problem is not None else make_problem(cfg.problem, cfg.re, cfg.advection)

@@ -11,6 +11,7 @@ receives results; this is the only module that writes them.  A config file
 (``--config``) holds one ``key = value`` per line, keys named like the
 flags, booleans as 1/0/true/false/yes/no, ``#`` comments; a bad line ends
 the run naming it.  Explicit command-line flags override file entries.
+Other invalid input ends a subcommand with ``chebflow <command>: <message>``.
 """
 
 from __future__ import annotations
@@ -166,37 +167,39 @@ def main(argv=None):
     outdir = opts.pop("out")
     if outdir:
         os.makedirs(outdir, exist_ok=True)
-
-    if args.command == "run":
-        _run(_run_config(opts), outdir)
-    elif args.command == "convergence":
-        rows = convergence_study(_run_config(opts), **_given(
-            axis=args.axis, dts=_floats(args.dts) if args.dts else None, ref_dt=args.ref_dt,
-            Ns=[int(v) for v in _floats(args.ns)] if args.ns else None, ref_N=args.ref_n))
-        axis = args.axis
-        if axis is None and outdir:     # the file is named after the study's default axis
-            axis = inspect.signature(convergence_study).parameters["axis"].default
-        _write_study(outdir, f"convergence_{axis}", HEADERS["convergence"], rows)
-    elif args.command == "stability":
-        rows = stability_sweep(_run_config(opts), args.mode, _floats(args.values),
-                               **_given(dt=args.sweep_dt))
-        _write_study(outdir, f"stability_{args.mode}", HEADERS[args.mode], rows)
-    elif args.command == "efficiency":
-        rows = efficiency_study([_run_config(opts)], _floats(args.tolerances),
-                                **_given(ref_dt=args.ref_dt))
-        _write_study(outdir, "efficiency", HEADERS["efficiency"], rows)
-    elif args.command == "reynolds":
-        rows = reynolds_sweep(_run_config(opts, adaptive=True), _floats(args.re_values))
-        _write_study(outdir, "reynolds", HEADERS["reynolds"], rows)
-    elif args.command == "ghia":
-        rep = _run(_run_config(opts, problem="cavity"), outdir)
-        result = ghia_compare(rep, args.reference)
-        if result is None:
-            print(f"ghia_compare: reference file {args.reference!r} not found; skipped")
-        else:
-            for name, stats in result.items():
-                print(f"{name}-centerline: rms = {stats['rms']:.6g}  "
-                      f"max = {stats['max']:.6g}")
+    try:
+        if args.command == "run":
+            _run(_run_config(opts), outdir)
+        elif args.command == "convergence":
+            rows = convergence_study(_run_config(opts), **_given(
+                axis=args.axis, dts=_floats(args.dts) if args.dts else None, ref_dt=args.ref_dt,
+                Ns=[int(v) for v in _floats(args.ns)] if args.ns else None, ref_N=args.ref_n))
+            axis = args.axis
+            if axis is None and outdir:     # the file is named after the study's default axis
+                axis = inspect.signature(convergence_study).parameters["axis"].default
+            _write_study(outdir, f"convergence_{axis}", HEADERS["convergence"], rows)
+        elif args.command == "stability":
+            rows = stability_sweep(_run_config(opts), args.mode, _floats(args.values),
+                                   **_given(dt=args.sweep_dt))
+            _write_study(outdir, f"stability_{args.mode}", HEADERS[args.mode], rows)
+        elif args.command == "efficiency":
+            rows = efficiency_study([_run_config(opts)], _floats(args.tolerances),
+                                    **_given(ref_dt=args.ref_dt))
+            _write_study(outdir, "efficiency", HEADERS["efficiency"], rows)
+        elif args.command == "reynolds":
+            rows = reynolds_sweep(_run_config(opts, adaptive=True), _floats(args.re_values))
+            _write_study(outdir, "reynolds", HEADERS["reynolds"], rows)
+        elif args.command == "ghia":
+            rep = _run(_run_config(opts, problem="cavity"), outdir)
+            result = ghia_compare(rep, args.reference)
+            if result is None:
+                print(f"ghia_compare: reference file {args.reference!r} not found; skipped")
+            else:
+                for name, stats in result.items():
+                    print(f"{name}-centerline: rms = {stats['rms']:.6g}  "
+                          f"max = {stats['max']:.6g}")
+    except ValueError as exc:      # the package raises it only for invalid input
+        raise SystemExit(f"chebflow {args.command}: {exc}") from None
     return 0
 
 

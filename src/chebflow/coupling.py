@@ -19,8 +19,9 @@ stage U*_i is projected through the pressure-like variable phi_i solving
 with the unprojected buffers (the realization equivalent to the Butcher
 form of the method).  Accurate pressures are recovered afterwards, once,
 at the end of a run: AP1 by one extra Poisson solve of the hidden
-constraint, AP2 by differentiating the quadratic interpolant of the
-pressure primitive through the step start and two phi_i (needs
+constraint (the projections' p2, a second projection on the acceleration,
+is this same solve), AP2 by differentiating the quadratic interpolant of
+the pressure primitive through the step start and two phi_i (needs
 second-order internal stages, i.e. RKC), AP2W by first combining three
 first-order phi_i into a second-order average (for ROCK2's order-one
 stages).
@@ -303,20 +304,17 @@ def dae_step(state: CouplingState, system: FlowSystem, stepper: Stepper,
 
 
 # ---------------------------------------------------------------------------
-# pressure recoveries: recover(state, system, stepper, dt) is the pressure at
-# state.t after a step of dt by stepper; AP2 and AP2W pick their stages from it
+# pressure recoveries: recover(state, system, stepper) is the pressure at
+# state.t after a step by stepper; AP2 and AP2W pick their stages from it
 # ---------------------------------------------------------------------------
 
-def _hidden_constraint(state: CouplingState, system: FlowSystem,
-                       p: Optional[CellField], recovery: str) -> CellField:
-    """phi with lap phi = div F(u, t): F the momentum RHS with the pressure p
-    (None: no pressure term), its boundary faces the walls' time derivative;
-    boundary data without one raise ``ValueError`` naming the ``recovery``."""
+def _hidden_constraint(state: CouplingState, system: FlowSystem, recovery: str) -> CellField:
+    """phi with lap phi = div F(u, 0), the walls' time derivative on its boundary
+    faces; boundary data without one raise ``ValueError`` naming ``recovery``."""
     bc = system.problem.boundary
     if bc.velocity_dt is None:
         raise ValueError(f"{recovery} requires boundary time derivative")
-    grad_p = None if p is None else spatial.stacked_pressure_gradient(p, system.spec)
-    F = momentum_rhs(state.u, grad_p, bc, system.spec, state.t, system.rhs_config(),
+    F = momentum_rhs(state.u, None, bc, system.spec, state.t, system.rhs_config(),
                      walls=system.walls(state.t), work=system.work)
     rhs = divergence(F, BoundaryData(velocity=bc.velocity_dt), system.spec, state.t,
                      work=system.work)
@@ -324,16 +322,16 @@ def _hidden_constraint(state: CouplingState, system: FlowSystem,
 
 
 def pm1_second_order_pressure(state: CouplingState, system: FlowSystem,
-                              stepper: Stepper, dt: float) -> CellField:
-    """Second projection on the acceleration: p + phi2 with lap phi2 = div F."""
-    phi2 = _hidden_constraint(state, system, state.p, "p2")
-    return CellField(state.p.values + phi2.values).zero_mean()
+                              stepper: Stepper) -> CellField:
+    """Second projection on the acceleration, p + lap^-1 div F(u, p): the AP1
+    solve, as div grad p is lap p on the MAC grid and both fix the zero-mean
+    gauge, so it does not read ``state.p``."""
+    return _hidden_constraint(state, system, "p2").zero_mean()
 
 
-def ap1_pressure(state: CouplingState, system: FlowSystem,
-                 stepper: Stepper, dt: float) -> CellField:
+def ap1_pressure(state: CouplingState, system: FlowSystem, stepper: Stepper) -> CellField:
     """Solve the hidden constraint lap p = div F(u, t) - r1'(t) for the pressure."""
-    return _hidden_constraint(state, system, None, "AP1").zero_mean()
+    return _hidden_constraint(state, system, "AP1").zero_mean()
 
 
 def reconstruct_pressure(inner, last) -> CellField:
@@ -351,8 +349,7 @@ def reconstruct_pressure(inner, last) -> CellField:
     return CellField(((2 * b - a) * phi_b.values - b * phi_a.values) / (b - a)).zero_mean()
 
 
-def ap2_pressure(state: CouplingState, system: FlowSystem,
-                 stepper: Stepper, dt: float) -> CellField:
+def ap2_pressure(state: CouplingState, system: FlowSystem, stepper: Stepper) -> CellField:
     """Reconstruction through the step start, U_s and U_{s+1} (RKC).
 
     The stage potentials must be second-order accurate averages, which
@@ -406,8 +403,7 @@ def ap2w_coefficients(tableau: Rock2Tableau, stages) -> Ap2wCoefficients:
                             alpha=alpha, beta=beta, gamma=gamma)
 
 
-def ap2w_pressure(state: CouplingState, system: FlowSystem,
-                  stepper: Stepper, dt: float) -> CellField:
+def ap2w_pressure(state: CouplingState, system: FlowSystem, stepper: Stepper) -> CellField:
     """AP2 reconstruction through the step start, the combination of U_2, U_3
     and U_4 (second order from ROCK2's first-order stages) and U_{s+1}."""
     coeffs = ap2w_coefficients(stepper.tableau, (2, 3, 4))

@@ -227,8 +227,8 @@ class BoundaryData:
     call on all wall points (the walls concatenated into one array, see
     ``GridSpec.wall_points``) and a ``FlowSystem`` reuses the values for
     every evaluation at the same t.  ``velocity_dt`` is its analytic time
-    derivative, which both hidden-constraint pressure recoveries (p2 and
-    AP1) need; ``tangential_normal_derivative(t, x, y) -> (du/dn of the
+    derivative, which the hidden-constraint recovery (AP1, also the
+    projections' p2) needs; ``tangential_normal_derivative(t, x, y) -> (du/dn of the
     tangential component)`` supplies exact wall-normal derivatives for the PM3 boundary
     fix.  The derivative is taken along the +x axis on the walls x in {0, 1}
     (tangential component v) and along +y on the walls y in {0, 1}

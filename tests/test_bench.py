@@ -510,7 +510,8 @@ def test_validation_rejects_non_finite_values(name, value):
 
 
 def test_cli_run_rejects_an_infinite_horizon():
-    with pytest.raises(ValueError, match="^t_end must be finite, got inf$"):
+    # invalid input ends the command with one line, not a traceback
+    with pytest.raises(SystemExit, match="^chebflow run: t_end must be finite, got inf$"):
         cli_main(["run", "--problem", "taylor", "--nx", "8", "--dt", "0.001",
                   "--t-end", "inf"])
 
@@ -647,6 +648,20 @@ def test_max_stable_dt_trial_order_and_fallback(monkeypatch, c):
         assert 0.5 * theory not in [dt for dt, _ in trials]
     else:
         assert [dt for dt, _ in trials].count(0.5 * theory) == 1
+
+
+@pytest.mark.parametrize("rel_tol", [float("nan"), float("inf"), 0.0, -0.1])
+def test_max_stable_dt_rejects_a_bad_rel_tol(monkeypatch, rel_tol):
+    # 0 and -0.1 would bisect forever, nan and inf would skip the bisection;
+    # each is refused before any trial runs
+    from chebflow import bench
+
+    def trial(*args):
+        raise AssertionError("a trial ran before rel_tol was checked")
+
+    monkeypatch.setattr(bench, "_stable_run", trial)
+    with pytest.raises(ValueError, match=f"^rel_tol must be finite and positive, got {rel_tol}$"):
+        bench.max_stable_dt(small_cfg(), 5, rel_tol=rel_tol)
 
 
 @pytest.mark.parametrize("coupling, expected", [("pm1", "0.04157185554504393"),

@@ -8,7 +8,6 @@ run could change unseen.  No solver runs here.
 import importlib.util
 import os
 from itertools import product
-from unittest import mock
 
 import numpy as np
 
@@ -22,9 +21,17 @@ DIGEST_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
 def load_field_digest():
     spec = importlib.util.spec_from_file_location("field_digest", DIGEST_PATH)
     module = importlib.util.module_from_spec(spec)
-    with mock.patch.dict(os.environ):   # the tool pins the BLAS threads at import
-        spec.loader.exec_module(module)
+    spec.loader.exec_module(module)
     return module
+
+
+def test_loading_the_tool_leaves_the_environment_unchanged(monkeypatch):
+    # the tool pins the BLAS threads when it runs, not when it is loaded
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    before = dict(os.environ)
+    load_field_digest()
+    assert dict(os.environ) == before
 
 
 def accepted_on_some_problem():

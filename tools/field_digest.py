@@ -34,11 +34,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
 # (algorithm, N): the recursive and hybrid transforms need a power of two,
 # the iterative one an even N
 DCT_SIZES = (("naive", 12), ("iterative", 24), ("recursive", 16), ("hybrid", 32))
@@ -99,6 +94,8 @@ def configs(bench):
 def run_record(bench, cfg):
     """The digest of one run and its record: {"u", "v", "p", "p:<name>" for
     each recovered pressure, "counters", "digest"}."""
+    import numpy as np
+
     rep = bench.run_simulation(cfg)
     counters = (rep.t_final, rep.steps_attempted, rep.steps_rejected,
                 rep.total_stages, rep.unstable)
@@ -114,11 +111,13 @@ def run_record(bench, cfg):
 
 
 def _max_abs(a):
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(abs(a).max()) if a.size else 0.0
 
 
 def difference(old, new):
     """One line on how the record ``new`` of a run differs from ``old``."""
+    import numpy as np
+
     du, dv = _max_abs(new["u"] - old["u"]), _max_abs(new["v"] - old["v"])
     rel_p = max(_max_abs(new[k] - old[k]) / max(_max_abs(old[k]), 1e-300)
                 for k in old if k.startswith("p:") and k in new)
@@ -135,6 +134,11 @@ def main(argv=None):
     ap.add_argument("--dump", help="store every run's fields in this .npz file")
     ap.add_argument("--compare", help="report the runs that differ from this --dump file")
     args = ap.parse_args(argv)
+    # before numpy is imported: BLAS reads its thread count once, at load
+    os.environ.update(dict.fromkeys(
+        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    import numpy as np
+
     sys.path.insert(0, os.path.abspath(args.src))
     from chebflow import bench
 
