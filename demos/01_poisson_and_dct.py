@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 from chebflow.dct import DctPlan, dct, idct
-from chebflow.grid import CellField
 from chebflow.poisson import PoissonSolver
 
 # -- the four interchangeable transform algorithms --------------------------
@@ -40,17 +39,17 @@ x = (np.arange(N) + 0.5) / N
 # a smooth, zero-mean right-hand side
 rhs = np.cos(2 * np.pi * x)[:, None] * np.cos(np.pi * x)[None, :]
 rhs -= rhs.mean()
-u = solver.solve(CellField(rhs))
+u = solver.solve(rhs)
 
 # residual against the mirrored five-point Laplacian
-p = np.pad(u.values, 1, mode="edge")
+p = np.pad(u, 1, mode="edge")
 lap = (p[2:, 1:-1] + p[:-2, 1:-1] + p[1:-1, 2:] + p[1:-1, :-2]
-       - 4 * u.values) * N**2
+       - 4 * u) * N**2
 print(f"\nPoisson solve on {N}x{N}: residual {np.max(np.abs(lap - rhs)):.2e}, "
-      f"solution mean {u.values.mean():.2e} (zero-mean gauge)")
+      f"solution mean {u.mean():.2e} (zero-mean gauge)")
 
 # an incompatible constant component, the mean of the rhs, is projected out silently
 rhs2 = rhs + 0.37
-u2 = solver.solve(CellField(rhs2))
+u2 = solver.solve(rhs2)
 print(f"constant rhs component: discarded mean {rhs2.mean():.3f}, "
-      f"solution unchanged: {np.max(np.abs(u2.values - u.values)):.2e}")
+      f"solution unchanged: {np.max(np.abs(u2 - u)):.2e}")

@@ -29,8 +29,8 @@ import numpy as np
 from .coupling import (CouplingState, FlowSystem, PressureNeeds, Stepper, ap1_pressure,
                        ap2_pressure, ap2w_pressure, dae_step, pm1_second_order_pressure,
                        pm1_step, pm1v_step, pm3_step)
-from .grid import (CellField, GridSpec, inf_norm, sample_pressure,
-                   sample_velocity, write_field)
+from .grid import (GridSpec, inf_norm, sample_pressure, sample_velocity, write_field,
+                   zero_mean)
 from .dct import ALGORITHMS, DEFAULT_ALGORITHM, check_size
 from .integrators import (METHODS, IntegrationDiverged, StepController, growth_stages,
                           growth_step, method_spec, nearest_stage_counts, propose_dt,
@@ -123,7 +123,8 @@ class RunConfig:
             raise ValueError(f"the {self.coupling} coupling reports no {self.pressure} pressure")
         if self.cp == 1 and not coupling.COUPLINGS[self.coupling].reads_pressure:
             raise ValueError(f"cp=1 recovers the pressure every step for the next step to "
-                             f"read, but the {self.coupling} step does not read it; use cp=0")
+                             f"read, but the {self.coupling} step's velocities do not depend "
+                             f"on it; use cp=0")
         if self.cp == 1 and self.pressure == "p1":
             raise ValueError("cp=1 recovers the pressure every step, but p1 is the state's "
                              "own pressure and has no recovery; use cp=0")
@@ -178,16 +179,16 @@ def run_simulation(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
 
     u0 = sample_velocity(spec, prob.initial_velocity(0.0), 0.0)
     if prob.exact_pressure is not None:
-        p0 = sample_pressure(spec, prob.exact_pressure, 0.0).zero_mean()
+        p0 = zero_mean(sample_pressure(spec, prob.exact_pressure, 0.0))
     else:
-        p0 = CellField.zeros(cfg.nx)
+        p0 = np.zeros((cfg.nx, cfg.nx))
     state = CouplingState(u0, p0, 0.0)
 
     ctrl = StepController(atol=cfg.atol, rtol=cfg.rtol) if cfg.adaptive else None
     err_norm = ctrl.norm if ctrl is not None else None
     dt = cfg.dt if cfg.dt is not None else 1e-3
     steppers: dict = {}
-    report = RunReport(config=cfg, spec=spec, u=u0.u, v=u0.v, p=p0.values,
+    report = RunReport(config=cfg, spec=spec, u=u0.u, v=u0.v, p=p0,
                        pressures={}, t_final=0.0)
 
     min_stages = coupling.PRESSURE_NEEDS.get(cfg.pressure, PressureNeeds()).min_stages
@@ -241,19 +242,19 @@ def run_simulation(cfg: RunConfig, problem: Optional[ProblemSpec] = None,
             report.blow_up_time = state.t
         elif cfg.cp == 0 and recover is not None and report.steps_accepted:
             # the loop ends on an accepted step: its stepper built state.phi_log
-            report.pressures["p1"] = state.p.values.copy()
+            report.pressures["p1"] = state.p
             state.p = recover(state, system, stepper)
     report.wall_time = time.perf_counter() - t0
     report.t_final = state.t
-    report.u, report.v, report.p = state.u.u, state.u.v, state.p.values
-    report.pressures[cfg.pressure] = state.p.values
-    report.pressures.setdefault("p1", state.p.values)
+    report.u, report.v, report.p = state.u.u, state.u.v, state.p
+    report.pressures[cfg.pressure] = state.p
+    report.pressures.setdefault("p1", state.p)
     if not report.unstable and prob.exact_velocity is not None:
         exact = sample_velocity(spec, prob.exact_velocity, state.t)
         report.err_u = inf_norm(state.u - exact)
         if prob.exact_pressure is not None:
-            pex = sample_pressure(spec, prob.exact_pressure, state.t).zero_mean()
-            report.err_p = inf_norm(CellField(state.p.values - pex.values).zero_mean())
+            pex = zero_mean(sample_pressure(spec, prob.exact_pressure, state.t))
+            report.err_p = inf_norm(zero_mean(state.p - pex))
     return report
 
 
@@ -540,17 +541,20 @@ def min_stable_stages(cfg: RunConfig, dt: float,
 def stability_sweep(cfg: RunConfig, mode: str, values: Sequence, dt: float = 1e-2):
     """Sweep rows for the two stability experiments.
 
-    ``max_dt_given_s``: values are stage counts; rows (s, measured, theory).
+    ``max_dt_given_s``: values are whole stage counts (3.0 is 3, 1.5 raises
+    ValueError before any trial); rows (s, measured, theory).
     ``min_s_given_dt``: values are Reynolds numbers; rows (Re, s_measured,
     s_theory); run without advection (the sweep isolates the Re effect).
     """
     growth = _growth(cfg)
     rows = []
     if mode == "max_dt_given_s":
-        rho = _spectral_radius(cfg)
         for s in values:
-            measured = max_stable_dt(cfg, int(s))
-            rows.append((int(s), measured, growth_step(growth, s, rho)))
+            if not float(s).is_integer():
+                raise ValueError(f"stage counts must be whole numbers, got {s!r}")
+        rho = _spectral_radius(cfg)
+        for s in map(int, values):
+            rows.append((s, max_stable_dt(cfg, s), growth_step(growth, s, rho)))
     elif mode == "min_s_given_dt":
         for re_val in values:
             cfg_re = replace(cfg, re=float(re_val), advection=False)
@@ -571,10 +575,12 @@ def efficiency_study(method_cfgs: Sequence[RunConfig], tolerances: Sequence[floa
     """Work-precision rows: per method and tolerance, error vs wall time.
 
     The reference is an RK4 + DAE run at a small fixed step; errors are
-    measured against it in the infinity norm.
+    measured against it in the infinity norm.  Every run is validated first.
     """
     if not method_cfgs:
         return []
+    runs = [(cfg, tol, replace(cfg, adaptive=True, atol=tol, rtol=tol).validate())
+            for cfg in method_cfgs for tol in tolerances]
     base = method_cfgs[0]
     if reference is None:
         reference = run_simulation(RunConfig(
@@ -582,14 +588,11 @@ def efficiency_study(method_cfgs: Sequence[RunConfig], tolerances: Sequence[floa
             integrator="rk4", coupling="dae", pressure="ap1", advection=base.advection))
     reference = _stable_reference(reference)
     rows = []
-    for cfg in method_cfgs:
-        cfg.validate()
-        label = f"{cfg.integrator}+{cfg.coupling}+{cfg.pressure}+cp{cfg.cp}"
-        for tol in tolerances:
-            rep = run_simulation(replace(cfg, adaptive=True, atol=tol, rtol=tol))
-            err_u, err_p = _errors(rep, reference.u, reference.v, reference.p)
-            rows.append((label, tol, err_u, err_p, rep.wall_time,
-                         rep.steps_accepted, rep.total_stages))
+    for cfg, tol, run in runs:
+        rep = run_simulation(run)
+        err_u, err_p = _errors(rep, reference.u, reference.v, reference.p)
+        rows.append((f"{cfg.integrator}+{cfg.coupling}+{cfg.pressure}+cp{cfg.cp}", tol,
+                     err_u, err_p, rep.wall_time, rep.steps_accepted, rep.total_stages))
     rows.sort(key=lambda r: (r[0], -r[1]))
     return rows
 

@@ -17,14 +17,21 @@ index-2 DAE: the momentum right-hand side carries no pressure at all, every
 stage U*_i is projected through the pressure-like variable phi_i solving
 ``lap phi_i = div(U*_i, t_i) / (c_i dt)``, and the recursion is advanced
 with the unprojected buffers (the realization equivalent to the Butcher
-form of the method).  Accurate pressures are recovered afterwards, once,
-at the end of a run: AP1 by one extra Poisson solve of the hidden
-constraint (the projections' p2, a second projection on the acceleration,
-is this same solve), AP2 by differentiating the quadratic interpolant of
-the pressure primitive through the step start and two phi_i (needs
-second-order internal stages, i.e. RKC), AP2W by first combining three
-first-order phi_i into a second-order average (for ROCK2's order-one
-stages).
+form of the method).
+
+PM1V and the DAE step build the same velocities to rounding: a stage
+projection is affine, P_j(w) = Q w + r_j with r_j a face gradient, and Q
+annihilates face gradients, so Q P_j = Q (PM1V's frozen -grad p_n drops
+out alike).  They differ only in the pressure chain: PM1V's
+p_n + (2/dt) phi_{s+1} against the DAE's phi_{s+1}.
+
+Accurate pressures are recovered afterwards, once, at the end of a run:
+AP1 by one extra Poisson solve of the hidden constraint (the projections'
+p2, a second projection on the acceleration, is this same solve), AP2 by
+differentiating the quadratic interpolant of the pressure primitive
+through the step start and two phi_i (needs second-order internal stages,
+i.e. RKC), AP2W by first combining three first-order phi_i into a
+second-order average (for ROCK2's order-one stages).
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .grid import BoundaryData, CellField, GridSpec, VelocityField
+from .grid import BoundaryData, GridSpec, VelocityField, zero_mean
 from .integrators import (Rock2Tableau, StageHook, method_spec,
                           pirock_step, rk4_step, rkc_step, rock2_step)
 from . import spatial
@@ -53,12 +60,14 @@ class Coupling:
 
     pressures: Tuple[str, ...]   # the pressures it reports: p1, the state's, then recoveries
     reference: str               # the second-order one its studies' reference runs use
-    reads_pressure: bool         # whether its step reads the state's pressure
+    # whether its step's velocities depend on the state's pressure: not the
+    # DAE's, nor PM1V's, whose stage projections remove the frozen -grad p_n
+    reads_pressure: bool
 
 
 COUPLINGS = {
     "pm1": Coupling(("p1", "p2"), "p2", True),
-    "pm1v": Coupling(("p1", "p2"), "p2", True),
+    "pm1v": Coupling(("p1", "p2"), "p2", False),
     "pm3": Coupling(("p1", "p2"), "p2", True),
     "dae": Coupling(("p1", "ap1", "ap2", "ap2w"), "ap1", False),
 }
@@ -160,7 +169,7 @@ class FlowSystem:
             include_diffusion=diffusion,
         )
 
-    def rhs_flat(self, cfg: MomentumRhsConfig, p: Optional[CellField] = None):
+    def rhs_flat(self, cfg: MomentumRhsConfig, p: Optional[np.ndarray] = None):
         """Momentum RHS as a callable on flattened state vectors, with the
         pressure gradient of ``p`` when given.
 
@@ -182,7 +191,7 @@ class FlowSystem:
 
         return f
 
-    def divergence_of(self, w: np.ndarray, t: float, out=None) -> CellField:
+    def divergence_of(self, w: np.ndarray, t: float, out=None) -> np.ndarray:
         """Divergence of the flat state ``w`` at t, into ``out`` when given."""
         return divergence(VelocityField.views(w, self.spec.N), self.problem.boundary,
                           self.spec, t, walls=self.walls(t), out=out, work=self.work)
@@ -193,9 +202,9 @@ class CouplingState:
     """Velocity/pressure pair plus the per-step log of stage potentials."""
 
     u: VelocityField
-    p: CellField
+    p: np.ndarray
     t: float
-    phi_log: List[Tuple[int, float, CellField]] = field(default_factory=list)
+    phi_log: List[Tuple[int, float, np.ndarray]] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +222,7 @@ def _project_once(system: FlowSystem, w_star: np.ndarray, t: float,
     work = system.work
     div = system.divergence_of(w_star, t, out=work.div)
     if h is not None:
-        div.values /= h
+        div /= h
     phi = system.poisson.solve(div)
     gradient_to_faces(phi, system.spec, out=VelocityField.views(work.grad, system.spec.N))
     if h is not None:
@@ -246,7 +255,7 @@ def pm1_step(state: CouplingState, system: FlowSystem, stepper: Stepper,
         f = system.rhs_flat(system.rhs_config(pm3=pm3), p_n)
         w_star, err = stepper.advance(f, w0, t, dt, hook=None, err_norm=err_norm)
     w_new, phi1 = _project_once(system, w_star, t + dt)
-    p_new = CellField(p_n.values + (2.0 / dt) * phi1.values).zero_mean()
+    p_new = zero_mean(p_n + (2.0 / dt) * phi1)
     new = CouplingState(VelocityField.views(w_new, system.spec.N), p_new, t + dt)
     return new, err
 
@@ -279,7 +288,7 @@ def pm1v_step(state: CouplingState, system: FlowSystem, stepper: Stepper,
     f = system.rhs_flat(system.rhs_config(), state.p)
     w_new, err = stepper.advance(f, state.u.flatten(), state.t, dt, hook, err_norm)
     phi_last = log[-1][2]
-    p_new = CellField(state.p.values + (2.0 / dt) * phi_last.values).zero_mean()
+    p_new = zero_mean(state.p + (2.0 / dt) * phi_last)
     new = CouplingState(VelocityField.views(w_new, system.spec.N), p_new,
                         state.t + dt, phi_log=log)
     return new, err
@@ -297,7 +306,7 @@ def dae_step(state: CouplingState, system: FlowSystem, stepper: Stepper,
     hook = _stage_hook(system, True, dt, log)
     f = system.rhs_flat(system.rhs_config())
     w_new, err = stepper.advance(f, state.u.flatten(), state.t, dt, hook, err_norm)
-    p_new = log[-1][2].zero_mean()
+    p_new = zero_mean(log[-1][2])
     new = CouplingState(VelocityField.views(w_new, system.spec.N), p_new,
                         state.t + dt, phi_log=log)
     return new, err
@@ -308,7 +317,7 @@ def dae_step(state: CouplingState, system: FlowSystem, stepper: Stepper,
 # state.t after a step by stepper; AP2 and AP2W pick their stages from it
 # ---------------------------------------------------------------------------
 
-def _hidden_constraint(state: CouplingState, system: FlowSystem, recovery: str) -> CellField:
+def _hidden_constraint(state: CouplingState, system: FlowSystem, recovery: str) -> np.ndarray:
     """phi with lap phi = div F(u, 0), the walls' time derivative on its boundary
     faces; boundary data without one raise ``ValueError`` naming ``recovery``."""
     bc = system.problem.boundary
@@ -322,19 +331,19 @@ def _hidden_constraint(state: CouplingState, system: FlowSystem, recovery: str) 
 
 
 def pm1_second_order_pressure(state: CouplingState, system: FlowSystem,
-                              stepper: Stepper) -> CellField:
+                              stepper: Stepper) -> np.ndarray:
     """Second projection on the acceleration, p + lap^-1 div F(u, p): the AP1
     solve, as div grad p is lap p on the MAC grid and both fix the zero-mean
     gauge, so it does not read ``state.p``."""
-    return _hidden_constraint(state, system, "p2").zero_mean()
+    return zero_mean(_hidden_constraint(state, system, "p2"))
 
 
-def ap1_pressure(state: CouplingState, system: FlowSystem, stepper: Stepper) -> CellField:
+def ap1_pressure(state: CouplingState, system: FlowSystem, stepper: Stepper) -> np.ndarray:
     """Solve the hidden constraint lap p = div F(u, t) - r1'(t) for the pressure."""
-    return _hidden_constraint(state, system, "AP1").zero_mean()
+    return zero_mean(_hidden_constraint(state, system, "AP1"))
 
 
-def reconstruct_pressure(inner, last) -> CellField:
+def reconstruct_pressure(inner, last) -> np.ndarray:
     """Pressure at the node b of ``last`` from two running averages.
 
     ``inner`` = (a, phi_a) and ``last`` = (b, phi_b), phi_c the average of
@@ -346,10 +355,10 @@ def reconstruct_pressure(inner, last) -> CellField:
     (a, phi_a), (b, phi_b) = inner, last
     if len({0.0, a, b}) < 3:
         raise ValueError(f"pressure reconstruction nodes 0, {a}, {b} must be distinct")
-    return CellField(((2 * b - a) * phi_b.values - b * phi_a.values) / (b - a)).zero_mean()
+    return zero_mean(((2 * b - a) * phi_b - b * phi_a) / (b - a))
 
 
-def ap2_pressure(state: CouplingState, system: FlowSystem, stepper: Stepper) -> CellField:
+def ap2_pressure(state: CouplingState, system: FlowSystem, stepper: Stepper) -> np.ndarray:
     """Reconstruction through the step start, U_s and U_{s+1} (RKC).
 
     The stage potentials must be second-order accurate averages, which
@@ -403,13 +412,12 @@ def ap2w_coefficients(tableau: Rock2Tableau, stages) -> Ap2wCoefficients:
                             alpha=alpha, beta=beta, gamma=gamma)
 
 
-def ap2w_pressure(state: CouplingState, system: FlowSystem, stepper: Stepper) -> CellField:
+def ap2w_pressure(state: CouplingState, system: FlowSystem, stepper: Stepper) -> np.ndarray:
     """AP2 reconstruction through the step start, the combination of U_2, U_3
     and U_4 (second order from ROCK2's first-order stages) and U_{s+1}."""
     coeffs = ap2w_coefficients(stepper.tableau, (2, 3, 4))
     stages = {i: (c, phi) for i, c, phi in state.phi_log}
     phi_i, phi_j, phi_k = (stages[m][1] for m in coeffs.stages)
     s_total = coeffs.alpha + coeffs.beta + coeffs.gamma
-    bar = CellField((coeffs.alpha * phi_i.values + coeffs.beta * phi_j.values
-                     + coeffs.gamma * phi_k.values) / s_total)
+    bar = (coeffs.alpha * phi_i + coeffs.beta * phi_j + coeffs.gamma * phi_k) / s_total
     return reconstruct_pressure((coeffs.c[1], bar), stages[stepper.s + 1])

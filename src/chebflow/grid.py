@@ -6,8 +6,9 @@ Unknown placement (N cells per side, dx = 1/N):
   for i = 1..N-1, j = 1..N, stored as an (N-1, N) array ``u[i-1, j-1]``;
 - v (vertical velocity) on horizontal faces, points ``((i-1/2) dx, j dx)``
   for i = 1..N, j = 1..N-1, stored as an (N, N-1) array ``v[i-1, j-1]``;
-- cell-centered scalars (pressure and friends) at ``((i-1/2) dx, (j-1/2) dx)``,
-  stored as an (N, N) array.
+- cell-centered scalars (the pressure, the stage potentials, a divergence,
+  a Poisson right-hand side) at ``((i-1/2) dx, (j-1/2) dx)``, each a plain
+  (N, N) float array.
 
 Face-normal velocities on the boundary are never stored; they are Dirichlet
 data supplied by a :class:`BoundaryData`.  The flattened state vector used by
@@ -187,33 +188,9 @@ class VelocityField:
     __rmul__ = __mul__
 
 
-@dataclass
-class CellField:
-    """Cell-centered scalar samples (pressure, divergence, potentials)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
-            raise ValueError("cell field must be a square array")
-
-    @property
-    def N(self) -> int:
-        return self.values.shape[0]
-
-    def copy(self) -> "CellField":
-        return CellField(self.values.copy())
-
-    @classmethod
-    def zeros(cls, N: int) -> "CellField":
-        return cls(np.zeros((N, N)))
-
-    def mean(self) -> float:
-        return float(self.values.mean())
-
-    def zero_mean(self) -> "CellField":
-        return CellField(self.values - self.values.mean())
+def zero_mean(a: np.ndarray) -> np.ndarray:
+    """The cell field ``a`` in the zero-mean gauge, as a new array."""
+    return a - a.mean()
 
 
 @dataclass(frozen=True)
@@ -255,11 +232,11 @@ def sample_velocity(spec: GridSpec, f: Callable, t: float) -> VelocityField:
     return VelocityField(u, v)
 
 
-def sample_pressure(spec: GridSpec, p: Callable, t: float) -> CellField:
-    """Sample an exact pressure callable at the cell centers."""
+def sample_pressure(spec: GridSpec, p: Callable, t: float) -> np.ndarray:
+    """Sample an exact pressure callable at the cell centers, as an (N, N) array."""
     xc, yc = spec.cell_centers()
     vals = np.broadcast_to(np.asarray(p(t, xc, yc), dtype=float), xc.shape)
-    return CellField(vals.astype(float))
+    return vals.astype(float)
 
 
 def inf_norm(a) -> float:
@@ -268,8 +245,6 @@ def inf_norm(a) -> float:
         if a.u.size == 0:
             return float(np.max(np.abs(a.v)))
         return float(max(np.max(np.abs(a.u)), np.max(np.abs(a.v))))
-    if isinstance(a, CellField):
-        return float(np.max(np.abs(a.values)))
     a = np.asarray(a)
     return float(np.max(np.abs(a))) if a.size else 0.0
 

@@ -11,9 +11,10 @@ is, for which the diffusion part coincides with ROCK2).
 Every stage of RKC/ROCK2/RK4 can be routed through a :class:`StageHook`,
 which is how the incompressibility couplings project stages.  The
 right-hand side is evaluated at the processed stages, and the recursion
-advances with them (the per-stage projection variant of the projection
-method) or, under the hook's ``dual`` flag, with the *unprocessed* ones (the
-realization consistent with the index-2 DAE formulation).
+advances with them (PM1V) or, under the hook's ``dual`` flag, with the
+*unprocessed* ones (the DAE step).  For stage projections both build the
+same stages to rounding (see ``coupling``); the two couplings differ only
+in their pressure chains.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ import functools
 import numpy as np
 
 from .dct import DEFAULT_ALGORITHM, HYBRID_CUTOFF, DctPlan, dct2d, idct2d
-from .grid import POINT_GRIDS, CellField
+from .grid import POINT_GRIDS
 
 # Solvers ``shared_solver`` keeps: one per grid whose point sets
 # ``grid.grid_points`` keeps.  An N=128 solver holds 0.52 MB once solved.
@@ -50,17 +50,18 @@ class PoissonSolver:
         self._scale = self.dx**2 / safe
         self.eigenvalues.flags.writeable = self._scale.flags.writeable = False
 
-    def solve(self, rhs: CellField) -> CellField:
-        """Solve lap u = rhs with zero-mean gauge.
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve lap u = rhs, both (N, N) arrays, with zero-mean gauge.
 
         The mean of rhs, which no field with Neumann walls can produce, is
-        discarded with the (0, 0) mode.
+        discarded with the (0, 0) mode.  An rhs of another shape raises
+        ``ValueError``.
         """
-        if rhs.N != self.N:
-            raise ValueError(f"rhs side {rhs.N} does not match solver N={self.N}")
-        U = self._scale * dct2d(self.plan, rhs.values)
+        if np.shape(rhs) != (self.N, self.N):
+            raise ValueError(f"rhs shape {np.shape(rhs)} does not match solver N={self.N}")
+        U = self._scale * dct2d(self.plan, rhs)
         U[0, 0] = 0.0
-        return CellField(idct2d(self.plan, U))
+        return idct2d(self.plan, U)
 
 
 def shared_solver(N: int, algorithm: str = DEFAULT_ALGORITHM) -> PoissonSolver:

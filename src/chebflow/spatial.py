@@ -31,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .grid import BoundaryData, CellField, GridSpec, VelocityField
+from .grid import BoundaryData, GridSpec, VelocityField
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def stacked(fu, fv) -> np.ndarray:
     return flat[1:hi]
 
 
-def stacked_pressure_gradient(p: CellField, spec: GridSpec) -> np.ndarray:
+def stacked_pressure_gradient(p: np.ndarray, spec: GridSpec) -> np.ndarray:
     """(p[1:] - p[:-1]) / dx at the u unknowns and (p[:, 1:] - p[:, :-1]) / dx
     at the v unknowns, laid out like :func:`stacked`: the span
     ``momentum_rhs`` subtracts.  Returns a new array.
@@ -105,8 +105,8 @@ def stacked_pressure_gradient(p: CellField, spec: GridSpec) -> np.ndarray:
     m, n, hi = _span(N)
     c = np.zeros(2 * n)
     blocks = c.reshape((m, m, 2), order="F")
-    blocks[:N, :N, 0] = p.values
-    blocks[:N, :N, 1] = p.values.T
+    blocks[:N, :N, 0] = p
+    blocks[:N, :N, 1] = p.T
     grad = np.subtract(c[1:hi], c[:hi - 1])
     return divide_by(grad, spec.dx, out=grad)
 
@@ -199,13 +199,13 @@ def _extend(u, v, walls, work):
 
 
 def divergence(vel: VelocityField, bc: BoundaryData, spec: GridSpec, t: float,
-               walls=None, out=None, work=None) -> CellField:
+               walls=None, out=None, work=None) -> np.ndarray:
     """Cell-centered discrete divergence, boundary faces from ``bc`` at time t.
 
     ``walls``, when given, is ``wall_velocities(bc, spec, t)`` sampled
     earlier; otherwise it is sampled here.  ``out``, an (N, N) array, receives
     the result; ``work``, a :class:`StencilWork` for this grid, supplies the
-    scratch arrays.  Either is allocated when omitted.
+    scratch arrays.  Either is allocated when omitted.  Returns ``out``.
     """
     if walls is None:
         walls = wall_velocities(bc, spec, t)
@@ -218,21 +218,21 @@ def divergence(vel: VelocityField, bc: BoundaryData, spec: GridSpec, t: float,
     out += vf[:, 1:]
     out -= vf[:, :-1]
     divide_by(out, spec.dx, out=out)
-    return CellField(out)
+    return out
 
 
-def gradient_to_faces(phi: CellField, spec: GridSpec, out=None) -> VelocityField:
-    """Gradient of a cell field on the interior faces; boundary faces get none.
+def gradient_to_faces(phi: np.ndarray, spec: GridSpec, out=None) -> VelocityField:
+    """Gradient of the (N, N) cell field ``phi`` on the interior faces;
+    boundary faces get none.
 
     ``out``, a :class:`VelocityField` (such as views of a flat vector),
     receives the result; it is allocated when omitted.
     """
-    g = phi.values
     if out is None:
-        out = _faces(phi.N)
-    np.subtract(g[1:, :], g[:-1, :], out=out.u)
+        out = _faces(spec.N)
+    np.subtract(phi[1:, :], phi[:-1, :], out=out.u)
     divide_by(out.u, spec.dx, out=out.u)
-    np.subtract(g[:, 1:], g[:, :-1], out=out.v)
+    np.subtract(phi[:, 1:], phi[:, :-1], out=out.v)
     divide_by(out.v, spec.dx, out=out.v)
     return out
 

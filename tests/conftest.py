@@ -43,10 +43,3 @@ def wall_flux(bc, spec, t):
     w = wall_velocities(bc, spec, t)
     return float(spec.dx * (np.sum(w["u_right"]) - np.sum(w["u_left"])
                             + np.sum(w["v_top"]) - np.sum(w["v_bottom"])))
-
-
-def fit_loglog_slope(xs, errs):
-    xs = np.asarray(xs, dtype=float)
-    errs = np.asarray(errs, dtype=float)
-    keep = errs > 0
-    return float(np.polyfit(np.log(xs[keep]), np.log(errs[keep]), 1)[0])

@@ -8,7 +8,7 @@ buffered stencils must reproduce them bit for bit.
 
 import numpy as np
 
-from chebflow.grid import CellField, VelocityField
+from chebflow.grid import VelocityField
 from chebflow.spatial import wall_velocities
 
 
@@ -24,12 +24,12 @@ def divergence(vel, bc, spec, t):
     walls = wall_velocities(bc, spec, t)
     uf = _u_extended_x(vel.u, walls)
     vf = _v_extended_y(vel.v, walls)
-    return CellField((uf[1:, :] - uf[:-1, :] + vf[:, 1:] - vf[:, :-1]) / spec.dx)
+    return (uf[1:, :] - uf[:-1, :] + vf[:, 1:] - vf[:, :-1]) / spec.dx
 
 
 def gradient_to_faces(phi, spec):
-    g = phi.values
-    return VelocityField((g[1:, :] - g[:-1, :]) / spec.dx, (g[:, 1:] - g[:, :-1]) / spec.dx)
+    return VelocityField((phi[1:, :] - phi[:-1, :]) / spec.dx,
+                         (phi[:, 1:] - phi[:, :-1]) / spec.dx)
 
 
 def momentum_rhs(vel, p, bc, spec, t, cfg):
@@ -67,7 +67,7 @@ def momentum_rhs(vel, p, bc, spec, t, cfg):
         vbar = 0.25 * (vf[:-1, :-1] + vf[1:, :-1] + vf[:-1, 1:] + vf[1:, 1:])
         rhs_u -= u * dudx + vbar * dudy
     if p is not None:
-        rhs_u -= (p.values[1:, :] - p.values[:-1, :]) / dx
+        rhs_u -= (p[1:, :] - p[:-1, :]) / dx
 
     if cfg.include_diffusion:
         lap_v = (vf[:, 2:] - 2.0 * v + vf[:, :-2]) / dx**2
@@ -91,7 +91,7 @@ def momentum_rhs(vel, p, bc, spec, t, cfg):
         ubar = 0.25 * (uf[:-1, :-1] + uf[:-1, 1:] + uf[1:, :-1] + uf[1:, 1:])
         rhs_v -= ubar * dvdx + v * dvdy
     if p is not None:
-        rhs_v -= (p.values[:, 1:] - p.values[:, :-1]) / dx
+        rhs_v -= (p[:, 1:] - p[:, :-1]) / dx
 
     if cfg.forcing is not None:
         f1, f2 = cfg.forcing(t)

@@ -37,6 +37,7 @@ def test_validation_rejects_illegal_combinations():
         dict(integrator="rkc", coupling="dae", pressure="ap2", stages=2),
         dict(dt=None),
         dict(coupling="dae", cp=1),
+        dict(coupling="pm1v", pressure="p2", cp=1),
         dict(coupling="pm1", pressure="p1", cp=1),
     ]
     for kw in bad:
@@ -55,10 +56,10 @@ ACCEPTED_ADAPTIVE = {
     "rkc": {"pm1": "p1 p2", "pm3": "p1 p2"},
     "rock2": {"pm1": "p1 p2", "pm1v": "p1 p2", "pm3": "p1 p2", "dae": "p1 ap1 ap2w"},
 }
-# the (coupling, pressure) pairs validate accepts cp=1 with: the step reads
-# the state's pressure (not the DAE's), and the pressure has a per-step
-# recovery (not p1, the state's own)
-ACCEPTED_CP1 = {("pm1", "p2"), ("pm1v", "p2"), ("pm3", "p2")}
+# the (coupling, pressure) pairs validate accepts cp=1 with: the step's
+# velocities depend on the state's pressure (not the DAE's or PM1V's), and
+# the pressure has a per-step recovery (not p1, the state's own)
+ACCEPTED_CP1 = {("pm1", "p2"), ("pm3", "p2")}
 
 
 def test_validation_accepts_exactly_the_valid_combinations():
@@ -80,7 +81,7 @@ def test_validation_accepts_exactly_the_valid_combinations():
                 for coupling, pressures in couplings.items()
                 for pressure in pressures.split()
                 for cp in ((0, 1) if (coupling, pressure) in ACCEPTED_CP1 else (0,))}
-    assert len(expected) == 56
+    assert len(expected) == 52
     assert accepted == expected
 
 
@@ -91,11 +92,14 @@ def test_validation_accepts_exactly_the_valid_combinations():
     # the cavity's walls give no exact wall-normal derivative
     (dict(problem="cavity", coupling="pm3", pressure="p1"), "pm3 needs the exact wall-normal"),
     # the DAE step does not read the pressure a per-step recovery would give it
-    (dict(coupling="dae", cp=1), "cp=1 .* the dae step does not read it"),
+    (dict(coupling="dae", cp=1), "cp=1 .* the dae step's velocities do not depend on it"),
+    # PM1V's frozen pressure gradient drops out of every projected stage
+    (dict(coupling="pm1v", pressure="p2", cp=1),
+     "cp=1 .* the pm1v step's velocities do not depend on it"),
     # p1 is the state's own pressure: no per-step recovery to run
     (dict(coupling="pm1", pressure="p1", cp=1), "cp=1 .* p1 .* has no recovery"),
 ], ids=["iterative_odd", "recursive_not_pow2", "unknown_problem", "pm3_without_derivatives",
-        "dae_cp1", "p1_cp1"])
+        "dae_cp1", "pm1v_cp1", "p1_cp1"])
 def test_validation_rejects_what_the_run_cannot_set_up(kw, message):
     # caught by validate itself, before the run builds its transforms
     with pytest.raises(ValueError, match=message):
@@ -451,6 +455,29 @@ def test_cli_reynolds_and_efficiency(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_efficiency_runs_without_a_step(capsys):
+    # every run of the study is adaptive, so it needs no --dt
+    assert cli_main(["efficiency", "--problem", "taylor", "--nx", "8", "--t-end", "0.01",
+                     "--tolerances", "1e-3", "--ref-dt", "1e-3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def test_efficiency_study_validates_every_run_before_the_reference(monkeypatch):
+    from chebflow import bench
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(bench, "run_simulation", no_run)
+    # valid with a fixed step, but adaptive rk4 has no error estimate
+    cfgs = [small_cfg(coupling="pm1", pressure="p2"), small_cfg(integrator="rk4")]
+    cfgs[1].validate()
+    with pytest.raises(ValueError, match=r"adaptive rk4\+dae has no error estimate"):
+        efficiency_study(cfgs, [1e-3, 1e-4])
+    with pytest.raises(ValueError, match="atol must be positive"):
+        efficiency_study(cfgs[:1], [1e-3, 0.0])
+
+
 def test_reynolds_sweep_rows_are_sorted_direct_runs():
     cfg = small_cfg(atol=1e-4, rtol=1e-4)
     rows = reynolds_sweep(cfg, [100.0, 50.0])
@@ -697,6 +724,31 @@ def test_stability_studies_reject_a_method_without_growth_law():
                   lambda: stability_sweep(cfg, "min_s_given_dt", [100.0], dt=1e-3)):
         with pytest.raises(ValueError, match="rk4 runs a fixed stage count"):
             study()
+
+
+def test_stability_sweep_takes_whole_stage_counts(monkeypatch):
+    from chebflow import bench
+    from chebflow.integrators import growth_step, method_spec
+    measured = []
+
+    def fake_max_stable_dt(cfg, s):
+        measured.append(s)
+        return 0.5
+
+    monkeypatch.setattr(bench, "max_stable_dt", fake_max_stable_dt)
+    cfg = small_cfg(problem="forced", nx=8, t_end=1.0)
+    # a fractional count is refused before any trial, naming the value
+    for values in ([3, 1.5], [float("nan")], [float("inf")]):
+        with pytest.raises(ValueError, match=r"whole numbers, got " + re.escape(repr(values[-1]))):
+            bench.stability_sweep(cfg, "max_dt_given_s", values)
+    assert measured == []
+    # 3.0 is 3: the measured and the theory column use the same integer
+    rows = bench.stability_sweep(cfg, "max_dt_given_s", [3.0, 4])
+    assert measured == [3, 4] and all(type(s) is int for s in measured)
+    rho = bench._spectral_radius(cfg)
+    growth = method_spec(cfg.integrator).growth
+    assert rows == [(s, 0.5, growth_step(growth, s, rho)) for s in (3, 4)]
+    assert all(type(row[0]) is int for row in rows)
 
 
 @pytest.mark.parametrize("content, message", [

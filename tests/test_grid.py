@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import wall_flux
 
-from chebflow.grid import (BoundaryData, CellField, GridSpec, VelocityField,
+from chebflow.grid import (BoundaryData, GridSpec, VelocityField,
                            inf_norm, read_field, sample_velocity,
                            weighted_rms_norm, write_field)
 from chebflow.problems import forced_flow, green_taylor, lid_driven_cavity
@@ -50,8 +50,6 @@ def test_velocity_field_shapes():
     VelocityField(np.zeros((7, 8)), np.zeros((8, 7)))
     with pytest.raises(ValueError):
         VelocityField(np.zeros((8, 8)), np.zeros((8, 7)))
-    with pytest.raises(ValueError):
-        CellField(np.zeros((4, 5)))
 
 
 def test_sample_velocity_zero_and_linear():
@@ -84,8 +82,8 @@ def test_inf_norm_against_scan():
     assert inf_norm(vel) == brute
     single = np.zeros((4, 4))
     single[2, 1] = 3.0
-    assert inf_norm(CellField(single)) == 3.0
-    assert inf_norm(CellField(np.zeros((4, 4)))) == 0.0
+    assert inf_norm(single) == 3.0
+    assert inf_norm(np.zeros((4, 4))) == 0.0
 
 
 def test_weighted_rms_norm():

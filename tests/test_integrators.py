@@ -2,8 +2,8 @@ import re
 
 import numpy as np
 import pytest
-from conftest import fit_loglog_slope
 
+from chebflow.bench import fit_slope
 from chebflow.grid import weighted_rms_norm
 from chebflow.integrators import (ALPHA, FAC_MAX, FAC_MIN, SAFETY, IntegrationDiverged,
                                   StageHook, StepController, butcher_tableau, pirock_step,
@@ -155,7 +155,7 @@ def test_pirock_second_order_on_split_linear():
         y1 = pirock_step(lambda t, y: lam_d * y, lambda t, y: lam_a * y,
                          np.array([1.0]), 0.0, dt, tab)
         errs.append(abs(y1[0] - np.exp((lam_d + lam_a) * dt)))
-    slope = fit_loglog_slope(dts, errs)
+    slope = fit_slope(dts, errs)
     assert slope > 2.8       # local error O(dt^3)
 
 
@@ -174,7 +174,7 @@ def test_rk4_frozen_values_and_order():
             y = rk4_step(lambda t, y: -y, y, t, dt)
             t += dt
         errs.append(abs(y[0] - np.exp(-1.0)))
-    slope = fit_loglog_slope(dts, errs)
+    slope = fit_slope(dts, errs)
     assert abs(slope - 4.0) < 0.1
 
 
@@ -195,7 +195,7 @@ def test_fixed_step_order_two_on_forced_scalar():
                 t += dt
             errs.append(abs(y[0] - exact(1.0)))
             dts.append(dt)
-        slope = fit_loglog_slope(dts, errs)
+        slope = fit_slope(dts, errs)
         assert abs(slope - 2.0) < 0.1, (name, slope)
 
 
