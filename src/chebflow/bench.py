@@ -542,28 +542,28 @@ def stability_sweep(cfg: RunConfig, mode: str, values: Sequence, dt: float = 1e-
     """Sweep rows for the two stability experiments.
 
     ``max_dt_given_s``: values are whole stage counts (3.0 is 3, 1.5 raises
-    ValueError before any trial); rows (s, measured, theory).
+    ValueError); rows (s, measured, theory).
     ``min_s_given_dt``: values are Reynolds numbers; rows (Re, s_measured,
     s_theory); run without advection (the sweep isolates the Re effect).
+    Every value's trials are validated before any trial runs.
     """
     growth = _growth(cfg)
-    rows = []
     if mode == "max_dt_given_s":
         for s in values:
             if not float(s).is_integer():
                 raise ValueError(f"stage counts must be whole numbers, got {s!r}")
+        stages = [int(s) for s in values]
+        for s in stages:
+            _trial(cfg, 1.0, s).validate()
         rho = _spectral_radius(cfg)
-        for s in map(int, values):
-            rows.append((s, max_stable_dt(cfg, s), growth_step(growth, s, rho)))
-    elif mode == "min_s_given_dt":
-        for re_val in values:
-            cfg_re = replace(cfg, re=float(re_val), advection=False)
-            s_meas = min_stable_stages(cfg_re, dt)
-            rows.append((float(re_val), s_meas,
-                         growth_stages(growth, dt, _spectral_radius(cfg_re))))
-    else:
-        raise ValueError("mode must be 'max_dt_given_s' or 'min_s_given_dt'")
-    return rows
+        return [(s, max_stable_dt(cfg, s), growth_step(growth, s, rho)) for s in stages]
+    if mode == "min_s_given_dt":
+        cfgs = [replace(cfg, re=float(re_val), advection=False) for re_val in values]
+        for cfg_re in cfgs:
+            _trial(cfg_re, dt, None).validate()
+        return [(cfg_re.re, min_stable_stages(cfg_re, dt),
+                 growth_stages(growth, dt, _spectral_radius(cfg_re))) for cfg_re in cfgs]
+    raise ValueError("mode must be 'max_dt_given_s' or 'min_s_given_dt'")
 
 
 # ---------------------------------------------------------------------------

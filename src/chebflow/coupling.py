@@ -176,8 +176,8 @@ class FlowSystem:
         The gradient is laid out once, here, for every call of the closure
         (a projection step freezes p for all its stages), into an array of
         the closure's own: closures built with other pressures do not
-        disturb it.  Every call returns a new array: the integrators keep
-        earlier evaluations (f_0, f_{s-2}) across later ones.
+        disturb it.  Every call returns a new array, as the integrators
+        require: RKC and ROCK2 build their stages in it, in place.
         """
         N = self.spec.N
         grad_p = None if p is None else spatial.stacked_pressure_gradient(p, self.spec)

@@ -15,6 +15,14 @@ advances with them (PM1V) or, under the hook's ``dual`` flag, with the
 *unprocessed* ones (the DAE step).  For stage projections both build the
 same stages to rounding (see ``coupling``); the two couplings differ only
 in their pressure chains.
+
+RKC and ROCK2 are low-storage: each step does its stage arithmetic in
+place, so only a few state vectors are live whatever the stage count.  The
+right-hand side ``f`` must return a new array on every call, and the step
+may overwrite it.  A step writes only into those arrays and its own scratch
+vectors, never into ``y`` or an array a hook returned, and it keeps every
+operation, operand order and scalar grouping of the expression form, so the
+bits are the same.
 """
 
 from __future__ import annotations
@@ -154,6 +162,11 @@ def rkc_step(f, y, t, dt, tableau: RkcTableau, hook: Optional[StageHook] = None,
     The local-error estimate (based on an approximation of y''' that assumes
     a plain ODE) is only valid without per-stage processing, so requesting
     it with a hook is refused.
+
+    ``f`` must return a new array on every call; the step overwrites it.
+    The first stage is a new array, as every stage reads f_0.  Each later
+    stage is built in its f_j with two scratch vectors: its sum
+    ((y + A) + B) + C needs f_j, y + A and B at once.
     """
     if err_norm is not None and hook is not None:
         raise ValueError("RKC error estimate is invalid when stages are projected")
@@ -161,19 +174,34 @@ def rkc_step(f, y, t, dt, tableau: RkcTableau, hook: Optional[StageHook] = None,
     s, c = tab.s, tab.c
     y = np.asarray(y, dtype=float)
     f0 = f(t, y)
+    work, work2 = np.empty_like(y), np.empty_like(y)
 
+    g = tab.kappa1 * dt * f0
+    g += y
     prev2_s = y
-    prev_s, prev_p = _stage(hook, 2, c[1], t + c[1] * dt, y + tab.kappa1 * dt * f0)
+    prev_s, prev_p = _stage(hook, 2, c[1], t + c[1] * dt, g)
     for j in range(2, s + 1):
-        fj = f(t + c[j - 1] * dt, prev_p)
-        g_star = (y + tab.mu[j] * (prev_s - y) + tab.nu[j] * (prev2_s - y)
-                  + tab.kappa[j] * dt * (fj - tab.a[j - 1] * f0))
+        g = f(t + c[j - 1] * dt, prev_p)
+        # ((y + mu_j (g_{j-1} - y)) + nu_j (g_{j-2} - y)) + (kappa_j dt) (f_j - a_{j-1} f_0)
+        head = np.subtract(prev_s, y, out=work)
+        head *= tab.mu[j]
+        head += y
+        head += np.multiply(tab.nu[j], np.subtract(prev2_s, y, out=work2), out=work2)
+        g -= np.multiply(tab.a[j - 1], f0, out=work2)
+        g *= tab.kappa[j] * dt
+        g += head
         prev2_s = prev_s
-        prev_s, prev_p = _stage(hook, j + 1, c[j], t + c[j] * dt, g_star)
+        prev_s, prev_p = _stage(hook, j + 1, c[j], t + c[j] * dt, g)
+    del g, prev2_s, prev_s
     y1 = prev_p
     err = None
     if err_norm is not None:
-        d = (12.0 * (y - y1) + 6.0 * dt * (f0 + f(t + dt, y1))) / 15.0
+        # (12 (y - y1) + (6 dt) (f_0 + f(t + dt, y1))) / 15
+        d = f(t + dt, y1)
+        d += f0
+        d *= 6.0 * dt
+        d += np.multiply(np.subtract(y, y1, out=work), 12.0, out=work)
+        d /= 15.0
         err = err_norm(d, y)
     return y1, err
 
@@ -279,28 +307,51 @@ def rock2_tableau(s: int) -> Rock2Tableau:
 
 def rock2_step(f, y, t, dt, tableau: Rock2Tableau, hook: Optional[StageHook] = None,
                err_norm=None):
-    """One ROCK2 step; the embedded error estimate is valid in every mode."""
+    """One ROCK2 step; the embedded error estimate is valid in every mode.
+
+    ``f`` must return a new array on every call; the step overwrites it.
+    Each recursion stage is built in its f_j, with one scratch vector for
+    the products; g_{s-1} is built in that scratch vector, the error
+    estimate in f_{s-2} and y1 in f_{s-1}.
+    """
     tab = tableau
     s, c = tab.s, tab.c
     y = np.asarray(y, dtype=float)
+    work = np.empty_like(y)
 
+    g = f(t, y)
+    g *= tab.mu[1] * dt
+    g += y
     prev2_s = y
-    prev_s, prev_p = _stage(hook, 2, c[1], t + c[1] * dt, y + tab.mu[1] * dt * f(t, y))
+    prev_s, prev_p = _stage(hook, 2, c[1], t + c[1] * dt, g)
     for j in range(2, s - 1):
-        fj = f(t + c[j - 1] * dt, prev_p)
-        g_star = tab.mu[j] * dt * fj - tab.nu[j] * prev_s - tab.kappa[j] * prev2_s
+        # (mu_j dt) f_j - nu_j g_{j-1} - kappa_j g_{j-2}
+        g = f(t + c[j - 1] * dt, prev_p)
+        g *= tab.mu[j] * dt
+        g -= np.multiply(tab.nu[j], prev_s, out=work)
+        g -= np.multiply(tab.kappa[j], prev2_s, out=work)
         prev2_s = prev_s
-        prev_s, prev_p = _stage(hook, j + 1, c[j], t + c[j] * dt, g_star)
+        prev_s, prev_p = _stage(hook, j + 1, c[j], t + c[j] * dt, g)
+    del g, prev2_s
 
     # finishing: g_{s-1}, then y1 assembled from g*_s and the correction
     f_sm2 = f(t + c[s - 2] * dt, prev_p)
-    last_s, last_p = _stage(hook, s, c[s - 1], t + c[s - 1] * dt,
-                            prev_s + tab.sigma * dt * f_sm2)
+    g_sm1 = np.multiply(tab.sigma * dt, f_sm2, out=work)
+    g_sm1 += prev_s
+    del work, prev_s, prev_p
+    last_s, last_p = _stage(hook, s, c[s - 1], t + c[s - 1] * dt, g_sm1)
+    del g_sm1
 
     f_sm1 = f(t + c[s - 1] * dt, last_p)
-    err_vec = tab.sigma * (1.0 - tab.tau / tab.sigma**2) * dt * (f_sm1 - f_sm2)
-    _, y1 = _stage(hook, s + 1, c[s], t + c[s] * dt,
-                   last_s + tab.sigma * dt * f_sm1 - err_vec)
+    del last_p
+    err_vec = np.subtract(f_sm1, f_sm2, out=f_sm2)
+    err_vec *= tab.sigma * (1.0 - tab.tau / tab.sigma**2) * dt
+    y1 = f_sm1
+    y1 *= tab.sigma * dt
+    y1 += last_s
+    y1 -= err_vec
+    del last_s
+    _, y1 = _stage(hook, s + 1, c[s], t + c[s] * dt, y1)
     err = err_norm(err_vec, y) if err_norm is not None else None
     return y1, err
 

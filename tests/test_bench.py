@@ -751,6 +751,21 @@ def test_stability_sweep_takes_whole_stage_counts(monkeypatch):
     assert all(type(row[0]) is int for row in rows)
 
 
+def test_stability_sweep_validates_every_value_first(monkeypatch):
+    from chebflow import bench
+    calls = []
+    real = bench.run_simulation
+    monkeypatch.setattr(bench, "run_simulation",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    cfg = RunConfig(problem="forced", nx=8, re=20.0, t_end=4.0, dt=1e-2,
+                    coupling="dae", pressure="p1")
+    with pytest.raises(ValueError, match="rock2 cannot run stages=1"):
+        bench.stability_sweep(cfg, "max_dt_given_s", [3, 1])
+    with pytest.raises(ValueError, match="Reynolds number must be positive"):
+        bench.stability_sweep(cfg, "min_s_given_dt", [5.0, -1.0])
+    assert calls == []
+
+
 @pytest.mark.parametrize("content, message", [
     ("coord,profile,value\nu,0.5,0.0\n", r"ref\.csv, line 1: header must be"),
     ("profile,coord,value\nu,0.5,0.0\nw,0.5,0.0\n", r"ref\.csv, line 3: profile must be"),
