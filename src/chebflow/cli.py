@@ -121,6 +121,7 @@ def _write_study(outdir, name, header, rows):
     same text to <outdir>/<name>.csv."""
     write_rows(sys.stdout, header, rows)
     if outdir:
+        os.makedirs(outdir, exist_ok=True)
         write_csv(os.path.join(outdir, f"{name}.csv"), header, rows)
 
 
@@ -165,8 +166,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     opts = _resolve(args)
     outdir = opts.pop("out")
-    if outdir:
-        os.makedirs(outdir, exist_ok=True)
     try:
         if args.command == "run":
             _run(_run_config(opts), outdir)

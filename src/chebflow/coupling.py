@@ -6,8 +6,7 @@ Projection methods advance the momentum equation with the pressure frozen
 at p_n and restore incompressibility with Poisson solves:
 
 - PM1  projects once per step (and updates p via (2/dt) phi);
-- PM1V projects every internal stage, advancing the recursion with the
-  projected stages;
+- PM1V projects every internal stage;
 - PM3  is PM1 with exact wall-normal derivative data replacing the
   Dirichlet tangential wall values in the one-sided diffusion stencil
   (a test-only device for quantifying the virtual-velocity boundary layer).
@@ -19,11 +18,13 @@ stage U*_i is projected through the pressure-like variable phi_i solving
 with the unprojected buffers (the realization equivalent to the Butcher
 form of the method).
 
-PM1V and the DAE step build the same velocities to rounding: a stage
-projection is affine, P_j(w) = Q w + r_j with r_j a face gradient, and Q
-annihilates face gradients, so Q P_j = Q (PM1V's frozen -grad p_n drops
-out alike).  They differ only in the pressure chain: PM1V's
-p_n + (2/dt) phi_{s+1} against the DAE's phi_{s+1}.
+PM1V runs this one stage loop too.  On its own it continues with the
+projected stages and carries the frozen -grad p_n in every RHS, but the
+projections P_j(w) = Q w + r_j (r_j a face gradient) have Q P_j = Q, so its
+stages are the DAE's, and its p_{n+1} = p_n + (2/dt) psi follows from the
+DAE's log: psi = c_{s+1} dt phi_{s+1} - beta dt p_n less sum_k w_k c_k dt
+phi_k, weights from ``MethodSpec.pm1v_weights`` (ROCK2: w_s = 1, beta = sigma;
+RKC: w_s = mu_s, w_{s-1} = nu_s (s > 2), beta = kappa_s (1 - a_{s-1}); RK4: beta = 1).
 
 Accurate pressures are recovered afterwards, once, at the end of a run:
 AP1 by one extra Poisson solve of the hidden constraint (the projections'
@@ -60,8 +61,7 @@ class Coupling:
 
     pressures: Tuple[str, ...]   # the pressures it reports: p1, the state's, then recoveries
     reference: str               # the second-order one its studies' reference runs use
-    # whether its step's velocities depend on the state's pressure: not the
-    # DAE's, nor PM1V's, whose stage projections remove the frozen -grad p_n
+    # whether its step's velocities depend on the state's pressure (not the DAE's or PM1V's)
     reads_pressure: bool
 
 
@@ -211,22 +211,19 @@ class CouplingState:
 # projection methods
 # ---------------------------------------------------------------------------
 
-def _project_once(system: FlowSystem, w_star: np.ndarray, t: float,
-                  h: Optional[float] = None):
+def _project_once(system: FlowSystem, w_star: np.ndarray, t: float, h: float = 1.0):
     """Project the flat state ``w_star`` at t; returns (w, phi).
 
-    phi solves lap phi = div(w_star) / h and w = w_star - h grad(phi); ``h``
-    None means h = 1 without the two scalings.  The divergence and the
+    phi solves lap phi = div(w_star) / h and w = w_star - h grad(phi); PM1
+    takes h = 1, where both scalings are exact.  The divergence and the
     gradient live in the system's scratch arrays; w is a new array.
     """
     work = system.work
     div = system.divergence_of(w_star, t, out=work.div)
-    if h is not None:
-        div /= h
+    div /= h
     phi = system.poisson.solve(div)
     gradient_to_faces(phi, system.spec, out=VelocityField.views(work.grad, system.spec.N))
-    if h is not None:
-        work.grad *= h
+    work.grad *= h
     return w_star - work.grad, phi
 
 
@@ -266,49 +263,41 @@ def pm3_step(state: CouplingState, system: FlowSystem, stepper: Stepper,
     return pm1_step(state, system, stepper, dt, err_norm=err_norm, pm3=True)
 
 
-def _stage_hook(system: FlowSystem, dual: bool, dt: float, log: list):
-    """The hook projecting every stage, logged as (i, c_i, phi_i): PM1V's state,
-    or (``dual``, the DAE step) through lap phi_i = div U*_i / (c_i dt)."""
+def dae_step(state: CouplingState, system: FlowSystem, stepper: Stepper,
+             dt: float, err_norm=None):
+    """Index-2 DAE step: pressure-free RHS, every stage projected, dual buffers.
+
+    Stage i is projected through lap phi_i = div U*_i / (c_i dt) and logged
+    as (i, c_i, phi_i) for the recoveries; the state pressure is set to the
+    first-order phi_{s+1}, which the next step does not read.
+    """
+    log: list = []
 
     def project(i, ci, ti, w_star):
-        if dual and ci <= _DEGENERATE_NODE_TOL:
+        if ci <= _DEGENERATE_NODE_TOL:
             raise ValueError(f"degenerate node c_{i} = {ci}")
-        w, phi = _project_once(system, w_star, ti, ci * dt if dual else None)
+        w, phi = _project_once(system, w_star, ti, ci * dt)
         log.append((i, ci, phi))
         return w
 
-    return StageHook(dual, project)
-
-
-def pm1v_step(state: CouplingState, system: FlowSystem, stepper: Stepper,
-              dt: float, err_norm=None):
-    """Per-stage-projection variant of PM1 (recursion on projected stages)."""
-    log: list = []
-    hook = _stage_hook(system, False, dt, log)
-    f = system.rhs_flat(system.rhs_config(), state.p)
-    w_new, err = stepper.advance(f, state.u.flatten(), state.t, dt, hook, err_norm)
-    phi_last = log[-1][2]
-    p_new = zero_mean(state.p + (2.0 / dt) * phi_last)
+    f = system.rhs_flat(system.rhs_config())
+    w_new, err = stepper.advance(f, state.u.flatten(), state.t, dt,
+                                 StageHook(True, project), err_norm)
+    p_new = zero_mean(log[-1][2])
     new = CouplingState(VelocityField.views(w_new, system.spec.N), p_new,
                         state.t + dt, phi_log=log)
     return new, err
 
 
-def dae_step(state: CouplingState, system: FlowSystem, stepper: Stepper,
-             dt: float, err_norm=None):
-    """Index-2 DAE step: pressure-free RHS, every stage projected, dual buffers.
-
-    The stage potentials (c_i, phi_i) are logged for the pressure
-    recoveries; the state pressure is set to the first-order phi_{s+1},
-    which the next step does not read.
-    """
-    log: list = []
-    hook = _stage_hook(system, True, dt, log)
-    f = system.rhs_flat(system.rhs_config())
-    w_new, err = stepper.advance(f, state.u.flatten(), state.t, dt, hook, err_norm)
-    p_new = zero_mean(log[-1][2])
-    new = CouplingState(VelocityField.views(w_new, system.spec.N), p_new,
-                        state.t + dt, phi_log=log)
+def pm1v_step(state: CouplingState, system: FlowSystem, stepper: Stepper,
+              dt: float, err_norm=None):
+    """PM1V: the DAE step, with the pressure p_n + (2/dt) psi from its log (dt cancels)."""
+    new, err = dae_step(state, system, stepper, dt, err_norm)
+    cont, beta = method_spec(stepper.method).pm1v_weights(stepper.tableau)
+    stages = {i: (c, phi) for i, c, phi in new.phi_log}
+    _, c, phi = new.phi_log[-1]
+    psi = c * phi - sum((w * stages[k][0]) * stages[k][1] for k, w in cont)
+    new.p = zero_mean((1.0 - 2.0 * beta) * state.p + 2.0 * psi)
     return new, err
 
 

@@ -9,12 +9,13 @@ its implicit stages are not implemented; only the fixed-step l = 2 variant
 is, for which the diffusion part coincides with ROCK2).
 
 Every stage of RKC/ROCK2/RK4 can be routed through a :class:`StageHook`,
-which is how the incompressibility couplings project stages.  The
-right-hand side is evaluated at the processed stages, and the recursion
-advances with them (PM1V) or, under the hook's ``dual`` flag, with the
-*unprocessed* ones (the DAE step).  For stage projections both build the
-same stages to rounding (see ``coupling``); the two couplings differ only
-in their pressure chains.
+which is how the DAE step and PM1V project stages.  There is one stage
+loop: the right-hand side is evaluated at the processed stages, and the
+recursion advances with the *unprocessed* ones.  PM1V's p1 is
+zero_mean(p_n + (2/dt) psi), psi = c_{s+1} dt phi_{s+1} - beta dt p_n less
+sum_k w_k c_k dt phi_k (see ``coupling``); ``MethodSpec.pm1v_weights`` has
+ROCK2 w_s = 1, beta = sigma; RKC w_s = mu_s, w_{s-1} = nu_s (s > 2),
+beta = kappa_s (1 - a_{s-1}); RK4 beta = 1.
 
 RKC and ROCK2 are low-storage: each step does its stage arithmetic in
 place, so only a few state vectors are live whatever the stage count.  The
@@ -57,12 +58,18 @@ class StageHook:
 
     ``callback(i, c_i, t_i, y_star) -> y_processed`` receives the stage
     index i (stages are numbered U_1..U_{s+1}; U_1 is never passed), the
-    node c_i, the stage time t_i and the unprocessed stage vector.
-    ``dual`` advances the recursion with the unprocessed stages.
+    node c_i, the stage time t_i and the unprocessed stage vector.  One
+    stage loop serves the DAE step and PM1V: the RHS is evaluated at the
+    processed stage, the recursion continues with the unprocessed one, and
+    ``dual``, kept for the ``StageHook(dual, callback)`` signature, is True.
     """
 
     dual: bool
     callback: Callable
+
+    def __post_init__(self):
+        if self.dual is not True:
+            raise ValueError(f"dual must be True (stages continue unprocessed), not {self.dual!r}")
 
 
 def _check_finite(y, stage):
@@ -71,14 +78,9 @@ def _check_finite(y, stage):
 
 
 def _stage(hook, i, ci, ti, g_star):
-    """Stage U_i at node ci, time ti: check it, process it through the hook,
-    and return the pair (the vector the recursion continues with, the one
-    the next RHS is evaluated at); a dual hook continues unprocessed."""
+    """Check stage U_i and return the vector the next RHS is evaluated at."""
     _check_finite(g_star, i)
-    if hook is None:
-        return g_star, g_star
-    g_proc = hook.callback(i, ci, ti, g_star)
-    return (g_star if hook.dual else g_proc), g_proc
+    return g_star if hook is None else hook.callback(i, ci, ti, g_star)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +157,13 @@ def rkc_tableau(s: int, eps: float = RKC_EPS) -> RkcTableau:
                       kappa=kappa, kappa1=kappa1, c=c)
 
 
+def rkc_pm1v_weights(tab: RkcTableau):
+    """U_{s+1} = y + mu_s (U_s - y) + nu_s (U_{s-1} - y) + kappa_s dt (f_s - a_{s-1} f_0)."""
+    s = tab.s
+    cont = ((s, tab.mu[s]), (s - 1, tab.nu[s])) if s > 2 else ((s, tab.mu[s]),)
+    return cont, tab.kappa[s] * (1.0 - tab.a[s - 1])
+
+
 def rkc_step(f, y, t, dt, tableau: RkcTableau, hook: Optional[StageHook] = None,
              err_norm=None):
     """One RKC step; returns (y_next, err) with err None unless requested.
@@ -179,7 +188,7 @@ def rkc_step(f, y, t, dt, tableau: RkcTableau, hook: Optional[StageHook] = None,
     g = tab.kappa1 * dt * f0
     g += y
     prev2_s = y
-    prev_s, prev_p = _stage(hook, 2, c[1], t + c[1] * dt, g)
+    prev_s, prev_p = g, _stage(hook, 2, c[1], t + c[1] * dt, g)
     for j in range(2, s + 1):
         g = f(t + c[j - 1] * dt, prev_p)
         # ((y + mu_j (g_{j-1} - y)) + nu_j (g_{j-2} - y)) + (kappa_j dt) (f_j - a_{j-1} f_0)
@@ -191,7 +200,7 @@ def rkc_step(f, y, t, dt, tableau: RkcTableau, hook: Optional[StageHook] = None,
         g *= tab.kappa[j] * dt
         g += head
         prev2_s = prev_s
-        prev_s, prev_p = _stage(hook, j + 1, c[j], t + c[j] * dt, g)
+        prev_s, prev_p = g, _stage(hook, j + 1, c[j], t + c[j] * dt, g)
     del g, prev2_s, prev_s
     y1 = prev_p
     err = None
@@ -323,7 +332,7 @@ def rock2_step(f, y, t, dt, tableau: Rock2Tableau, hook: Optional[StageHook] = N
     g *= tab.mu[1] * dt
     g += y
     prev2_s = y
-    prev_s, prev_p = _stage(hook, 2, c[1], t + c[1] * dt, g)
+    prev_s, prev_p = g, _stage(hook, 2, c[1], t + c[1] * dt, g)
     for j in range(2, s - 1):
         # (mu_j dt) f_j - nu_j g_{j-1} - kappa_j g_{j-2}
         g = f(t + c[j - 1] * dt, prev_p)
@@ -331,7 +340,7 @@ def rock2_step(f, y, t, dt, tableau: Rock2Tableau, hook: Optional[StageHook] = N
         g -= np.multiply(tab.nu[j], prev_s, out=work)
         g -= np.multiply(tab.kappa[j], prev2_s, out=work)
         prev2_s = prev_s
-        prev_s, prev_p = _stage(hook, j + 1, c[j], t + c[j] * dt, g)
+        prev_s, prev_p = g, _stage(hook, j + 1, c[j], t + c[j] * dt, g)
     del g, prev2_s
 
     # finishing: g_{s-1}, then y1 assembled from g*_s and the correction
@@ -339,8 +348,7 @@ def rock2_step(f, y, t, dt, tableau: Rock2Tableau, hook: Optional[StageHook] = N
     g_sm1 = np.multiply(tab.sigma * dt, f_sm2, out=work)
     g_sm1 += prev_s
     del work, prev_s, prev_p
-    last_s, last_p = _stage(hook, s, c[s - 1], t + c[s - 1] * dt, g_sm1)
-    del g_sm1
+    last_p = _stage(hook, s, c[s - 1], t + c[s - 1] * dt, g_sm1)
 
     f_sm1 = f(t + c[s - 1] * dt, last_p)
     del last_p
@@ -348,12 +356,13 @@ def rock2_step(f, y, t, dt, tableau: Rock2Tableau, hook: Optional[StageHook] = N
     err_vec *= tab.sigma * (1.0 - tab.tau / tab.sigma**2) * dt
     y1 = f_sm1
     y1 *= tab.sigma * dt
-    y1 += last_s
+    y1 += g_sm1
     y1 -= err_vec
-    del last_s
-    _, y1 = _stage(hook, s + 1, c[s], t + c[s] * dt, y1)
+    del g_sm1
+    # y1 stays referenced to the return: freed earlier, glibc trims the heap (2x faults)
+    y1_out = _stage(hook, s + 1, c[s], t + c[s] * dt, y1)
     err = err_norm(err_vec, y) if err_norm is not None else None
-    return y1, err
+    return y1_out, err
 
 
 # ---------------------------------------------------------------------------
@@ -430,19 +439,15 @@ _RK4_C = (0.0, 0.5, 0.5, 1.0)
 
 
 def rk4_step(f, y, t, dt, hook: Optional[StageHook] = None):
-    """Classical RK4 step; a hook processes the stages the RHS is evaluated at
-    and the result (``dual`` is moot: stages are built from y and RHS values)."""
+    """Classical RK4 step; a hook processes the stages the RHS reads, and the result."""
     y = np.asarray(y, dtype=float)
     fs = []
     for i, row in enumerate(_RK4_A):
         y_star = y + dt * sum(a * fk for a, fk in zip(row, fs) if a)
-        if i == 0:
-            y_proc = y
-        else:
-            _, y_proc = _stage(hook, i + 1, _RK4_C[i], t + _RK4_C[i] * dt, y_star)
+        y_proc = y if i == 0 else _stage(hook, i + 1, _RK4_C[i], t + _RK4_C[i] * dt, y_star)
         fs.append(f(t + _RK4_C[i] * dt, y_proc))
     y_star = y + dt * sum(b * fk for b, fk in zip(_RK4_B, fs))
-    return _stage(hook, 5, 1.0, t + dt, y_star)[1]
+    return _stage(hook, 5, 1.0, t + dt, y_star)
 
 
 # ---------------------------------------------------------------------------
@@ -499,15 +504,19 @@ class MethodSpec:
     tableau: Callable         # (s) -> coefficients, None for RK4
     couplings: Optional[tuple] = None   # the couplings it runs; None: every one
     estimated: Optional[tuple] = None   # those its error estimate holds with; None: every one
+    # (tableau) -> (((k, w_k), ...), beta) for PM1V's p1; default: y + dt sum_k b_k f_k (RK4)
+    pm1v_weights: Callable = lambda tableau: ((), 1.0)
 
 
-_ROCK2 = MethodSpec(ROCK2_GROWTH, rock2_degrees, rock2_tableau)
+# y1 = U_s + sigma dt f(U_s) - err: err's RHS difference cancels a frozen force
+_ROCK2 = MethodSpec(ROCK2_GROWTH, rock2_degrees, rock2_tableau,
+                    pm1v_weights=lambda tab: (((tab.s, 1.0),), tab.sigma))
 METHODS = {
     # the estimate presumes unprocessed stages: adaptive runs use it with the
     # couplings that project once per step, after it (PM1, and PM3 = PM1 with
     # exact boundary derivatives)
     "rkc": MethodSpec(RKC_GROWTH, lambda: RKC_STAGES, rkc_tableau,
-                      estimated=("pm1", "pm3")),
+                      estimated=("pm1", "pm3"), pm1v_weights=rkc_pm1v_weights),
     "rock2": _ROCK2,
     # the operator split runs through PM1, at a fixed step
     "pirock": replace(_ROCK2, couplings=("pm1",), estimated=()),
@@ -525,6 +534,8 @@ def method_spec(method: str) -> MethodSpec:
 def stability_poly_eval(method: str, s: int, z):
     """Amplification factor R(z) of one step on y' = lambda y (z = lambda dt)."""
     tab = method_spec(method).tableau(s)
+    if np.iscomplexobj(z):
+        raise ValueError("stability_poly_eval supports only real z")
     z = np.asarray(z, dtype=float)
     y0 = np.ones_like(z)
     f = lambda t, y: z * y

@@ -289,6 +289,14 @@ def test_config_file_and_cli(tmp_path, capsys):
     assert "rock2+pm1+p1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", [["run"], ["stability", "--values", "3"]])
+def test_cli_invalid_run_creates_no_output_directory(tmp_path, command):
+    out = os.path.join(tmp_path, "never")
+    with pytest.raises(SystemExit, match="nx must be at least 4"):
+        cli_main(command + ["--nx", "3", "--dt", "0.01", "--out", out])
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("line, message", [
     ("integrater = rkc", "unknown key 'integrater'"),
     ("nx = sixteen", "nx: invalid literal"),

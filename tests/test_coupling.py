@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import pm1v_oracle
 from chebflow.bench import RunConfig, fit_slope
 from chebflow.coupling import (COUPLINGS, Ap2wCoefficients, CouplingState, FlowSystem,
                                Stepper, ap1_pressure, ap2_pressure,
@@ -163,12 +164,12 @@ def test_pm1v_reduces_to_plain_step_when_stages_stay_divergence_free():
     assert np.max(np.abs(hooked.u.v - plain.u.v)) < 1e-13
 
 
-@pytest.mark.parametrize("method, s", [("rkc", 5), ("rock2", 6)], ids=["rkc", "rock2"])
+@pytest.mark.parametrize("method, s", [("rkc", 5), ("rock2", 6), ("rk4", 4)],
+                         ids=["rkc", "rock2", "rk4"])
 @pytest.mark.parametrize("problem", ["forced", "taylor", "cavity"])
 def test_pm1v_close_to_dae_at_small_dt(problem, method, s):
-    # PM1V and the DAE step build the same velocities to rounding: the
-    # projection Q annihilates every face gradient, so QP_j = Q and the
-    # recursion on projected or on unprojected stages gives the same steps
+    # PM1V runs the DAE step's stage loop: its velocities are the DAE's bit
+    # for bit, whatever pressure each chain carries
     prob = make_problem(problem, 100.0)
     system = make_system(prob, 16)
     a = b = initial_state(prob, system)
@@ -176,29 +177,44 @@ def test_pm1v_close_to_dae_at_small_dt(problem, method, s):
     for _ in range(20):
         a, _ = pm1v_step(a, system, stepper, 1e-2)
         b, _ = dae_step(b, system, stepper, 1e-2)
-    assert inf_norm(a.u - b.u) <= 1e-12 * inf_norm(b.u)   # at most 2.8e-15 measured
+    assert np.array_equal(a.u.u, b.u.u) and np.array_equal(a.u.v, b.u.v)
+    assert not np.array_equal(a.p, b.p)
 
 
-def test_dae_stages_satisfy_constraint():
+@pytest.mark.parametrize("method, s", [("rkc", 2), ("rkc", 5), ("rock2", 3), ("rock2", 6),
+                                       ("rk4", 4)])
+@pytest.mark.parametrize("problem", ["forced", "taylor", "cavity"])
+def test_pm1v_matches_its_own_stage_loop(problem, method, s):
+    # the closed-form p1 on the DAE's log against PM1V on projected stages
+    # with the frozen -grad p_n (pm1v_oracle), over chained steps of each
+    prob = make_problem(problem, 100.0)
+    system = make_system(prob, 16)
+    a = b = initial_state(prob, system)
+    stepper = Stepper(method, s)
+    for _ in range(6):
+        a, _ = pm1v_step(a, system, stepper, 1e-2)
+        b = pm1v_oracle.pm1v_step(b, system, stepper, 1e-2)
+        for x, y in ((a.u.u, b.u.u), (a.u.v, b.u.v), (a.p, b.p)):
+            assert inf_norm(x - y) <= 1e-12 * inf_norm(y)   # at most 1.4e-13 (cavity, rk4, p)
+
+
+def test_dae_stages_satisfy_constraint(monkeypatch):
     # every projected stage is divergence-free against bc at its stage time
+    from chebflow import coupling
     prob = green_taylor(100.0)      # time-dependent boundary data
     system = make_system(prob, 16)
     state = initial_state(prob, system)
-    stepper = Stepper("rock2", 5)
-    from chebflow.coupling import _stage_hook
-    from chebflow.integrators import rock2_step
-    hook = _stage_hook(system, True, 1e-2, [])
+    project = coupling._project_once
     checked = []
 
-    def checking_callback(i, ci, ti, w_star):
-        w = hook.callback(i, ci, ti, w_star)
-        div = system.divergence_of(w, ti)
+    def checking_project(system, w_star, t, h):
+        w, phi = project(system, w_star, t, h)
+        div = system.divergence_of(w, t)
         checked.append(inf_norm(div) / (1 + np.max(np.abs(w))))
-        return w
+        return w, phi
 
-    hook2 = type(hook)(hook.dual, checking_callback)
-    f = system.rhs_flat(system.rhs_config())
-    rock2_step(f, state.u.flatten(), 0.0, 1e-2, stepper.tableau, hook2)
+    monkeypatch.setattr(coupling, "_project_once", checking_project)
+    dae_step(state, system, Stepper("rock2", 5), 1e-2)
     assert len(checked) == 5
     assert max(checked) <= 1e-10
 
@@ -366,8 +382,8 @@ def test_reconstructions_read_their_stages_from_the_stepper(method, s):
 def test_a_step_reads_the_state_pressure_as_its_coupling_says(name):
     # a step's velocities depend on the state's pressure exactly when its
     # coupling says so; where they do not, a recovery fed back to the step
-    # (cp=1) would change nothing.  PM1V's frozen -grad p_n drops out of
-    # every projected stage (to rounding); the DAE step reads no pressure.
+    # (cp=1) would change nothing.  The DAE step reads no pressure, and
+    # PM1V's velocities are the DAE step's.
     prob = green_taylor(100.0)
     system = make_system(prob, 16)
     state = initial_state(prob, system)
@@ -376,11 +392,11 @@ def test_a_step_reads_the_state_pressure_as_its_coupling_says(name):
     step = {"pm1": pm1_step, "pm1v": pm1v_step, "pm3": pm3_step, "dae": dae_step}[name]
     a, _ = step(state, system, Stepper("rock2", 3), 1e-3)
     b, _ = step(shifted, system, Stepper("rock2", 3), 1e-3)
-    du = inf_norm(a.u - b.u) / inf_norm(a.u)     # 9e-6 on PM1, 3e-16 on PM1V
+    du = inf_norm(a.u - b.u) / inf_norm(a.u)     # 9e-6 on PM1
     if COUPLINGS[name].reads_pressure:
         assert du > 1e-8
     else:
-        assert du < 1e-14
+        assert du == 0
     if name == "dae":    # its velocity and pressure, bit for bit
         assert all(np.array_equal(x, y) for x, y in ((a.u.u, b.u.u), (a.u.v, b.u.v),
                                                       (a.p, b.p)))

@@ -214,7 +214,7 @@ def test_hook_neutrality_bit_for_bit():
     M = rng.randn(6, 6) * 0.2
     y0 = rng.randn(6)
     f = lambda t, y: M @ y + np.sin(t)
-    identity = StageHook(False, lambda i, ci, ti, ystar: ystar)
+    identity = StageHook(True, lambda i, ci, ti, ystar: ystar)
     for step, tab in ((rkc_step, rkc_tableau(7)), (rock2_step, rock2_tableau(7))):
         plain, _ = step(f, y0, 0.1, 0.05, tab)
         hooked, _ = step(f, y0, 0.1, 0.05, tab, hook=identity)
@@ -224,11 +224,23 @@ def test_hook_neutrality_bit_for_bit():
 
 
 def test_rkc_error_estimate_refused_with_projection():
-    for dual in (True, False):
-        hook = StageHook(dual, lambda i, ci, ti, ystar: ystar)
-        with pytest.raises(ValueError, match="invalid"):
-            rkc_step(lambda t, y: y, np.ones(2), 0.0, 0.1, rkc_tableau(4),
-                     hook=hook, err_norm=MAXNORM)
+    hook = StageHook(True, lambda i, ci, ti, ystar: ystar)
+    with pytest.raises(ValueError, match="invalid"):
+        rkc_step(lambda t, y: y, np.ones(2), 0.0, 0.1, rkc_tableau(4),
+                 hook=hook, err_norm=MAXNORM)
+
+
+def test_stage_hook_rejects_the_non_dual_mode():
+    # the recursion always continues with the unprocessed stages
+    with pytest.raises(ValueError, match="dual must be True"):
+        StageHook(False, lambda i, ci, ti, ystar: ystar)
+
+
+@pytest.mark.parametrize("z", [np.array([-1.0 + 0.5j]), [-1.0 + 0.5j, -2.0]],
+                         ids=["array", "list"])
+def test_stability_poly_eval_rejects_complex_z(z):
+    with pytest.raises(ValueError, match="only real z"):
+        stability_poly_eval("rock2", 5, z)
 
 
 def test_divergence_detection():

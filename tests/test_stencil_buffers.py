@@ -211,6 +211,7 @@ def test_projection_bitwise_equal_to_expression_form(N, h):
     else:
         phi = system.poisson.solve(div / h)
         want = w - h * oracle.gradient_to_faces(phi, system.spec).flatten()
-    got, got_phi = _project_once(system, w, 0.2, h)
+    # None: PM1's call, with the default h = 1 and its exact scalings
+    got, got_phi = _project_once(system, w, 0.2) if h is None else _project_once(system, w, 0.2, h)
     assert got.tobytes() == want.tobytes()
     assert got_phi.tobytes() == phi.tobytes()
