@@ -19,6 +19,7 @@ Runs are fully deterministic; the only non-reproducible column is wall time.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -90,6 +91,8 @@ class RunConfig:
         # `not x > 0` also rejects NaN
         if self.dt is not None and not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
+        if not isinstance(self.nx, numbers.Integral):
+            raise ValueError(f"nx must be an integer, got {self.nx!r}")
         if self.nx < 4:
             raise ValueError(f"nx must be at least 4 cells per side, got {self.nx}")
         check_size(self.nx, self.dct_algorithm)
@@ -106,6 +109,8 @@ class RunConfig:
         spec = method_spec(self.integrator)
         needs = coupling.PRESSURE_NEEDS.get(self.pressure, PressureNeeds())
         if self.stages is not None:
+            if not isinstance(self.stages, numbers.Integral):
+                raise ValueError(f"stages must be an integer, got {self.stages!r}")
             if self.stages < 1:
                 raise ValueError(f"stages must be at least 1, got {self.stages}")
             counts = spec.stage_counts()
@@ -394,39 +399,40 @@ def convergence_study(cfg: RunConfig, axis: str = "time",
     axis: fixed step, reference on the finest (nested) grid restricted to
     each coarse one, h = dx.  Rows are ``HEADERS["convergence"]``: h, then
     the error and slope of u, of the recovered pressure and of p1, each
-    against the reference's own.
+    against the reference's own.  Every run is validated before the
+    reference runs.
     """
     prob = make_problem(cfg.problem, cfg.re, cfg.advection)
     # the reference run carries its coupling's second-order pressure
     ref_cfg = replace(cfg, pressure=coupling.COUPLINGS[cfg.coupling].reference, adaptive=False)
     if axis == "time":
         dts = list(dts) if dts is not None else [2.0**-m for m in range(4, 11)]
-        ref_dt = ref_dt if ref_dt is not None else 2.0**-12
-        ref = _stable_reference(run_simulation(replace(ref_cfg, dt=ref_dt), problem=prob))
-        rows = []
-        for dt in sorted(dts, reverse=True):
-            rep = run_simulation(replace(cfg, dt=dt, adaptive=False), problem=prob)
-            # the first-order pressure chain keeps its initialization offset,
-            # so it is compared like-for-like against the reference's own p1
-            rows.append((dt, *_errors(rep, ref.u, ref.v, ref.p, ref.pressures["p1"])))
+        ref_cfg = replace(ref_cfg, dt=ref_dt if ref_dt is not None else 2.0**-12)
+        trials = [replace(cfg, dt=dt, adaptive=False) for dt in sorted(dts, reverse=True)]
     elif axis == "space":
         Ns = list(Ns) if Ns is not None else [16, 32, 64]
-        ref_N = ref_N if ref_N is not None else 128
         dt = cfg.dt if cfg.dt is not None else 2.0**-12
-        for N in Ns:
-            if ref_N % N != 0 or (ref_N // N) & (ref_N // N - 1):
-                raise ValueError(f"grid N={N} is not nested in the reference N={ref_N}")
-        ref = _stable_reference(run_simulation(replace(ref_cfg, nx=ref_N, dt=dt), problem=prob))
-        rows = []
-        for N in sorted(Ns):
-            rep = run_simulation(replace(cfg, nx=N, dt=dt, adaptive=False), problem=prob)
-            r = ref_N // N
-            rows.append((1.0 / N, *_errors(rep, restrict_field(ref.u, "u", r),
-                                           restrict_field(ref.v, "v", r),
-                                           restrict_field(ref.p, "p", r),
-                                           restrict_field(ref.pressures["p1"], "p", r))))
+        ref_cfg = replace(ref_cfg, nx=ref_N if ref_N is not None else 128, dt=dt)
+        trials = [replace(cfg, nx=N, dt=dt, adaptive=False) for N in sorted(Ns)]
     else:
         raise ValueError("axis must be 'time' or 'space'")
+    ref_N = ref_cfg.nx
+    for run in (ref_cfg, *trials):
+        run.validate()
+        r = ref_N // run.nx
+        if ref_N % run.nx != 0 or r & (r - 1):
+            raise ValueError(f"grid N={run.nx} is not nested in the reference N={ref_N}")
+    ref = _stable_reference(run_simulation(ref_cfg, problem=prob))
+    rows = []
+    for run in trials:
+        rep = run_simulation(run, problem=prob)
+        # restricted to the trial's grid (r = 1 on the time axis); the
+        # first-order pressure chain keeps its initialization offset, so it
+        # is compared like-for-like against the reference's own p1
+        r = ref_N // run.nx
+        ref_fields = [restrict_field(f, kind, r) for f, kind in
+                      ((ref.u, "u"), (ref.v, "v"), (ref.p, "p"), (ref.pressures["p1"], "p"))]
+        rows.append((run.dt if axis == "time" else 1.0 / run.nx, *_errors(rep, *ref_fields)))
     xs = [r[0] for r in rows]
     eu = [r[1] for r in rows]
     ep = [r[2] for r in rows]
@@ -575,13 +581,21 @@ def efficiency_study(method_cfgs: Sequence[RunConfig], tolerances: Sequence[floa
     """Work-precision rows: per method and tolerance, error vs wall time.
 
     The reference is an RK4 + DAE run at a small fixed step; errors are
-    measured against it in the infinity norm.  Every run is validated first.
+    measured against it in the infinity norm, so every method must run the
+    first one's flow (problem, Re, grid, horizon and advection).  Every run
+    is validated first.
     """
     if not method_cfgs:
         return []
+    base = method_cfgs[0]
+    flow = lambda c: (c.problem, c.re, c.nx, c.t_end, c.advection)
+    for cfg in method_cfgs:
+        if flow(cfg) != flow(base):
+            raise ValueError(f"the methods share one reference, so each must run the first "
+                             f"one's (problem, re, nx, t_end, advection) {flow(base)}, "
+                             f"not {flow(cfg)}")
     runs = [(cfg, tol, replace(cfg, adaptive=True, atol=tol, rtol=tol).validate())
             for cfg in method_cfgs for tol in tolerances]
-    base = method_cfgs[0]
     if reference is None:
         reference = run_simulation(RunConfig(
             problem=base.problem, re=base.re, nx=base.nx, t_end=base.t_end, dt=ref_dt,
@@ -600,12 +614,15 @@ def efficiency_study(method_cfgs: Sequence[RunConfig], tolerances: Sequence[floa
 def reynolds_sweep(cfg: RunConfig, re_values: Sequence[float]):
     """Adaptive runs over Reynolds numbers, advection neglected.
 
-    Rows: (Re, err_u, wall_time, avg_stages, total_stages, steps, rejected).
+    Rows: (Re, err_u, wall_time, avg_stages, total_stages, steps, rejected);
+    every run is validated before the first runs.
     """
+    runs = [replace(cfg, re=float(re_val), advection=False, adaptive=True).validate()
+            for re_val in re_values]
     rows = []
-    for re_val in re_values:
-        rep = run_simulation(replace(cfg, re=float(re_val), advection=False, adaptive=True))
-        rows.append((float(re_val),
+    for run in runs:
+        rep = run_simulation(run)
+        rows.append((run.re,
                      rep.err_u if rep.err_u is not None else float("nan"),
                      rep.wall_time, rep.avg_stages, rep.total_stages,
                      rep.steps_accepted, rep.steps_rejected))

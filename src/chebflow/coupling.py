@@ -44,7 +44,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .grid import BoundaryData, GridSpec, VelocityField, zero_mean
-from .integrators import (Rock2Tableau, StageHook, method_spec,
+# the step functions are reached by name in this namespace (Stepper.advance)
+from .integrators import (Rock2Tableau, StageHook, butcher_tableau, method_spec,
                           pirock_step, rk4_step, rkc_step, rock2_step)
 from . import spatial
 from .poisson import PoissonSolver, shared_solver
@@ -97,17 +98,16 @@ class Stepper:
 
     def __init__(self, method: str, s: int):
         self.method = method
-        self.tableau = method_spec(method).tableau(s)
+        self.spec = method_spec(method)
+        self.tableau = self.spec.tableau(s)
         self.s = s
 
     def advance(self, f, y, t, dt, hook=None, err_norm=None):
-        if self.method == "rkc":
-            return rkc_step(f, y, t, dt, self.tableau, hook, err_norm)
-        if self.method == "rock2":
-            return rock2_step(f, y, t, dt, self.tableau, hook, err_norm)
-        if self.method == "rk4":
-            return rk4_step(f, y, t, dt, hook), None
-        raise ValueError("pirock steps through pm1_step's operator split")
+        """One step of the method: (y1, err); ``f`` is a pair when ``spec.split``."""
+        # the step function is looked up by name in this module on every call,
+        # not taken from spec.step: the perfbench tracer patches it here by name
+        step = globals()[self.spec.step.__name__]
+        return step(f, y, t, dt, self.tableau, hook, err_norm)
 
 
 @dataclass(frozen=True)
@@ -238,19 +238,15 @@ def pm1_step(state: CouplingState, system: FlowSystem, stepper: Stepper,
     if pm3 and system.problem.boundary.tangential_normal_derivative is None:
         raise ValueError("PM3 requires exact boundary derivatives")
     p_n = state.p
-    w0 = state.u.flatten()
     t = state.t
-    if stepper.method == "pirock":
+    if stepper.spec.split:
         # diffusion operator carries the frozen pressure gradient; advection
         # operator carries the nonlinear term and the forcing
-        f_d = system.rhs_flat(system.rhs_config(pm3=pm3, advection=False, forcing=False),
-                              p_n)
-        f_a = system.rhs_flat(system.rhs_config(diffusion=False))
-        w_star = pirock_step(f_d, f_a, w0, t, dt, stepper.tableau)
-        err = None
+        f = (system.rhs_flat(system.rhs_config(pm3=pm3, advection=False, forcing=False), p_n),
+             system.rhs_flat(system.rhs_config(diffusion=False)))
     else:
         f = system.rhs_flat(system.rhs_config(pm3=pm3), p_n)
-        w_star, err = stepper.advance(f, w0, t, dt, hook=None, err_norm=err_norm)
+    w_star, err = stepper.advance(f, state.u.flatten(), t, dt, err_norm=err_norm)
     w_new, phi1 = _project_once(system, w_star, t + dt)
     p_new = zero_mean(p_n + (2.0 / dt) * phi1)
     new = CouplingState(VelocityField.views(w_new, system.spec.N), p_new, t + dt)
@@ -293,7 +289,7 @@ def pm1v_step(state: CouplingState, system: FlowSystem, stepper: Stepper,
               dt: float, err_norm=None):
     """PM1V: the DAE step, with the pressure p_n + (2/dt) psi from its log (dt cancels)."""
     new, err = dae_step(state, system, stepper, dt, err_norm)
-    cont, beta = method_spec(stepper.method).pm1v_weights(stepper.tableau)
+    cont, beta = stepper.spec.pm1v_weights(stepper.tableau)
     stages = {i: (c, phi) for i, c, phi in new.phi_log}
     _, c, phi = new.phi_log[-1]
     psi = c * phi - sum((w * stages[k][0]) * stages[k][1] for k, w in cont)
@@ -374,8 +370,6 @@ def ap2w_coefficients(tableau: Rock2Tableau, stages) -> Ap2wCoefficients:
     """Weights annihilating both the O(dt) node offset and the shared
     leading error term of the stage averages; the nodes are the tableau's,
     at which the DAE step projects its stages."""
-    from .integrators import butcher_tableau
-
     A = butcher_tableau(tableau)[0]
     c = tableau.c
     i, j, k = stages

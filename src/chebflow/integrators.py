@@ -8,6 +8,11 @@ propagation with an explicit advection treatment (the reaction branch and
 its implicit stages are not implemented; only the fixed-step l = 2 variant
 is, for which the diffusion part coincides with ROCK2).
 
+Every step is ``step(f, y, t, dt, tableau, hook=None, err_norm=None) ->
+(y1, err)`` (``MethodSpec.step``), err None without an error norm; an error
+norm on RK4 or PIROCK, a hook on PIROCK or both on RKC raise ``ValueError``.
+PIROCK's ``f`` is the operator-split pair (F_D, F_A).
+
 Every stage of RKC/ROCK2/RK4 can be routed through a :class:`StageHook`,
 which is how the DAE step and PM1V project stages.  There is one stage
 loop: the right-hand side is evaluated at the processed stages, and the
@@ -369,8 +374,9 @@ def rock2_step(f, y, t, dt, tableau: Rock2Tableau, hook: Optional[StageHook] = N
 # PIROCK (fixed step, l = 2, no reaction terms)
 # ---------------------------------------------------------------------------
 
-def pirock_step(f_diffusion, f_advection, y, t, dt, tableau: Rock2Tableau):
-    """One PIROCK step for y' = F_D(y) + F_A(y), reaction-free, l = 2.
+def pirock_step(f, y, t, dt, tableau: Rock2Tableau, hook=None, err_norm=None):
+    """One PIROCK step for y' = F_D(y) + F_A(y), reaction-free, l = 2, with
+    ``f`` = (F_D, F_A); returns (y1, None) and refuses a hook or an error norm.
 
     The diffusion propagation is exactly ROCK2; two extra recursion stages
     provide the base point for the advection coupling, whose weights and the
@@ -379,6 +385,9 @@ def pirock_step(f_diffusion, f_advection, y, t, dt, tableau: Rock2Tableau):
     by the diffusion quadrature, which reproduces the ROCK2 stage times
     exactly when the advection term vanishes.
     """
+    if hook is not None or err_norm is not None:
+        raise ValueError("PIROCK processes no stages and has no error estimate")
+    f_diffusion, f_advection = f
     tab = tableau
     s = tab.s
     y = np.asarray(y, dtype=float)
@@ -426,7 +435,7 @@ def pirock_step(f_diffusion, f_advection, y, t, dt, tableau: Rock2Tableau):
           + 0.75 * dt * FA(k_s5)
           + dt / (2.0 - 4.0 * gamma) * (FD(k_s3) - fd_K))
     _check_finite(y1, s + 6)
-    return y1[:n]
+    return y1[:n], None
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +447,11 @@ _RK4_B = (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0)
 _RK4_C = (0.0, 0.5, 0.5, 1.0)
 
 
-def rk4_step(f, y, t, dt, hook: Optional[StageHook] = None):
-    """Classical RK4 step; a hook processes the stages the RHS reads, and the result."""
+def rk4_step(f, y, t, dt, tableau, hook: Optional[StageHook] = None, err_norm=None):
+    """Classical RK4 step, (y1, None), tableau ignored, no error estimate; a hook
+    processes the stages the RHS reads, and the result."""
+    if err_norm is not None:
+        raise ValueError("RK4 has no error estimate")
     y = np.asarray(y, dtype=float)
     fs = []
     for i, row in enumerate(_RK4_A):
@@ -447,7 +459,7 @@ def rk4_step(f, y, t, dt, hook: Optional[StageHook] = None):
         y_proc = y if i == 0 else _stage(hook, i + 1, _RK4_C[i], t + _RK4_C[i] * dt, y_star)
         fs.append(f(t + _RK4_C[i] * dt, y_proc))
     y_star = y + dt * sum(b * fk for b, fk in zip(_RK4_B, fs))
-    return _stage(hook, 5, 1.0, t + dt, y_star)
+    return _stage(hook, 5, 1.0, t + dt, y_star), None
 
 
 # ---------------------------------------------------------------------------
@@ -492,16 +504,16 @@ def butcher_tableau(tableau):
 class MethodSpec:
     """The facts about one integrator that more than one site needs: its
     growth law, the stage counts it runs (ROCK2's are the degrees of the
-    vendored table), its coefficients per stage count, and the couplings it
-    runs and estimates its error with.  A tableau carries its stage nodes as
-    ``c``.  The step call itself stays dispatched by name in
-    ``coupling.Stepper.advance``, because the perfbench tracer patches the
-    step functions there by name; couplings are named as in
+    vendored table), its coefficients per stage count, its step function,
+    and the couplings it runs and estimates its error with.  A tableau
+    carries its stage nodes as ``c``; couplings are named as in
     ``coupling.COUPLINGS``."""
 
     growth: Optional[float]   # stability interval growth * s^2; None: no growth law
     stage_counts: Callable    # () -> ascending stage counts it runs
     tableau: Callable         # (s) -> coefficients, None for RK4
+    step: Callable            # (f, y, t, dt, tableau, hook, err_norm) -> (y1, err)
+    split: bool = False       # f is the operator-split pair (F_D, F_A)
     couplings: Optional[tuple] = None   # the couplings it runs; None: every one
     estimated: Optional[tuple] = None   # those its error estimate holds with; None: every one
     # (tableau) -> (((k, w_k), ...), beta) for PM1V's p1; default: y + dt sum_k b_k f_k (RK4)
@@ -509,18 +521,18 @@ class MethodSpec:
 
 
 # y1 = U_s + sigma dt f(U_s) - err: err's RHS difference cancels a frozen force
-_ROCK2 = MethodSpec(ROCK2_GROWTH, rock2_degrees, rock2_tableau,
+_ROCK2 = MethodSpec(ROCK2_GROWTH, rock2_degrees, rock2_tableau, rock2_step,
                     pm1v_weights=lambda tab: (((tab.s, 1.0),), tab.sigma))
 METHODS = {
     # the estimate presumes unprocessed stages: adaptive runs use it with the
     # couplings that project once per step, after it (PM1, and PM3 = PM1 with
     # exact boundary derivatives)
-    "rkc": MethodSpec(RKC_GROWTH, lambda: RKC_STAGES, rkc_tableau,
+    "rkc": MethodSpec(RKC_GROWTH, lambda: RKC_STAGES, rkc_tableau, rkc_step,
                       estimated=("pm1", "pm3"), pm1v_weights=rkc_pm1v_weights),
     "rock2": _ROCK2,
     # the operator split runs through PM1, at a fixed step
-    "pirock": replace(_ROCK2, couplings=("pm1",), estimated=()),
-    "rk4": MethodSpec(None, lambda: (4,), lambda s: None, estimated=()),
+    "pirock": replace(_ROCK2, step=pirock_step, split=True, couplings=("pm1",), estimated=()),
+    "rk4": MethodSpec(None, lambda: (4,), lambda s: None, rk4_step, estimated=()),
 }
 
 
@@ -533,21 +545,14 @@ def method_spec(method: str) -> MethodSpec:
 
 def stability_poly_eval(method: str, s: int, z):
     """Amplification factor R(z) of one step on y' = lambda y (z = lambda dt)."""
-    tab = method_spec(method).tableau(s)
     if np.iscomplexobj(z):
         raise ValueError("stability_poly_eval supports only real z")
+    spec = method_spec(method)
     z = np.asarray(z, dtype=float)
-    y0 = np.ones_like(z)
     f = lambda t, y: z * y
-    if method == "rkc":
-        y1, _ = rkc_step(f, y0, 0.0, 1.0, tab)
-    elif method == "rock2":
-        y1, _ = rock2_step(f, y0, 0.0, 1.0, tab)
-    elif method == "pirock":
-        y1 = pirock_step(f, lambda t, y: 0.0 * y, y0, 0.0, 1.0, tab)
-    else:
-        y1 = rk4_step(f, y0, 0.0, 1.0)
-    return y1
+    if spec.split:
+        f = (f, lambda t, y: 0.0 * y)
+    return spec.step(f, np.ones_like(z), 0.0, 1.0, spec.tableau(s))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,11 @@ def small_cfg(**kw):
     return RunConfig(**base)
 
 
+def no_run(*args, **kwargs):
+    """A stand-in for ``bench.run_simulation`` where no run may start."""
+    raise AssertionError("a run started")
+
+
 def test_validation_rejects_illegal_combinations():
     bad = [
         dict(integrator="rkc", coupling="dae", adaptive=True),
@@ -43,6 +48,22 @@ def test_validation_rejects_illegal_combinations():
     for kw in bad:
         with pytest.raises(ValueError):
             small_cfg(**kw).validate()
+
+
+@pytest.mark.parametrize("field, value, integrator", [("nx", 16.0, "rock2"),
+                                                     ("stages", 3.0, "rkc"),
+                                                     ("stages", 3.0, "rock2")])
+def test_validation_rejects_non_integer_sizes(field, value, integrator, monkeypatch):
+    # a float size used to pass validate and fail inside numpy with a TypeError
+    from chebflow import bench
+    cfg = small_cfg(integrator=integrator)
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+        replace(cfg, **{field: value}).validate()
+    replace(cfg, **{field: np.int64(value)}).validate()     # numpy integers are integers
+    if field == "stages":
+        monkeypatch.setattr(bench, "run_simulation", no_run)
+        with pytest.raises(ValueError, match=f"stages must be an integer, got {value!r}"):
+            bench.max_stable_dt(cfg, value)
 
 
 # integrator -> coupling -> the pressures validate accepts with it
@@ -472,10 +493,6 @@ def test_cli_efficiency_runs_without_a_step(capsys):
 
 def test_efficiency_study_validates_every_run_before_the_reference(monkeypatch):
     from chebflow import bench
-
-    def no_run(*args, **kwargs):
-        raise AssertionError("a run started")
-
     monkeypatch.setattr(bench, "run_simulation", no_run)
     # valid with a fixed step, but adaptive rk4 has no error estimate
     cfgs = [small_cfg(coupling="pm1", pressure="p2"), small_cfg(integrator="rk4")]
@@ -484,6 +501,39 @@ def test_efficiency_study_validates_every_run_before_the_reference(monkeypatch):
         efficiency_study(cfgs, [1e-3, 1e-4])
     with pytest.raises(ValueError, match="atol must be positive"):
         efficiency_study(cfgs[:1], [1e-3, 0.0])
+
+
+@pytest.mark.parametrize("field, value", [("problem", "forced"), ("re", 50.0), ("nx", 8),
+                                          ("t_end", 0.01), ("advection", False)])
+def test_efficiency_study_rejects_methods_on_another_flow(field, value, monkeypatch):
+    # every method's error is measured against the first one's reference run
+    from chebflow import bench
+    monkeypatch.setattr(bench, "run_simulation", no_run)
+    cfgs = [small_cfg(coupling="pm1", pressure="p2"), small_cfg(**{field: value})]
+    with pytest.raises(ValueError, match=r"share one reference.*\(problem, re, nx, t_end"):
+        efficiency_study(cfgs, [1e-3])
+
+
+@pytest.mark.parametrize("study, message", [
+    (lambda cfg: convergence_study(cfg, axis="time", dts=[2.0**-4, 0.0], ref_dt=1e-3),
+     "dt must be positive"),
+    (lambda cfg: convergence_study(cfg, axis="space", Ns=[2, 16], ref_N=32), "nx must be at least"),
+    (lambda cfg: convergence_study(cfg, axis="time", dts=[2.0**-6], ref_dt=0.0),
+     "dt must be positive"),
+    (lambda cfg: reynolds_sweep(cfg, [100.0, -1.0]), "Reynolds number must be positive"),
+], ids=["time-trial", "space-trial", "time-reference", "reynolds"])
+def test_studies_validate_every_run_before_the_first_runs(study, message, monkeypatch):
+    from chebflow import bench
+    run, calls = bench.run_simulation, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "run_simulation", counted)
+    with pytest.raises(ValueError, match=message):
+        study(small_cfg(atol=1e-4, rtol=1e-4))
+    assert calls == []
 
 
 def test_reynolds_sweep_rows_are_sorted_direct_runs():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from chebflow.bench import fit_slope
+from chebflow.coupling import Stepper
 from chebflow.grid import weighted_rms_norm
-from chebflow.integrators import (ALPHA, FAC_MAX, FAC_MIN, SAFETY, IntegrationDiverged,
+from chebflow.integrators import (ALPHA, FAC_MAX, FAC_MIN, METHODS, SAFETY, IntegrationDiverged,
                                   StageHook, StepController, butcher_tableau, pirock_step,
                                   propose_dt, rk4_step, rkc_step, rkc_tableau,
                                   rock2_degrees, rock2_step, rock2_tableau,
@@ -134,15 +135,15 @@ def test_pirock_reduces_to_rock2():
     fd = lambda t, y: M @ y
     fa = lambda t, y: np.zeros_like(y)
     y_ro, _ = rock2_step(fd, y0, 0.0, 0.1, tab)
-    y_pi = pirock_step(fd, fa, y0, 0.0, 0.1, tab)
+    y_pi, _ = pirock_step((fd, fa), y0, 0.0, 0.1, tab)
     assert np.max(np.abs(y_ro - y_pi)) < 1e-12
 
 
 def test_pirock_constant_advection():
     tab = rock2_tableau(5)
     y0 = np.array([0.3, -0.7])
-    y1 = pirock_step(lambda t, y: np.zeros_like(y), lambda t, y: np.ones_like(y),
-                     y0, 0.0, 0.4, tab)
+    y1, _ = pirock_step((lambda t, y: np.zeros_like(y), lambda t, y: np.ones_like(y)),
+                        y0, 0.0, 0.4, tab)
     assert np.max(np.abs(y1 - y0 - 0.4)) < 1e-12
 
 
@@ -152,17 +153,17 @@ def test_pirock_second_order_on_split_linear():
     dts = [0.1, 0.05, 0.025, 0.0125]
     errs = []
     for dt in dts:
-        y1 = pirock_step(lambda t, y: lam_d * y, lambda t, y: lam_a * y,
-                         np.array([1.0]), 0.0, dt, tab)
+        y1, _ = pirock_step((lambda t, y: lam_d * y, lambda t, y: lam_a * y),
+                            np.array([1.0]), 0.0, dt, tab)
         errs.append(abs(y1[0] - np.exp((lam_d + lam_a) * dt)))
     slope = fit_slope(dts, errs)
     assert slope > 2.8       # local error O(dt^3)
 
 
 def test_rk4_frozen_values_and_order():
-    y1 = rk4_step(lambda t, y: np.ones_like(y), np.array([1.0]), 0.0, 0.5)
+    y1, _ = rk4_step(lambda t, y: np.ones_like(y), np.array([1.0]), 0.0, 0.5, None)
     assert abs(y1[0] - 1.5) < 1e-15
-    y1 = rk4_step(lambda t, y: y, np.array([1.0]), 0.0, 0.1)
+    y1, _ = rk4_step(lambda t, y: y, np.array([1.0]), 0.0, 0.1, None)
     taylor4 = 1 + 0.1 + 0.1**2 / 2 + 0.1**3 / 6 + 0.1**4 / 24
     assert abs(y1[0] - taylor4) < 1e-15
     dts = [0.1, 0.05, 0.025]
@@ -171,7 +172,7 @@ def test_rk4_frozen_values_and_order():
         y = np.array([1.0])
         t = 0.0
         while t < 1.0 - 1e-12:
-            y = rk4_step(lambda t, y: -y, y, t, dt)
+            y, _ = rk4_step(lambda t, y: -y, y, t, dt, None)
             t += dt
         errs.append(abs(y[0] - np.exp(-1.0)))
     slope = fit_slope(dts, errs)
@@ -219,8 +220,38 @@ def test_hook_neutrality_bit_for_bit():
         plain, _ = step(f, y0, 0.1, 0.05, tab)
         hooked, _ = step(f, y0, 0.1, 0.05, tab, hook=identity)
         assert np.array_equal(plain, hooked)
-    assert np.array_equal(rk4_step(f, y0, 0.1, 0.05),
-                          rk4_step(f, y0, 0.1, 0.05, hook=identity))
+    assert np.array_equal(rk4_step(f, y0, 0.1, 0.05, None)[0],
+                          rk4_step(f, y0, 0.1, 0.05, None, hook=identity)[0])
+
+
+@pytest.mark.parametrize("method", list(METHODS))
+def test_every_method_steps_through_one_contract(method):
+    # Stepper.advance(f, y, t, dt, hook, err_norm) -> (y1, err) for every
+    # method; PIROCK's f is the operator-split pair, and a step refuses what
+    # its MethodSpec says it cannot do
+    spec = METHODS[method]
+    s = next(c for c in spec.stage_counts() if c >= 3)
+    stepper = Stepper(method, s)
+    f = lambda t, y: -y
+    rhs = (f, lambda t, y: np.zeros_like(y)) if spec.split else f
+    y0 = np.array([1.0, -2.0])
+    y1, err = stepper.advance(rhs, y0, 0.0, 0.1)
+    assert err is None
+    R = stability_poly_eval(method, s, np.array([-0.1]))[0]
+    assert np.allclose(y1, R * y0, rtol=1e-14, atol=0)
+    assert np.max(np.abs(y1 - y0 * np.exp(-0.1))) < 1e-3
+    if spec.estimated == ():
+        with pytest.raises(ValueError, match="no error estimate"):
+            stepper.advance(rhs, y0, 0.0, 0.1, err_norm=MAXNORM)
+    else:
+        y1_err, err = stepper.advance(rhs, y0, 0.0, 0.1, err_norm=MAXNORM)
+        assert np.array_equal(y1_err, y1) and 0 < err < 1e-2
+    identity = StageHook(True, lambda i, ci, ti, ystar: ystar)
+    if spec.split:
+        with pytest.raises(ValueError, match="processes no stages"):
+            stepper.advance(rhs, y0, 0.0, 0.1, hook=identity)
+    else:
+        assert np.array_equal(stepper.advance(rhs, y0, 0.0, 0.1, hook=identity)[0], y1)
 
 
 def test_rkc_error_estimate_refused_with_projection():
